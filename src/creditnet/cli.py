@@ -1,4 +1,10 @@
-"""Command-line interface for the credit-network analysis pipeline."""
+"""Command-line interface for the credit-network analysis pipeline.
+
+The single-stage subcommands (stats, nullmodel, regress, placebo) call the
+stage functions of :mod:`creditnet.pipeline` and write the same files that
+``run`` writes for that stage. Exit codes: 0 on success, 2 when a grid cell
+or null variant failed (each is named on stderr), 1 on an error.
+"""
 
 from __future__ import annotations
 
@@ -6,17 +12,13 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import econometrics as econ
-from . import report
-from .core import derived_degrees
+from . import pipeline, report
 from .ingest import apply_consistency_filter, parse_sample, write_sample_csv
-from .netstats import ccdf, summarize
-from .nullmodel import (Variant, expected_metrics, fitness_spec_from_sample,
-                        sample_ensemble)
-from .pipeline import (RunConfig, default_grid, load_config_file, run)
+from .pipeline import ReportBundle, RunConfig, load_config_file, run
 from .synthgen import GenConfig, generate
+
+STAGES = {"1": econ.Stage.LINK_FORMATION, "2": econ.Stage.LOAN_SIZING}
 
 
 def _add_input_args(parser):
@@ -29,6 +31,13 @@ def _parse_filtered(args):
     sample = parse_sample(args.edges, args.firms, args.banks)
     filtered, rep = apply_consistency_filter(sample)
     return filtered, rep
+
+
+def _finish(bundle: ReportBundle) -> int:
+    """Name every recorded failure on stderr; 2 if there was any, else 0."""
+    for name, err in sorted(bundle.failures.items()):
+        print(f"{name}: FAILED ({err})", file=sys.stderr)
+    return 0 if bundle.ok else 2
 
 
 def _cmd_synth(args) -> int:
@@ -58,111 +67,45 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_stats(args) -> int:
     filtered, _ = _parse_filtered(args)
-    net = filtered.network
-    stats = summarize(net)
-    os.makedirs(args.out, exist_ok=True)
-    report.write_json(os.path.join(args.out, "summary_stats.json"),
-                      stats.to_json())
-    k, h = derived_degrees(net)
-    for label, values in (("firm_degrees", k), ("bank_degrees", h)):
-        curve = ccdf(values)
-        report.write_csv(os.path.join(args.out, f"ccdf_{label}.csv"),
-                         ["value", "survival"],
-                         zip(curve.values, curve.survival))
+    stats = pipeline.write_stats(ReportBundle(args.out), filtered.network)
     print(report.canonical_json(stats.to_json()), end="")
     return 0
 
 
 def _cmd_nullmodel(args) -> int:
     filtered, _ = _parse_filtered(args)
-    variant = Variant.NETWORK_DRIVEN if args.variant == "network" \
-        else Variant.BALANCE_DRIVEN
-    spec = fitness_spec_from_sample(filtered, variant)
-    ensemble = sample_ensemble(spec, args.samples, args.seed)
-    expected = expected_metrics(spec)
-    os.makedirs(args.out, exist_ok=True)
-    report.write_json(
-        os.path.join(args.out, f"nullmodel_{args.variant}.json"),
-        {
-            "spec": spec.to_json(),
-            "seed": args.seed,
-            "n_samples": args.samples,
-            "expected_firm_degrees": expected.firm_degrees,
-            "expected_bank_degrees": expected.bank_degrees,
-            "ensemble": ensemble.to_json(),
-        })
-    print(f"calibrated z = {spec.z:.6e}")
-    return 0
-
-
-def _grid_for(args) -> tuple:
-    stage = econ.Stage.LINK_FORMATION if args.stage == "1" \
-        else econ.Stage.LOAN_SIZING
-    model = {"m1": econ.Model.M1_GRAVITY, "m2": econ.Model.M2_NETWORK,
-             "m3": econ.Model.M3_FULL}[args.model]
-    variant = econ.DegreeVariant.A_WITH_DEGREE if args.variant == "a" \
-        else econ.DegreeVariant.B_WITHOUT_DEGREE
-    fe = econ.FixedEffects.BANK_DUMMIES if args.fixed_effects \
-        else econ.FixedEffects.NONE
-    return (econ.ModelSpec(stage, model, variant, fixed_effects=fe),)
+    config = RunConfig(out_dir=args.out, edges_path=args.edges,
+                       firm_attrs_path=args.firms, bank_attrs_path=args.banks,
+                       n_samples=args.samples, seed=args.seed)
+    bundle = ReportBundle(args.out)
+    spec = pipeline.write_null_variant(bundle, config, filtered, args.variant)
+    if spec is not None:
+        print(f"calibrated z = {spec.z:.6e}")
+    return _finish(bundle)
 
 
 def _cmd_regress(args) -> int:
     filtered, _ = _parse_filtered(args)
-    spec = _grid_for(args)[0]
-    design = econ.build_design(filtered, spec)
-    if spec.stage is econ.Stage.LINK_FORMATION:
-        fit = econ.fit_logit(design)
-    elif spec.fixed_effects is econ.FixedEffects.BANK_DUMMIES:
-        fit = econ.fit_ols_fixed_effects(design)
-    else:
-        fit = econ.fit_ols(design)
-    os.makedirs(args.out, exist_ok=True)
-    cell = spec.name()
-    report.write_json(os.path.join(args.out, f"{cell}.json"), fit.to_json())
-    table = fit.format_table(title=cell)
-    report.write_text(os.path.join(args.out, f"{cell}.txt"), table)
-    print(table, end="")
-    return 0
+    fe = econ.FixedEffects.BANK_DUMMIES if args.fixed_effects \
+        else econ.FixedEffects.NONE
+    spec = econ.ModelSpec(STAGES[args.stage], econ.Model(args.model),
+                          econ.DegreeVariant(args.variant), fixed_effects=fe)
+    bundle = ReportBundle(args.out)
+    cell = pipeline.write_cell(bundle, filtered, spec, {}, subdir="")
+    if cell is not None:
+        print(cell[0].format_table(title=spec.name()), end="")
+    return _finish(bundle)
 
 
 def _cmd_placebo(args) -> int:
     filtered, _ = _parse_filtered(args)
-    nulls = {
-        econ.DegreeSource.NULL_NET:
-            fitness_spec_from_sample(filtered, Variant.NETWORK_DRIVEN),
-        econ.DegreeSource.NULL_BAL:
-            fitness_spec_from_sample(filtered, Variant.BALANCE_DRIVEN),
-    }
-    stage = econ.Stage.LINK_FORMATION if args.stage == "1" \
-        else econ.Stage.LOAN_SIZING
-    os.makedirs(args.out, exist_ok=True)
-    panel = [
-        econ.ModelSpec(stage, econ.Model.M3_FULL),
-        econ.ModelSpec(stage, econ.Model.M3_FULL, drop_network_strength=True),
-        econ.ModelSpec(stage, econ.Model.M3_FULL,
-                       degree_source=econ.DegreeSource.NULL_NET),
-        econ.ModelSpec(stage, econ.Model.M3_FULL,
-                       degree_source=econ.DegreeSource.NULL_BAL),
-    ]
-    status = 0
-    for spec in panel:
-        cell = spec.name()
-        try:
-            design = econ.build_design(filtered, spec, nulls)
-            fit = econ.fit_logit(design) \
-                if stage is econ.Stage.LINK_FORMATION else econ.fit_ols(design)
-        except Exception as exc:
-            print(f"{cell}: FAILED ({type(exc).__name__}: {exc})",
-                  file=sys.stderr)
-            status = 2
-            continue
-        report.write_json(os.path.join(args.out, f"{cell}.json"),
-                          fit.to_json())
-        report.write_text(os.path.join(args.out, f"{cell}.txt"),
-                          fit.format_table(title=cell))
-        print(f"{cell}: ok")
-    return status
+    nulls = {source: pipeline.null_model(name, filtered)
+             for source, name in pipeline.PLACEBO_NULLS.items()}
+    bundle = ReportBundle(args.out)
+    for spec in pipeline.placebo_panel(STAGES[args.stage]):
+        if pipeline.write_cell(bundle, filtered, spec, nulls, subdir=""):
+            print(f"{spec.name()}: ok")
+    return _finish(bundle)
 
 
 def _cmd_run(args) -> int:
@@ -182,12 +125,9 @@ def _cmd_run(args) -> int:
             seed=args.seed,
         )
     bundle = run(config)
-    if bundle.failures:
-        for cell, err in sorted(bundle.failures.items()):
-            print(f"{cell}: FAILED ({err})", file=sys.stderr)
-        return 2
-    print(f"wrote {len(bundle.files)} files to {bundle.out_dir}")
-    return 0
+    if bundle.ok:
+        print(f"wrote {len(bundle.files)} files to {bundle.out_dir}")
+    return _finish(bundle)
 
 
 def build_parser() -> argparse.ArgumentParser:

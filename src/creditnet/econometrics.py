@@ -39,8 +39,9 @@ __all__ = [
     "DesignMatrix",
     "CoefficientStat",
     "FitResult",
-    "herman_correct",
+    "rest_of_world",
     "build_design",
+    "fit_design",
     "fit_logit",
     "fit_ols",
     "fit_ols_fixed_effects",
@@ -182,54 +183,6 @@ class DesignMatrix:
         return self.X[:, self.column_names.index(name)]
 
 
-@dataclass(frozen=True)
-class HermanCorrected:
-    firm_degree: float
-    bank_degree: float
-    firm_net_strength: float
-    bank_net_strength: float
-    firm_bal_strength: float
-    bank_bal_strength: float
-
-
-def herman_correct(net, i: int, j: int, stage: Stage,
-                   s_bal: float = 0.0, t_bal: float = 0.0) -> HermanCorrected:
-    """Rest-of-the-world predictors for the pair (i, j).
-
-    Stage 1 subtracts the focal link (if present) from degrees and network
-    strengths only; stage 2, which conditions on the link existing, also
-    subtracts the loan amount from both balance-sheet strengths.
-    """
-    k, h = derived_degrees(net)
-    s_net, t_net = derived_strengths(net)
-    w = float(net.weights[i, j])
-    a = 1.0 if w > 0 else 0.0
-    if stage is Stage.LINK_FORMATION:
-        return HermanCorrected(
-            firm_degree=float(k[i]) - a,
-            bank_degree=float(h[j]) - a,
-            firm_net_strength=float(s_net[i]) - w,
-            bank_net_strength=float(t_net[j]) - w,
-            firm_bal_strength=float(s_bal),
-            bank_bal_strength=float(t_bal),
-        )
-    if a != 1.0:
-        raise EconError("loan-sizing correction applies to existing links only")
-    sb = float(s_bal) - w
-    tb = float(t_bal) - w
-    if sb < 0 or tb < 0:
-        log.warning("corrected balance strength negative for pair (%d, %d); "
-                    "clamped to 0", i, j)
-    return HermanCorrected(
-        firm_degree=float(k[i]) - 1.0,
-        bank_degree=float(h[j]) - 1.0,
-        firm_net_strength=float(s_net[i]) - w,
-        bank_net_strength=float(t_net[j]) - w,
-        firm_bal_strength=max(sb, 0.0),
-        bank_bal_strength=max(tb, 0.0),
-    )
-
-
 def _columns_for(spec: ModelSpec) -> list[str]:
     with_degree = spec.variant is DegreeVariant.A_WITH_DEGREE
     if spec.model is Model.M1_GRAVITY:
@@ -260,6 +213,33 @@ def _columns_for(spec: ModelSpec) -> list[str]:
     return firm + bank
 
 
+def rest_of_world(sample: Sample, fi: np.ndarray, bi: np.ndarray,
+                  stage: Stage) -> tuple[np.ndarray, ...]:
+    """Predictors of the pairs (fi[r], bi[r]) without the pair's own loan.
+
+    Returns ``(k, h, s_net, t_net, s_bal, t_bal)``, one entry per pair.
+    Stage 1 subtracts the focal link (if present) from degrees and network
+    strengths only; stage 2, whose pairs are existing links, also subtracts
+    the loan amount from both balance-sheet strengths, clamping at 0.
+    """
+    net = sample.network
+    k, h = derived_degrees(net)
+    s_net, t_net = derived_strengths(net)
+    s_bal = sample.firm_series("balance_strength")[fi]
+    t_bal = sample.bank_series("balance_strength")[bi]
+    w = net.weights[fi, bi]
+    if stage is Stage.LINK_FORMATION:
+        a = (w > 0).astype(float)
+        return k[fi] - a, h[bi] - a, s_net[fi] - w, t_net[bi] - w, s_bal, t_bal
+    s_bal, t_bal = s_bal - w, t_bal - w
+    n_neg = int((s_bal < 0).sum() + (t_bal < 0).sum())
+    if n_neg:
+        log.warning("%d corrected balance strengths were negative; "
+                    "clamped to 0", n_neg)
+    return (k[fi] - 1.0, h[bi] - 1.0, s_net[fi] - w, t_net[bi] - w,
+            np.maximum(s_bal, 0.0), np.maximum(t_bal, 0.0))
+
+
 def _floored_log(values: np.ndarray, floor: float, counter: dict, name: str):
     floored = values < floor
     counter[name] = counter.get(name, 0) + int(floored.sum())
@@ -272,11 +252,6 @@ def build_design(sample: Sample, spec: ModelSpec,
     net = sample.network
     nf, nb = net.n_firms, net.n_banks
     k, h = derived_degrees(net)
-    s_net, t_net = derived_strengths(net)
-    s_bal = sample.firm_series("balance_strength")
-    t_bal = sample.bank_series("balance_strength")
-    w = net.weights
-    a = (w > 0).astype(float)
 
     columns = _columns_for(spec)
     if spec.fixed_effects is FixedEffects.BANK_DUMMIES:
@@ -295,7 +270,7 @@ def build_design(sample: Sample, spec: ModelSpec,
     fi, bi = fi.ravel(), bi.ravel()
     n_dropped = 0
     if spec.stage is Stage.LOAN_SIZING:
-        keep = a[fi, bi] > 0
+        keep = net.weights[fi, bi] > 0
         fi, bi = fi[keep], bi[keep]
     elif spec.model is not Model.M1_GRAVITY:
         # banks isolated by the consistency filter carry no information for
@@ -306,35 +281,16 @@ def build_design(sample: Sample, spec: ModelSpec,
     if fi.size == 0:
         raise AllRowsDropped("no rows left for this specification")
 
-    a_row = a[fi, bi]
-    w_row = w[fi, bi]
-
     # rest-of-the-world corrections
     if spec.herman:
-        if spec.stage is Stage.LINK_FORMATION:
-            k_c = k[fi] - a_row
-            h_c = h[bi] - a_row
-            s_net_c = s_net[fi] - w_row
-            t_net_c = t_net[bi] - w_row
-            s_bal_c = s_bal[fi]
-            t_bal_c = t_bal[bi]
-        else:
-            k_c = k[fi] - 1.0
-            h_c = h[bi] - 1.0
-            s_net_c = s_net[fi] - w_row
-            t_net_c = t_net[bi] - w_row
-            s_bal_c = s_bal[fi] - w_row
-            t_bal_c = t_bal[bi] - w_row
-            n_neg = int((s_bal_c < 0).sum() + (t_bal_c < 0).sum())
-            if n_neg:
-                log.warning("%d corrected balance strengths were negative; "
-                            "clamped to 0", n_neg)
-            s_bal_c = np.maximum(s_bal_c, 0.0)
-            t_bal_c = np.maximum(t_bal_c, 0.0)
+        k_c, h_c, s_net_c, t_net_c, s_bal_c, t_bal_c = rest_of_world(
+            sample, fi, bi, spec.stage)
     else:
+        s_net, t_net = derived_strengths(net)
         k_c, h_c = k[fi].astype(float), h[bi].astype(float)
         s_net_c, t_net_c = s_net[fi], t_net[bi]
-        s_bal_c, t_bal_c = s_bal[fi], t_bal[bi]
+        s_bal_c = sample.firm_series("balance_strength")[fi]
+        t_bal_c = sample.bank_series("balance_strength")[bi]
 
     floored: dict[str, int] = {}
     values: dict[str, np.ndarray] = {}
@@ -382,8 +338,9 @@ def build_design(sample: Sample, spec: ModelSpec,
     X = np.column_stack([values[c] for c in columns])
     if not np.all(np.isfinite(X)):
         raise EconError("non-finite entries in the design matrix")
+    w_row = net.weights[fi, bi]
     if spec.stage is Stage.LINK_FORMATION:
-        y = a_row.copy()
+        y = (w_row > 0).astype(float)
     else:
         y = np.log(w_row)
 
@@ -686,6 +643,15 @@ def fit_ols_fixed_effects(design: DesignMatrix) -> FitResult:
         extra={"n_groups": int(n_groups), "r_squared_overall": float(r2_overall),
                "bank_controls": "absorbed"},
     )
+
+
+def fit_design(design: DesignMatrix) -> FitResult:
+    """Fit a design with the estimator its stage and fixed effects call for."""
+    if design.spec.stage is Stage.LINK_FORMATION:
+        return fit_logit(design)
+    if design.spec.fixed_effects is FixedEffects.BANK_DUMMIES:
+        return fit_ols_fixed_effects(design)
+    return fit_ols(design)
 
 
 def vif(design: DesignMatrix) -> dict[str, float]:

@@ -33,9 +33,7 @@ __all__ = [
     "BicmSpec",
     "ConstantSpec",
     "Ensemble",
-    "link_probability",
     "calibrate_z",
-    "dcgm_weight",
     "solve_bicm",
     "bicm_from_network",
     "fitness_spec_from_sample",
@@ -192,11 +190,6 @@ class ConstantSpec:
         }
 
 
-def link_probability(spec, i: int, j: int) -> float:
-    """Connection probability for the pair (i, j) under the model."""
-    return float(spec.probability_matrix()[i, j])
-
-
 def _expected_links(z, s, t):
     st = z * np.outer(s, t)
     p = st / (1.0 + st)
@@ -259,14 +252,6 @@ def fitness_spec_from_sample(sample: Sample, variant: Variant) -> FitnessSpec:
         t = sample.bank_series("balance_strength")
     z = calibrate_z(s, t, net.n_links)
     return FitnessSpec(s=s, t=t, z=z, variant=variant)
-
-
-def dcgm_weight(spec, i: int, j: int) -> float:
-    """Conditional weight of link (i, j): s_i t_j / (W p_ij)."""
-    p = link_probability(spec, i, j)
-    if p == 0:
-        return 0.0
-    return float(spec.s[i] * spec.t[j] / (spec.weight_norm * p))
 
 
 def _weight_matrix(spec, p: np.ndarray) -> np.ndarray:
@@ -392,7 +377,6 @@ class Ensemble:
     sumsq_firm_strengths: np.ndarray
     sum_bank_strengths: np.ndarray
     sumsq_bank_strengths: np.ndarray
-    sum_weights: np.ndarray
     sum_links: float
     sumsq_links: float
 
@@ -418,10 +402,6 @@ class Ensemble:
     @property
     def mean_bank_strengths(self):
         return self._mean(self.sum_bank_strengths)
-
-    @property
-    def mean_weights(self):
-        return self._mean(self.sum_weights)
 
     @property
     def mean_links(self):
@@ -460,13 +440,8 @@ def _sample_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_ensemble(spec, n_samples: int, seed: int,
-                    keep_samples: bool = False) -> Ensemble | tuple:
-    """Draw configurations and accumulate degree/strength statistics.
-
-    With ``keep_samples`` the sampled weight matrices are returned as well
-    (intended for small debugging runs only).
-    """
+def sample_ensemble(spec, n_samples: int, seed: int) -> Ensemble:
+    """Draw configurations and accumulate degree/strength statistics."""
     if n_samples < 1:
         raise NullModelError("n_samples must be >= 1")
     p = spec.probability_matrix()
@@ -479,9 +454,8 @@ def sample_ensemble(spec, n_samples: int, seed: int,
         sum_bank_degrees=np.zeros(nb), sumsq_bank_degrees=np.zeros(nb),
         sum_firm_strengths=np.zeros(nf), sumsq_firm_strengths=np.zeros(nf),
         sum_bank_strengths=np.zeros(nb), sumsq_bank_strengths=np.zeros(nb),
-        sum_weights=np.zeros((nf, nb)), sum_links=0.0, sumsq_links=0.0,
+        sum_links=0.0, sumsq_links=0.0,
     )
-    kept = []
     for idx in range(n_samples):
         rng = _sample_rng(seed, idx)
         a = rng.random((nf, nb)) < p
@@ -499,11 +473,6 @@ def sample_ensemble(spec, n_samples: int, seed: int,
         acc.sumsq_firm_strengths += s**2
         acc.sum_bank_strengths += t
         acc.sumsq_bank_strengths += t**2
-        acc.sum_weights += w
         acc.sum_links += links
         acc.sumsq_links += links**2
-        if keep_samples:
-            kept.append(w)
-    if keep_samples:
-        return acc, kept
     return acc

@@ -1,20 +1,22 @@
 """End-to-end orchestration: ingest, null models, regressions, reports.
 
 A run is fully described by a :class:`RunConfig`; identical configurations
-produce byte-identical output trees.
+produce byte-identical output trees. :func:`run` is a plain sequence of
+stage functions. Each stage writes its files through a :class:`ReportBundle`
+and records a failing null variant or grid cell there instead of raising;
+the CLI's single-stage subcommands call the same functions.
 """
 
 from __future__ import annotations
 
 import os
-import traceback
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import econometrics as econ
 from . import netstats, nullmodel, report
-from .core import Sample, derived_degrees, derived_strengths
+from .core import BipartiteNetwork, Sample, derived_degrees
 from .ingest import apply_consistency_filter, parse_sample, write_sample_csv
 from .netstats import ccdf, compare, summarize
 from .nullmodel import (Variant, bicm_from_network, fitness_spec_from_sample,
@@ -24,13 +26,23 @@ from .synthgen import GenConfig, generate
 __all__ = [
     "RunConfig",
     "ReportBundle",
+    "PLACEBO_NULLS",
     "default_grid",
+    "placebo_panel",
+    "null_model",
+    "write_stats",
+    "write_null_variant",
+    "write_cell",
     "run",
     "residual_diagnostics",
     "load_config_file",
 ]
 
 NULL_VARIANT_NAMES = ("network", "balance", "bicm", "random")
+
+# the null variant whose expected degrees each placebo degree source uses
+PLACEBO_NULLS = {econ.DegreeSource.NULL_NET: "network",
+                 econ.DegreeSource.NULL_BAL: "balance"}
 
 
 @dataclass(frozen=True)
@@ -61,7 +73,7 @@ class RunConfig:
                 raise ValueError(f"unknown null variant {v!r}")
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "edges_path": self.edges_path,
             "firm_attrs_path": self.firm_attrs_path,
             "bank_attrs_path": self.bank_attrs_path,
@@ -72,7 +84,6 @@ class RunConfig:
             "n_bins": self.n_bins,
             "grid": [spec.name() for spec in self.grid] if self.grid else None,
         }
-        return out
 
 
 @dataclass
@@ -87,6 +98,22 @@ class ReportBundle:
     def ok(self) -> bool:
         return not self.failures
 
+    def add(self, relpath: str) -> str:
+        """List an output file; return the path to write it to."""
+        self.files.append(relpath)
+        return os.path.join(self.out_dir, relpath)
+
+
+def placebo_panel(stage: econ.Stage) -> tuple[econ.ModelSpec, ...]:
+    """Placebo columns: empirical, empirical w/o strength, two null sources."""
+    full = econ.Model.M3_FULL
+    return (econ.ModelSpec(stage, full),
+            econ.ModelSpec(stage, full, drop_network_strength=True),
+            econ.ModelSpec(stage, full,
+                           degree_source=econ.DegreeSource.NULL_NET),
+            econ.ModelSpec(stage, full,
+                           degree_source=econ.DegreeSource.NULL_BAL))
+
 
 def default_grid() -> tuple[econ.ModelSpec, ...]:
     """The replication grid: five specs per stage, placebo set, bank FE."""
@@ -97,13 +124,7 @@ def default_grid() -> tuple[econ.ModelSpec, ...]:
             for variant in (econ.DegreeVariant.A_WITH_DEGREE,
                             econ.DegreeVariant.B_WITHOUT_DEGREE):
                 specs.append(econ.ModelSpec(stage, model, variant))
-        # placebo panel: empirical, empirical w/o strength, two null sources
-        specs.append(econ.ModelSpec(stage, econ.Model.M3_FULL,
-                                    drop_network_strength=True))
-        specs.append(econ.ModelSpec(stage, econ.Model.M3_FULL,
-                                    degree_source=econ.DegreeSource.NULL_NET))
-        specs.append(econ.ModelSpec(stage, econ.Model.M3_FULL,
-                                    degree_source=econ.DegreeSource.NULL_BAL))
+        specs += placebo_panel(stage)[1:]  # its first column is m3_a above
     specs.append(econ.ModelSpec(econ.Stage.LOAN_SIZING, econ.Model.M3_FULL,
                                 fixed_effects=econ.FixedEffects.BANK_DUMMIES))
     return tuple(specs)
@@ -157,13 +178,12 @@ def _load_sample(config: RunConfig, bundle: ReportBundle):
     return sample, paths
 
 
-def _emit(bundle: ReportBundle, relpath: str, writer) -> None:
-    path = os.path.join(bundle.out_dir, relpath)
-    writer(path)
-    bundle.files.append(relpath)
+def _record(bundle: ReportBundle, name: str, exc: Exception) -> None:
+    bundle.failures[name] = f"{type(exc).__name__}: {exc}"
 
 
-def _null_model(name: str, sample: Sample):
+def null_model(name: str, sample: Sample):
+    """Calibrate the null variant ``name`` on a sample."""
     if name == "network":
         return fitness_spec_from_sample(sample, Variant.NETWORK_DRIVEN)
     if name == "balance":
@@ -173,133 +193,115 @@ def _null_model(name: str, sample: Sample):
     return random_baseline(sample.network)
 
 
-def run(config: RunConfig) -> ReportBundle:
-    """Execute the full pipeline; grid-cell failures do not abort the run."""
-    os.makedirs(config.out_dir, exist_ok=True)
-    bundle = ReportBundle(out_dir=config.out_dir)
-
-    sample, input_paths = _load_sample(config, bundle)
-    filtered, filter_report = apply_consistency_filter(sample)
-    _emit(bundle, "filter_report.json",
-          lambda p: report.write_json(p, filter_report.to_json()))
-
-    net = filtered.network
+def write_stats(bundle: ReportBundle,
+                net: BipartiteNetwork) -> netstats.SummaryStats:
+    """Write the summary statistics and the degree CCDFs of a network."""
     stats = summarize(net)
-    _emit(bundle, "summary_stats.json",
-          lambda p: report.write_json(p, stats.to_json()))
-
+    report.write_json(bundle.add("summary_stats.json"), stats.to_json())
     k, h = derived_degrees(net)
     for label, values in (("firm_degrees", k), ("bank_degrees", h)):
         curve = ccdf(values)
-        _emit(bundle, f"ccdf_{label}.csv",
-              lambda p, c=curve: report.write_csv(
-                  p, ["value", "survival"], zip(c.values, c.survival)))
-        _emit(bundle, f"ccdf_{label}.svg",
-              lambda p, c=curve, lab=label: report.write_text(
-                  p, report.svg_scatter(
-                      c.values, c.survival, title=f"CCDF of {lab}",
-                      xlabel="value", ylabel="P(X >= x)",
-                      log=bool(np.all(c.values > 0)))))
+        report.write_csv(bundle.add(f"ccdf_{label}.csv"),
+                         ["value", "survival"],
+                         zip(curve.values, curve.survival))
+        report.write_text(bundle.add(f"ccdf_{label}.svg"), report.svg_scatter(
+            curve.values, curve.survival, title=f"CCDF of {label}",
+            xlabel="value", ylabel="P(X >= x)",
+            log=bool(np.all(curve.values > 0))))
+    return stats
 
-    # null models and ensembles
-    null_specs: dict[str, object] = {}
-    for name in config.null_variants:
-        spec = _null_model(name, filtered)
-        null_specs[name] = spec
+
+def write_null_variant(bundle: ReportBundle, config: RunConfig,
+                       sample: Sample, name: str):
+    """Build one null variant; write its ensemble JSON and comparisons.
+
+    Returns the calibrated model, or None after recording the failure as
+    ``nullmodel_<name>``.
+    """
+    try:
+        spec = null_model(name, sample)
         ensemble = sample_ensemble(spec, config.n_samples, config.seed)
         expected = nullmodel.expected_metrics(spec)
-        summary = {
-            "spec": spec.to_json(),
-            "seed": config.seed,
-            "n_samples": config.n_samples,
-            "expected_firm_degrees": expected.firm_degrees,
-            "expected_bank_degrees": expected.bank_degrees,
-            "expected_firm_strengths": expected.firm_strengths,
-            "expected_bank_strengths": expected.bank_strengths,
-            "ensemble": ensemble.to_json(),
-        }
-        _emit(bundle, f"nullmodel_{name}.json",
-              lambda p, s=summary: report.write_json(p, s))
-        for side, emp, model_mean in (
-                ("firms", k, ensemble.mean_firm_degrees),
-                ("banks", h, ensemble.mean_bank_degrees)):
-            try:
-                cmp_stats = compare(emp, model_mean, n_bins=config.n_bins)
-            except netstats.StatsError:
-                continue
-            rows = zip(cmp_stats.bin_edges[:-1], cmp_stats.bin_edges[1:],
-                       cmp_stats.binned_means, cmp_stats.binned_stds,
-                       cmp_stats.binned_p05, cmp_stats.binned_p95)
-            _emit(bundle, f"comparison_{name}_{side}.csv",
-                  lambda p, r=list(rows), cs=cmp_stats: report.write_csv(
-                      p, ["bin_lo", "bin_hi", "mean", "std", "p05", "p95"], r))
-            _emit(bundle, f"comparison_{name}_{side}.json",
-                  lambda p, cs=cmp_stats: report.write_json(
-                      p, {"pearson": cs.pearson, "spearman": cs.spearman}))
-            _emit(bundle, f"comparison_{name}_{side}.svg",
-                  lambda p, e=emp, mm=model_mean, n=name, sd=side:
-                      report.write_text(p, report.svg_scatter(
-                          e, mm, title=f"empirical vs {n} model ({sd})",
-                          xlabel="empirical degree",
-                          ylabel="expected degree", identity=True)))
-
-    degree_nulls = {}
-    if "network" in null_specs:
-        degree_nulls[econ.DegreeSource.NULL_NET] = null_specs["network"]
-    if "balance" in null_specs:
-        degree_nulls[econ.DegreeSource.NULL_BAL] = null_specs["balance"]
-
-    # regression grid
-    grid = config.grid if config.grid is not None else default_grid()
-    fits: dict[str, tuple[econ.FitResult, econ.DesignMatrix]] = {}
-    for spec in grid:
-        cell = spec.name()
+    except Exception as exc:  # recorded, never fatal for other stages
+        _record(bundle, f"nullmodel_{name}", exc)
+        return None
+    report.write_json(bundle.add(f"nullmodel_{name}.json"), {
+        "spec": spec.to_json(),
+        "seed": config.seed,
+        "n_samples": config.n_samples,
+        "expected_firm_degrees": expected.firm_degrees,
+        "expected_bank_degrees": expected.bank_degrees,
+        "expected_firm_strengths": expected.firm_strengths,
+        "expected_bank_strengths": expected.bank_strengths,
+        "ensemble": ensemble.to_json(),
+    })
+    k, h = derived_degrees(sample.network)
+    for side, emp, model_mean in (("firms", k, ensemble.mean_firm_degrees),
+                                  ("banks", h, ensemble.mean_bank_degrees)):
         try:
-            design = econ.build_design(filtered, spec, degree_nulls)
-            if spec.stage is econ.Stage.LINK_FORMATION:
-                fit = econ.fit_logit(design)
-            elif spec.fixed_effects is econ.FixedEffects.BANK_DUMMIES:
-                fit = econ.fit_ols_fixed_effects(design)
-            else:
-                fit = econ.fit_ols(design)
-        except Exception as exc:  # recorded, never fatal for other cells
-            bundle.failures[cell] = f"{type(exc).__name__}: {exc}"
+            cs = compare(emp, model_mean, n_bins=config.n_bins)
+        except netstats.StatsError:
             continue
-        fits[cell] = (fit, design)
-        _emit(bundle, os.path.join("regress", f"{cell}.json"),
-              lambda p, f=fit: report.write_json(p, f.to_json()))
-        _emit(bundle, os.path.join("regress", f"{cell}.txt"),
-              lambda p, f=fit, c=cell: report.write_text(
-                  p, f.format_table(title=c)))
+        stem = f"comparison_{name}_{side}"
+        report.write_csv(
+            bundle.add(f"{stem}.csv"),
+            ["bin_lo", "bin_hi", "mean", "std", "p05", "p95"],
+            zip(cs.bin_edges[:-1], cs.bin_edges[1:], cs.binned_means,
+                cs.binned_stds, cs.binned_p05, cs.binned_p95))
+        report.write_json(bundle.add(f"{stem}.json"),
+                          {"pearson": cs.pearson, "spearman": cs.spearman})
+        report.write_text(bundle.add(f"{stem}.svg"), report.svg_scatter(
+            emp, model_mean, title=f"empirical vs {name} model ({side})",
+            xlabel="empirical degree", ylabel="expected degree",
+            identity=True))
+    return spec
 
-    # diagnostics on the full loan-sizing model
-    full_ols = "loan_sizing_m3_a"
-    if full_ols in fits:
-        fit, design = fits[full_ols]
-        try:
-            vif_values = econ.vif(design)
-            _emit(bundle, "vif.json",
-                  lambda p: report.write_json(p, vif_values))
-        except econ.EconError as exc:
-            bundle.failures["vif"] = f"{type(exc).__name__}: {exc}"
-        diag = residual_diagnostics(fit, design)
-        _emit(bundle, "residual_diagnostics.json",
-              lambda p: report.write_json(p, diag))
-        _emit(bundle, "residual_hist.csv",
-              lambda p: report.write_csv(
-                  p, ["bin_lo", "bin_hi", "count"],
-                  zip(diag["histogram"]["edges"][:-1],
-                      diag["histogram"]["edges"][1:],
-                      diag["histogram"]["counts"])))
-        _emit(bundle, "residual_hist.svg",
-              lambda p: report.write_text(p, report.svg_histogram(
-                  diag["histogram"]["counts"], diag["histogram"]["edges"],
-                  title="loan-sizing residuals", xlabel="residual")))
-        for col, data in diag["scatters"].items():
-            _emit(bundle, f"residual_vs_{col}.csv",
-                  lambda p, d=data: report.write_csv(
-                      p, ["x", "residual"], zip(d["x"], d["residuals"])))
 
+def write_cell(bundle: ReportBundle, sample: Sample, spec: econ.ModelSpec,
+               nulls: dict, subdir: str = "regress"):
+    """Build, fit and write one grid cell into ``subdir`` of the bundle.
+
+    ``nulls`` maps placebo degree sources to calibrated null models. Returns
+    ``(fit, design)``, or None after recording the failure under the cell's
+    name.
+    """
+    cell = spec.name()
+    try:
+        design = econ.build_design(sample, spec, nulls)
+        fit = econ.fit_design(design)
+    except Exception as exc:  # recorded, never fatal for other cells
+        _record(bundle, cell, exc)
+        return None
+    report.write_json(bundle.add(os.path.join(subdir, f"{cell}.json")),
+                      fit.to_json())
+    report.write_text(bundle.add(os.path.join(subdir, f"{cell}.txt")),
+                      fit.format_table(title=cell))
+    return fit, design
+
+
+def _write_diagnostics(bundle: ReportBundle, fit: econ.FitResult,
+                       design: econ.DesignMatrix) -> None:
+    """VIFs and residual diagnostics of the full loan-sizing model."""
+    try:
+        vif_values = econ.vif(design)
+        report.write_json(bundle.add("vif.json"), vif_values)
+    except econ.EconError as exc:
+        _record(bundle, "vif", exc)
+    diag = residual_diagnostics(fit, design)
+    counts, edges = diag["histogram"]["counts"], diag["histogram"]["edges"]
+    report.write_json(bundle.add("residual_diagnostics.json"), diag)
+    report.write_csv(bundle.add("residual_hist.csv"),
+                     ["bin_lo", "bin_hi", "count"],
+                     zip(edges[:-1], edges[1:], counts))
+    report.write_text(bundle.add("residual_hist.svg"), report.svg_histogram(
+        counts, edges, title="loan-sizing residuals", xlabel="residual"))
+    for col, data in diag["scatters"].items():
+        report.write_csv(bundle.add(f"residual_vs_{col}.csv"),
+                         ["x", "residual"], zip(data["x"], data["residuals"]))
+
+
+def _write_manifest(bundle: ReportBundle, config: RunConfig,
+                    input_paths: dict) -> None:
     manifest = {
         "config": config.to_json(),
         "config_hash": report.sha256_text(report.canonical_json(config.to_json())),
@@ -310,9 +312,44 @@ def run(config: RunConfig) -> ReportBundle:
         "outputs": {rel: report.sha256_file(os.path.join(config.out_dir, rel))
                     for rel in sorted(bundle.files)},
     }
-    report.write_json(os.path.join(config.out_dir, "manifest.json"), manifest)
-    bundle.files.append("manifest.json")
+    report.write_json(bundle.add("manifest.json"), manifest)
+
+
+def run(config: RunConfig) -> ReportBundle:
+    """Execute the full pipeline; failing variants and cells do not abort it."""
+    os.makedirs(config.out_dir, exist_ok=True)
+    bundle = ReportBundle(out_dir=config.out_dir)
+    sample, input_paths = _load_sample(config, bundle)
+    filtered, filter_report = apply_consistency_filter(sample)
+    report.write_json(bundle.add("filter_report.json"),
+                      filter_report.to_json())
+    write_stats(bundle, filtered.network)
+    built = {name: write_null_variant(bundle, config, filtered, name)
+             for name in config.null_variants}
+    nulls = {source: built[name] for source, name in PLACEBO_NULLS.items()
+             if built.get(name) is not None}
+    grid = config.grid if config.grid is not None else default_grid()
+    fits = {spec.name(): write_cell(bundle, filtered, spec, nulls)
+            for spec in grid}
+    if fits.get("loan_sizing_m3_a"):
+        _write_diagnostics(bundle, *fits["loan_sizing_m3_a"])
+    _write_manifest(bundle, config, input_paths)
     return bundle
+
+
+# config-file key -> GenConfig field and type
+_SYNTH_KEYS = {
+    "synth_firms": ("n_firms", int),
+    "synth_banks": ("n_banks", int),
+    "synth_seed": ("seed", int),
+    "synth_density": ("target_density", float),
+    "synth_attachment_boost": ("attachment_boost", float),
+    "synth_fragmentation_penalty": ("fragmentation_penalty", float),
+    "synth_noise_sd": ("noise_sd", float),
+    "synth_balance_noise": ("balance_noise", float),
+}
+_CONFIG_KEYS = frozenset(_SYNTH_KEYS) | {
+    "out", "edges", "firms", "banks", "variants", "samples", "seed", "bins"}
 
 
 def load_config_file(path: str, out_dir: str | None = None) -> RunConfig:
@@ -326,21 +363,16 @@ def load_config_file(path: str, out_dir: str | None = None) -> RunConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{line_no}: expected key=value")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
+            values[key] = value.strip()
 
     synth = None
     if "synth_firms" in values:
-        synth = GenConfig(
-            n_firms=int(values.get("synth_firms", 60)),
-            n_banks=int(values.get("synth_banks", 20)),
-            seed=int(values.get("synth_seed", 0)),
-            target_density=float(values.get("synth_density", 0.12)),
-            attachment_boost=float(values.get("synth_attachment_boost", 0.0)),
-            fragmentation_penalty=float(
-                values.get("synth_fragmentation_penalty", 0.0)),
-            noise_sd=float(values.get("synth_noise_sd", 0.1)),
-            balance_noise=float(values.get("synth_balance_noise", 0.05)),
-        )
+        synth = GenConfig(**{name: kind(values[key])
+                             for key, (name, kind) in _SYNTH_KEYS.items()
+                             if key in values})
     variants = tuple(v.strip() for v in
                      values.get("variants", "network,balance").split(",") if v.strip())
     return RunConfig(

@@ -5,6 +5,8 @@ loops, textbook formulas) and never calls into the package code paths it
 is used to check.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 
@@ -171,3 +173,55 @@ def vif_from_correlation(X):
     Z = (X - X.mean(axis=0)) / X.std(axis=0, ddof=0)
     corr = (Z.T @ Z) / X.shape[0]
     return np.diag(np.linalg.inv(corr))
+
+
+@dataclass(frozen=True)
+class HermanCorrected:
+    firm_degree: float
+    bank_degree: float
+    firm_net_strength: float
+    bank_net_strength: float
+    firm_bal_strength: float
+    bank_bal_strength: float
+
+
+def herman_correct(weights, i, j, stage, s_bal, t_bal):
+    """Rest-of-the-world predictors of the pair (i, j), one pair at a time.
+
+    ``stage`` is 1 (link formation) or 2 (loan sizing, existing links only);
+    ``s_bal`` and ``t_bal`` are the balance-sheet strengths of firm i and
+    bank j. Stage 1 removes the focal link from degrees and network
+    strengths; stage 2 also removes the loan from both balance-sheet
+    strengths, clamping them at 0.
+    """
+    nf, nb = len(weights), len(weights[0])
+    w = float(weights[i][j])
+    a = 1.0 if w > 0 else 0.0
+    k_i = sum(1.0 for jj in range(nb) if weights[i][jj] > 0)
+    h_j = sum(1.0 for ii in range(nf) if weights[ii][j] > 0)
+    s_i = sum(float(weights[i][jj]) for jj in range(nb))
+    t_j = sum(float(weights[ii][j]) for ii in range(nf))
+    if stage == 1:
+        return HermanCorrected(k_i - a, h_j - a, s_i - w, t_j - w,
+                               float(s_bal), float(t_bal))
+    assert a == 1.0, "stage 2 corrects existing links only"
+    return HermanCorrected(k_i - 1.0, h_j - 1.0, s_i - w, t_j - w,
+                           max(float(s_bal) - w, 0.0),
+                           max(float(t_bal) - w, 0.0))
+
+
+def ensemble_degree_sums(p, seed, n_samples):
+    """Firm and bank degree sums of ``n_samples`` draws from link matrix p.
+
+    Draw ``index`` is an independent Philox stream keyed by
+    ``seed << 64 | index``, so each draw depends on its index alone.
+    """
+    p = np.asarray(p, float)
+    firm = np.zeros(p.shape[0])
+    bank = np.zeros(p.shape[1])
+    for index in range(n_samples):
+        rng = np.random.Generator(np.random.Philox(key=seed << 64 | index))
+        links = rng.random(p.shape) < p
+        firm += links.sum(axis=1)
+        bank += links.sum(axis=0)
+    return firm, bank

@@ -21,7 +21,7 @@ from creditnet.core import Sample, derived_degrees, derived_strengths
 from creditnet.econometrics import (DegreeSource, DesignMatrix, Model,
                                     ModelSpec, Stage, build_design, fit_logit,
                                     fit_ols, fit_ols_fixed_effects,
-                                    herman_correct, vif)
+                                    rest_of_world, vif)
 from creditnet.ingest import parse_sample
 from creditnet.netstats import precision_at_l, rmsre, summarize
 from creditnet.nullmodel import (Variant, bicm_from_network, calibrate_z,
@@ -29,9 +29,9 @@ from creditnet.nullmodel import (Variant, bicm_from_network, calibrate_z,
                                  random_baseline, sample_ensemble)
 from creditnet.pipeline import RunConfig, run
 from creditnet.synthgen import GenConfig, generate
-from conftest import make_network
-from oracles import (logit_grid_refine, logit_newton, ols_normal_equations,
-                     ols_with_group_dummies)
+from conftest import make_network, make_sample
+from oracles import (herman_correct, logit_grid_refine, logit_newton,
+                     ols_normal_equations, ols_with_group_dummies)
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -215,35 +215,27 @@ def test_acceptance_ols_fe_vif_oracles():
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_acceptance_rest_of_world_correction(seed):
+    """The vectorised correction agrees with the pair-by-pair oracle."""
     rng = np.random.default_rng(seed)
     nf, nb = int(rng.integers(2, 9)), int(rng.integers(2, 7))
     w = (rng.random((nf, nb)) < 0.5) * rng.lognormal(0, 1, (nf, nb))
     if not (w > 0).any():
         w[0, 0] = 1.0
-    net = make_network(w)
-    k, h = derived_degrees(net)
-    s_net, t_net = derived_strengths(net)
-    for i in range(nf):
-        for j in range(nb):
-            s_bal = float(rng.uniform(0, 10)) + w[i, j]
-            t_bal = float(rng.uniform(0, 10)) + w[i, j]
-            c1 = herman_correct(net, i, j, Stage.LINK_FORMATION,
-                                s_bal=s_bal, t_bal=t_bal)
-            a = 1.0 if w[i, j] > 0 else 0.0
-            assert c1.firm_degree == k[i] - a
-            assert c1.bank_degree == h[j] - a
-            assert c1.firm_net_strength == pytest.approx(s_net[i] - w[i, j])
-            assert c1.bank_net_strength == pytest.approx(t_net[j] - w[i, j])
-            # stage 1 leaves balance-sheet strengths untouched
-            assert c1.firm_bal_strength == s_bal
-            assert c1.bank_bal_strength == t_bal
-            if a == 1.0:
-                c2 = herman_correct(net, i, j, Stage.LOAN_SIZING,
-                                    s_bal=s_bal, t_bal=t_bal)
-                assert c2.firm_degree == k[i] - 1
-                assert c2.bank_degree == h[j] - 1
-                assert c2.firm_bal_strength == pytest.approx(s_bal - w[i, j])
-                assert c2.bank_bal_strength == pytest.approx(t_bal - w[i, j])
+    # balance strengths may fall below a loan, so clamping is exercised too
+    s_bal = rng.uniform(0, 10, nf)
+    t_bal = rng.uniform(0, 10, nb)
+    sample = make_sample(w, s_bal=s_bal, t_bal=t_bal)
+    fi, bi = (idx.ravel() for idx in np.indices((nf, nb)))
+    linked = w[fi, bi] > 0  # stage 2 rows are the existing links
+    for stage, number, rows in ((Stage.LINK_FORMATION, 1, slice(None)),
+                                (Stage.LOAN_SIZING, 2, linked)):
+        got = np.column_stack(rest_of_world(sample, fi[rows], bi[rows], stage))
+        for row, i, j in zip(got, fi[rows], bi[rows]):
+            c = herman_correct(w, i, j, number, s_bal[i], t_bal[j])
+            np.testing.assert_allclose(
+                row, [c.firm_degree, c.bank_degree, c.firm_net_strength,
+                      c.bank_net_strength, c.firm_bal_strength,
+                      c.bank_bal_strength], rtol=1e-12, atol=1e-12)
 
 
 # --------------------------------------------------------------------------

@@ -6,8 +6,9 @@ from creditnet.econometrics import (AbsorbedColumns, AllRowsDropped,
                                     EconError, FixedEffects, Model, ModelSpec,
                                     MissingNullModel, RankDeficient,
                                     Separation, SingletonGroupsOnly, Stage,
-                                    build_design, fit_logit, fit_ols,
-                                    fit_ols_fixed_effects, herman_correct, vif)
+                                    build_design, fit_design, fit_logit,
+                                    fit_ols, fit_ols_fixed_effects,
+                                    rest_of_world, vif)
 from creditnet.nullmodel import Variant, fitness_spec_from_sample
 from conftest import make_network, make_sample
 from oracles import (logit_loglik, logit_newton, ols_normal_equations,
@@ -52,44 +53,52 @@ def random_sample(rng, nf=25, nb=8, p=0.35):
 # rest-of-the-world corrections
 
 
+def _pair(sample, i, j, stage):
+    """(k, h, s_net, t_net, s_bal, t_bal) of the single pair (i, j)."""
+    return tuple(float(v[0]) for v in
+                 rest_of_world(sample, np.array([i]), np.array([j]), stage))
+
+
+TWO_BY_TWO = dict(weights=[[10.0, 0.0], [5.0, 2.0]],
+                  s_bal=np.array([4.0, 9.0]), t_bal=np.array([20.0, 3.0]))
+
+
 def test_herman_stage1_subtracts_focal_link():
-    net = make_network([[10.0, 0.0], [5.0, 2.0]])
-    c = herman_correct(net, 1, 0, Stage.LINK_FORMATION, s_bal=9.0, t_bal=20.0)
-    assert c.firm_degree == 1.0  # k=2 minus the focal link
-    assert c.bank_degree == 1.0
-    assert c.firm_net_strength == 2.0  # 7 - 5
-    assert c.bank_net_strength == 10.0  # 15 - 5
-    assert c.firm_bal_strength == 9.0  # untouched at stage 1
-    assert c.bank_bal_strength == 20.0
+    sample = make_sample(**TWO_BY_TWO)
+    k, h, s_net, t_net, s_bal, t_bal = _pair(sample, 1, 0,
+                                             Stage.LINK_FORMATION)
+    assert k == 1.0  # k=2 minus the focal link
+    assert h == 1.0
+    assert s_net == 2.0  # 7 - 5
+    assert t_net == 10.0  # 15 - 5
+    assert s_bal == 9.0  # untouched at stage 1
+    assert t_bal == 20.0
 
 
 def test_herman_stage1_absent_pair_unchanged():
-    net = make_network([[10.0, 0.0], [5.0, 2.0]])
-    c = herman_correct(net, 0, 1, Stage.LINK_FORMATION, s_bal=4.0, t_bal=3.0)
-    assert c.firm_degree == 1.0 and c.bank_degree == 1.0
-    assert c.firm_net_strength == 10.0 and c.bank_net_strength == 2.0
+    sample = make_sample(**TWO_BY_TWO)
+    k, h, s_net, t_net, s_bal, t_bal = _pair(sample, 0, 1,
+                                             Stage.LINK_FORMATION)
+    assert k == 1.0 and h == 1.0
+    assert s_net == 10.0 and t_net == 2.0
+    assert s_bal == 4.0 and t_bal == 3.0
 
 
 def test_herman_stage2_subtracts_from_balance_too():
-    net = make_network([[10.0, 0.0], [5.0, 2.0]])
-    c = herman_correct(net, 1, 0, Stage.LOAN_SIZING, s_bal=9.0, t_bal=20.0)
-    assert c.firm_degree == 1.0 and c.bank_degree == 1.0
-    assert c.firm_bal_strength == 4.0  # 9 - 5
-    assert c.bank_bal_strength == 15.0  # 20 - 5
-    assert c.firm_net_strength == 2.0
+    sample = make_sample(**TWO_BY_TWO)
+    k, h, s_net, _, s_bal, t_bal = _pair(sample, 1, 0, Stage.LOAN_SIZING)
+    assert k == 1.0 and h == 1.0
+    assert s_bal == 4.0  # 9 - 5
+    assert t_bal == 15.0  # 20 - 5
+    assert s_net == 2.0
 
 
 def test_herman_stage2_clamps_negative_balance():
-    net = make_network([[10.0]])
-    c = herman_correct(net, 0, 0, Stage.LOAN_SIZING, s_bal=3.0, t_bal=30.0)
-    assert c.firm_bal_strength == 0.0  # 3 - 10, clamped
-    assert c.bank_bal_strength == 20.0
-
-
-def test_herman_stage2_requires_existing_link():
-    net = make_network([[1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(EconError):
-        herman_correct(net, 0, 1, Stage.LOAN_SIZING)
+    sample = make_sample([[10.0]], s_bal=np.array([3.0]),
+                         t_bal=np.array([30.0]))
+    s_bal, t_bal = _pair(sample, 0, 0, Stage.LOAN_SIZING)[4:]
+    assert s_bal == 0.0  # 3 - 10, clamped
+    assert t_bal == 20.0
 
 
 # --------------------------------------------------------------------------
@@ -423,3 +432,14 @@ def test_end_to_end_stage1_on_random_sample(rng):
     fit = fit_logit(d)
     assert fit.converged
     assert 0 <= fit.fit_stat < 1
+
+
+def test_fit_design_picks_estimator_by_stage_and_effects(rng):
+    sample = random_sample(rng, nf=40, nb=10, p=0.4)
+    fe = FixedEffects.BANK_DUMMIES
+    for spec, method in (
+            (ModelSpec(Stage.LINK_FORMATION, Model.M1_GRAVITY), "logit"),
+            (ModelSpec(Stage.LOAN_SIZING, Model.M3_FULL), "ols"),
+            (ModelSpec(Stage.LOAN_SIZING, Model.M3_FULL, fixed_effects=fe),
+             "ols_fe")):
+        assert fit_design(build_design(sample, spec)).method == method

@@ -6,24 +6,24 @@ from hypothesis import strategies as st
 from creditnet.core import derived_degrees, derived_strengths
 from creditnet.nullmodel import (FitnessSpec, NonGraphicalTargets,
                                  NonpositiveFitness, TargetOutOfRange, Variant,
-                                 bicm_from_network, calibrate_z, dcgm_weight,
+                                 bicm_from_network, calibrate_z,
                                  expected_metrics, fitness_spec_from_sample,
-                                 link_probability, random_baseline,
-                                 sample_ensemble, solve_bicm)
+                                 random_baseline, sample_ensemble, solve_bicm)
 from conftest import make_network, make_sample
-from oracles import bicm_fixed_point, calibrate_z_bisection
+from oracles import (bicm_fixed_point, calibrate_z_bisection,
+                     ensemble_degree_sums)
 
 
 def test_link_probability_closed_form():
     spec = FitnessSpec(s=np.array([2.0]), t=np.array([3.0]), z=0.5,
                        variant=Variant.NETWORK_DRIVEN)
-    assert link_probability(spec, 0, 0) == pytest.approx(3.0 / 4.0)
+    assert spec.probability_matrix()[0, 0] == pytest.approx(3.0 / 4.0)
 
 
 def test_link_probability_saturates():
     spec = FitnessSpec(s=np.array([1e8]), t=np.array([1e8]), z=1.0,
                        variant=Variant.NETWORK_DRIVEN)
-    assert link_probability(spec, 0, 0) == pytest.approx(1.0, abs=1e-12)
+    assert spec.probability_matrix()[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_calibrate_z_hits_target(rng):
@@ -71,12 +71,9 @@ def test_dcgm_weight_identity(rng):
     spec = FitnessSpec(s=s, t=t, z=calibrate_z(s, t, 12.0),
                        variant=Variant.NETWORK_DRIVEN)
     W = np.sqrt(s.sum() * t.sum())
-    for i in range(8):
-        for j in range(6):
-            p = link_probability(spec, i, j)
-            w = dcgm_weight(spec, i, j)
-            # unconditional expectation p * w equals s_i t_j / W
-            assert p * w == pytest.approx(s[i] * t[j] / W, rel=1e-12)
+    # unconditional expectation p * <w | link> equals s_i t_j / W
+    np.testing.assert_allclose(expected_metrics(spec).weights,
+                               np.outer(s, t) / W, rtol=1e-12)
 
 
 def test_expected_metrics_network_driven_reproduces_strengths(rng):
@@ -152,22 +149,26 @@ def test_ensemble_reproducible_and_order_free(rng):
                        variant=Variant.NETWORK_DRIVEN)
     a = sample_ensemble(spec, n_samples=50, seed=7)
     b = sample_ensemble(spec, n_samples=50, seed=7)
-    np.testing.assert_array_equal(a.sum_weights, b.sum_weights)
-    assert a.sum_links == b.sum_links
+    for name in ("sum_firm_degrees", "sumsq_firm_degrees", "sum_bank_degrees",
+                 "sumsq_bank_degrees", "sum_firm_strengths",
+                 "sumsq_firm_strengths", "sum_bank_strengths",
+                 "sumsq_bank_strengths", "sum_links", "sumsq_links"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     c = sample_ensemble(spec, n_samples=50, seed=8)
     assert not np.array_equal(a.sum_firm_degrees, c.sum_firm_degrees)
 
 
 def test_ensemble_prefix_property(rng):
-    """The first n samples of a longer run equal a shorter run."""
+    """Sample i depends on (seed, i) alone, so ensembles share prefixes."""
     s = rng.lognormal(0, 1, 6)
     t = rng.lognormal(0, 1, 4)
     spec = FitnessSpec(s=s, t=t, z=calibrate_z(s, t, 8.0),
                        variant=Variant.NETWORK_DRIVEN)
-    short, kept_short = sample_ensemble(spec, 5, seed=3, keep_samples=True)
-    long, kept_long = sample_ensemble(spec, 9, seed=3, keep_samples=True)
-    for ws, wl in zip(kept_short, kept_long):
-        np.testing.assert_array_equal(ws, wl)
+    for n in (5, 9):
+        acc = sample_ensemble(spec, n, seed=3)
+        firm, bank = ensemble_degree_sums(spec.probability_matrix(), 3, n)
+        np.testing.assert_array_equal(acc.sum_firm_degrees, firm)
+        np.testing.assert_array_equal(acc.sum_bank_degrees, bank)
 
 
 def test_ensemble_means_approach_expectations(rng):

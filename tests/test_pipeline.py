@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from creditnet.cli import main
+from creditnet.ingest import write_sample_csv
 from creditnet.pipeline import (RunConfig, default_grid, load_config_file,
                                 residual_diagnostics, run)
 from creditnet.report import canonical_json, sha256_file, svg_histogram, svg_scatter
 from creditnet.synthgen import GenConfig
+from conftest import make_sample
 
 
 def small_run_config(out_dir, seed=7):
@@ -121,6 +123,26 @@ def test_run_records_cell_failures_without_aborting(tmp_path):
         assert ":" in err  # "ExceptionName: message" format
 
 
+def test_run_survives_a_failing_null_variant(tmp_path):
+    # a bank lending to every firm has no finite BiCM multiplier
+    rng = np.random.default_rng(5)
+    w = (rng.random((12, 5)) < 0.4) * rng.uniform(1, 5, (12, 5))
+    w[:, 0] = rng.uniform(1, 5, 12)
+    paths = write_sample_csv(make_sample(w), str(tmp_path / "input"))
+    out = tmp_path / "out"
+    run(RunConfig(out_dir=str(out), edges_path=paths["edges"],
+                  firm_attrs_path=paths["firms"],
+                  bank_attrs_path=paths["banks"],
+                  null_variants=("network", "balance", "bicm", "random"),
+                  n_samples=20, seed=1))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failures"]["nullmodel_bicm"].startswith(
+        "NonGraphicalTargets")
+    assert not (out / "nullmodel_bicm.json").exists()
+    for name in ("network", "balance", "random"):
+        assert (out / f"nullmodel_{name}.json").exists()
+
+
 def test_residual_diagnostics_content(completed_run):
     out, _ = completed_run
     diag = json.loads((out / "residual_diagnostics.json").read_text())
@@ -169,6 +191,10 @@ def test_load_config_file(tmp_path):
     bad.write_text("no equals sign here\n")
     with pytest.raises(ValueError):
         load_config_file(str(bad))
+    typo = tmp_path / "typo.cfg"
+    typo.write_text("samples = 25\nsampels = 25\n")
+    with pytest.raises(ValueError, match=r"cfg:2: unknown key 'sampels'"):
+        load_config_file(str(typo))
 
 
 # --------------------------------------------------------------------------
@@ -198,6 +224,31 @@ def test_cli_synth_then_stats_and_regress(tmp_path, capsys):
     assert "ln_s_net" in table
 
 
+def test_cli_stages_write_what_run_writes(tmp_path):
+    data = tmp_path / "data"
+    main(["synth", "--out", str(data), "--firms", "40", "--banks", "12",
+          "--seed", "3", "--density", "0.25"])
+    paths = [str(data / f"{name}.csv") for name in ("edges", "firms", "banks")]
+    full = tmp_path / "full"
+    run(RunConfig(out_dir=str(full), edges_path=paths[0],
+                  firm_attrs_path=paths[1], bank_attrs_path=paths[2],
+                  n_samples=50, seed=11))
+    inputs = ["--edges", paths[0], "--firms", paths[1], "--banks", paths[2]]
+    for command, args, subdir, must_write in (
+            ("stats", [], "", "summary_stats.json"),
+            ("nullmodel", ["--variant", "network", "--samples", "50",
+                           "--seed", "11"], "", "nullmodel_network.json"),
+            ("regress", ["--stage", "2", "--model", "m3"], "regress",
+             "loan_sizing_m3_a.json")):
+        out = tmp_path / command
+        assert main([command, *inputs, "--out", str(out), *args]) == 0
+        written = sorted(p.name for p in out.iterdir())
+        assert must_write in written
+        for name in written:
+            assert (out / name).read_bytes() == \
+                (full / subdir / name).read_bytes(), name
+
+
 def test_cli_placebo_panel(tmp_path, capsys):
     data = tmp_path / "data"
     main(["synth", "--out", str(data), "--firms", "50", "--banks", "15",
@@ -225,3 +276,12 @@ def test_cli_error_exit_code(tmp_path, capsys):
                  "--banks", "y", "--out", str(tmp_path)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+    # a cell that cannot be estimated is a failure, not an error
+    data = os.path.join(os.path.dirname(__file__), "data", "consolidated_small")
+    code = main(["regress", "--edges", os.path.join(data, "edges.csv"),
+                 "--firms", os.path.join(data, "firms.csv"),
+                 "--banks", os.path.join(data, "banks.csv"),
+                 "--out", str(tmp_path / "reg"), "--stage", "2",
+                 "--model", "m3"])
+    assert code == 2
+    assert "loan_sizing_m3_a: FAILED" in capsys.readouterr().err
