@@ -11,7 +11,6 @@ under a cross-controlling convention.
 from __future__ import annotations
 
 import enum
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -48,7 +47,6 @@ __all__ = [
     "vif",
 ]
 
-log = logging.getLogger(__name__)
 
 STRENGTH_FLOOR = 1.0  # one currency unit, keeps log terms finite
 EXPECTED_DEGREE_FLOOR = 1e-8
@@ -174,10 +172,16 @@ class DesignMatrix:
     bank_columns: frozenset[str]
     n_floored: dict[str, int]
     n_dropped: int
+    n_clamped: int = 0  # negative corrected balance strengths set to 0
 
     @property
     def n_obs(self) -> int:
         return self.X.shape[0]
+
+    def provenance(self) -> dict:
+        """Rows kept and dropped, and values floored and clamped."""
+        return {"n_obs": self.n_obs, "n_dropped": self.n_dropped,
+                "n_floored": self.n_floored, "n_clamped": self.n_clamped}
 
     def column(self, name: str) -> np.ndarray:
         return self.X[:, self.column_names.index(name)]
@@ -214,13 +218,15 @@ def _columns_for(spec: ModelSpec) -> list[str]:
 
 
 def rest_of_world(sample: Sample, fi: np.ndarray, bi: np.ndarray,
-                  stage: Stage) -> tuple[np.ndarray, ...]:
+                  stage: Stage) -> tuple[tuple[np.ndarray, ...], int]:
     """Predictors of the pairs (fi[r], bi[r]) without the pair's own loan.
 
-    Returns ``(k, h, s_net, t_net, s_bal, t_bal)``, one entry per pair.
-    Stage 1 subtracts the focal link (if present) from degrees and network
-    strengths only; stage 2, whose pairs are existing links, also subtracts
-    the loan amount from both balance-sheet strengths, clamping at 0.
+    Returns ``((k, h, s_net, t_net, s_bal, t_bal), n_clamped)``, one entry
+    per pair in each array. Stage 1 subtracts the focal link (if present)
+    from degrees and network strengths only; stage 2, whose pairs are
+    existing links, also subtracts the loan amount from both balance-sheet
+    strengths, clamping at 0. ``n_clamped`` counts the corrected balance
+    strengths that were negative.
     """
     net = sample.network
     k, h = derived_degrees(net)
@@ -230,14 +236,12 @@ def rest_of_world(sample: Sample, fi: np.ndarray, bi: np.ndarray,
     w = net.weights[fi, bi]
     if stage is Stage.LINK_FORMATION:
         a = (w > 0).astype(float)
-        return k[fi] - a, h[bi] - a, s_net[fi] - w, t_net[bi] - w, s_bal, t_bal
+        return (k[fi] - a, h[bi] - a, s_net[fi] - w, t_net[bi] - w, s_bal,
+                t_bal), 0
     s_bal, t_bal = s_bal - w, t_bal - w
-    n_neg = int((s_bal < 0).sum() + (t_bal < 0).sum())
-    if n_neg:
-        log.warning("%d corrected balance strengths were negative; "
-                    "clamped to 0", n_neg)
+    n_clamped = int((s_bal < 0).sum() + (t_bal < 0).sum())
     return (k[fi] - 1.0, h[bi] - 1.0, s_net[fi] - w, t_net[bi] - w,
-            np.maximum(s_bal, 0.0), np.maximum(t_bal, 0.0))
+            np.maximum(s_bal, 0.0), np.maximum(t_bal, 0.0)), n_clamped
 
 
 def _floored_log(values: np.ndarray, floor: float, counter: dict, name: str):
@@ -274,7 +278,7 @@ def build_design(sample: Sample, spec: ModelSpec,
         fi, bi = fi[keep], bi[keep]
     elif spec.model is not Model.M1_GRAVITY:
         # banks isolated by the consistency filter carry no information for
-        # network specifications; their rows are dropped with a logged count
+        # network specifications; their rows are dropped and counted
         keep = h[bi] > 0
         n_dropped = int((~keep).sum())
         fi, bi = fi[keep], bi[keep]
@@ -282,9 +286,10 @@ def build_design(sample: Sample, spec: ModelSpec,
         raise AllRowsDropped("no rows left for this specification")
 
     # rest-of-the-world corrections
+    n_clamped = 0
     if spec.herman:
-        k_c, h_c, s_net_c, t_net_c, s_bal_c, t_bal_c = rest_of_world(
-            sample, fi, bi, spec.stage)
+        (k_c, h_c, s_net_c, t_net_c, s_bal_c, t_bal_c), n_clamped = \
+            rest_of_world(sample, fi, bi, spec.stage)
     else:
         s_net, t_net = derived_strengths(net)
         k_c, h_c = k[fi].astype(float), h[bi].astype(float)
@@ -355,6 +360,7 @@ def build_design(sample: Sample, spec: ModelSpec,
         bank_columns=frozenset(BANK_SIDE_COLS & set(columns)),
         n_floored=floored,
         n_dropped=n_dropped,
+        n_clamped=n_clamped,
     )
 
 

@@ -16,7 +16,10 @@ Sampled links receive conditional weights ``s_i t_j / (W p_ij)`` with
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import os
+import threading
+import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +36,7 @@ __all__ = [
     "BicmSpec",
     "ConstantSpec",
     "Ensemble",
+    "STATISTICS",
     "calibrate_z",
     "solve_bicm",
     "bicm_from_network",
@@ -357,122 +361,226 @@ def expected_metrics(spec) -> ExpectedMetrics:
     )
 
 
+STATISTICS = ("firm_degrees", "bank_degrees", "firm_strengths",
+              "bank_strengths", "links")
+
+BLOCK_PAIRS = 2**15  # firm-bank pairs drawn per block of samples
+_U64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _layout(nf: int, nb: int) -> dict:
+    """Columns of each statistic in a flat row of per-sample statistics."""
+    firm, bank = slice(0, nf), slice(nf, nf + nb)
+    strengths = nf + nb
+    return {"firm_degrees": firm, "bank_degrees": bank,
+            "firm_strengths": slice(strengths, strengths + nf),
+            "bank_strengths": slice(strengths + nf, strengths + nf + nb),
+            "links": 2 * (nf + nb)}
+
+
 @dataclass
 class Ensemble:
     """Streaming statistics over seeded Monte Carlo configurations.
 
     Per-sample randomness comes from a counter-based generator keyed by
-    (seed, sample_index), so the accumulated statistics depend only on the
-    seed and the sample count, never on scheduling.
+    (seed, sample_index), and samples are added up in index order, so the
+    statistics depend only on the seed and the sample count, never on
+    scheduling. ``moments[name]`` stacks the sum and the sum of squares over
+    the samples of one statistic named in ``STATISTICS``.
     """
 
     spec: object
     n_samples: int
     seed: int
-    sum_firm_degrees: np.ndarray
-    sumsq_firm_degrees: np.ndarray
-    sum_bank_degrees: np.ndarray
-    sumsq_bank_degrees: np.ndarray
-    sum_firm_strengths: np.ndarray
-    sumsq_firm_strengths: np.ndarray
-    sum_bank_strengths: np.ndarray
-    sumsq_bank_strengths: np.ndarray
-    sum_links: float
-    sumsq_links: float
-
-    def _mean(self, total):
-        return total / self.n_samples
-
-    def _var(self, total, total_sq):
-        m = total / self.n_samples
-        return np.maximum(total_sq / self.n_samples - m**2, 0.0)
+    moments: dict[str, np.ndarray]
 
     @property
-    def mean_firm_degrees(self):
-        return self._mean(self.sum_firm_degrees)
+    def sum_firm_degrees(self) -> np.ndarray:
+        return self.moments["firm_degrees"][0]
 
     @property
-    def mean_bank_degrees(self):
-        return self._mean(self.sum_bank_degrees)
+    def sum_bank_degrees(self) -> np.ndarray:
+        return self.moments["bank_degrees"][0]
 
-    @property
-    def mean_firm_strengths(self):
-        return self._mean(self.sum_firm_strengths)
+    def mean(self, name: str):
+        return self.moments[name][0] / self.n_samples
 
-    @property
-    def mean_bank_strengths(self):
-        return self._mean(self.sum_bank_strengths)
-
-    @property
-    def mean_links(self):
-        return self.sum_links / self.n_samples
-
-    def stderr_firm_degrees(self):
-        return np.sqrt(self._var(self.sum_firm_degrees,
-                                 self.sumsq_firm_degrees) / self.n_samples)
-
-    def stderr_bank_degrees(self):
-        return np.sqrt(self._var(self.sum_bank_degrees,
-                                 self.sumsq_bank_degrees) / self.n_samples)
-
-    def stderr_firm_strengths(self):
-        return np.sqrt(self._var(self.sum_firm_strengths,
-                                 self.sumsq_firm_strengths) / self.n_samples)
-
-    def stderr_bank_strengths(self):
-        return np.sqrt(self._var(self.sum_bank_strengths,
-                                 self.sumsq_bank_strengths) / self.n_samples)
+    def stderr(self, name: str):
+        m, m2 = self.moments[name] / self.n_samples
+        return np.sqrt(np.maximum(m2 - m**2, 0.0) / self.n_samples)
 
     def to_json(self) -> dict:
         return {
             "n_samples": self.n_samples,
             "seed": self.seed,
-            "mean_links": self.mean_links,
-            "mean_firm_degrees": self.mean_firm_degrees.tolist(),
-            "mean_bank_degrees": self.mean_bank_degrees.tolist(),
-            "mean_firm_strengths": self.mean_firm_strengths.tolist(),
-            "mean_bank_strengths": self.mean_bank_strengths.tolist(),
+            "mean_links": float(self.mean("links")),
+            **{f"mean_{name}": self.mean(name).tolist()
+               for name in STATISTICS if name != "links"},
         }
 
 
-def _sample_rng(seed: int, index: int) -> np.random.Generator:
-    key = (int(seed) & 0xFFFFFFFFFFFFFFFF) << 64 | (int(index) & 0xFFFFFFFFFFFFFFFF)
-    return np.random.Generator(np.random.Philox(key=key))
+class _BlockSampler:
+    """Per-sample statistics of a block of sample indices.
+
+    Each thread that draws keeps one Philox generator. Before every sample
+    it is reset to key ``[index, seed]`` at counter 0 with an empty buffer,
+    which is the stream of ``Philox(key=seed << 64 | index)``.
+    """
+
+    def __init__(self, p: np.ndarray, w_cond: np.ndarray, seed: int):
+        self.p, self.w_cond = p, w_cond
+        self.seed = int(seed) & _U64
+        self.layout = _layout(*p.shape)
+        self._local = threading.local()
+
+    def __call__(self, start: int, stop: int) -> np.ndarray:
+        """Rows ``[x, x**2]`` of the flat statistics x, one per sample."""
+        local = self._local
+        if not hasattr(local, "gen"):
+            local.gen = np.random.Generator(np.random.Philox(key=0))
+            local.state = {"bit_generator": "Philox",
+                           "state": {"counter": [0, 0, 0, 0],
+                                     "key": [0, self.seed]},
+                           "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                           "has_uint32": 0, "uinteger": 0}
+        a = np.empty((stop - start,) + self.p.shape, dtype=bool)
+        for row, index in zip(a, range(start, stop)):
+            local.state["state"]["key"][0] = index & _U64
+            local.gen.bit_generator.state = local.state
+            np.less(local.gen.random(self.p.shape), self.p, out=row)
+        rows = np.empty((stop - start, 2, self.layout["links"] + 1))
+        x, col = rows[:, 0], self.layout
+        # counting the 0/1 bytes in uint16 is the fastest exact way while no
+        # node can reach 2**16 links
+        count = np.uint16 if max(self.p.shape) < 2**16 else np.uint32
+        ones = a.view(np.uint8)
+        np.add.reduce(ones, axis=2, dtype=count, out=x[:, col["firm_degrees"]])
+        np.add.reduce(ones, axis=1, dtype=count, out=x[:, col["bank_degrees"]])
+        np.add.reduce(x[:, col["firm_degrees"]], axis=1,
+                      out=x[:, col["links"]])
+        # drawn after the degree sums, so w never coexists with their buffers
+        w = np.where(a, self.w_cond, 0.0)
+        np.add.reduce(w, axis=2, out=x[:, col["firm_strengths"]])
+        np.add.reduce(w, axis=1, out=x[:, col["bank_strengths"]])
+        np.square(x, out=rows[:, 1])
+        return rows
+
+
+class _Blocks:
+    """Blocks of samples drawn by several threads and yielded in order.
+
+    Each thread claims the next unclaimed block and draws it, at most
+    ``window`` blocks ahead of the next block to yield. When the calling
+    thread needs a block that another thread has claimed but not finished,
+    it waits about as long as its own last block took, then draws that block
+    itself; both draws give the same rows, and the late copy is dropped. A
+    stalled thread (a preempted virtual CPU, say) thus delays the sum by
+    about one block, not for as long as it stalls.
+    """
+
+    def __init__(self, draw: _BlockSampler, blocks: list, window: int):
+        self.draw, self.blocks, self.window = draw, blocks, window
+        self.changed = threading.Condition()
+        self.claimed = 0  # blocks claimed so far, in index order
+        self.yielded = 0  # blocks yielded so far
+        self.done: dict = {}  # index -> rows, or the exception raised
+        self.patience = 0.0  # seconds the calling thread took for a block
+        self.cancelled = False
+
+    def _claimable(self) -> bool:
+        return self.claimed < min(len(self.blocks), self.yielded + self.window)
+
+    def work(self) -> None:
+        """Loop of the other threads: claim and draw blocks until none left."""
+        while True:
+            with self.changed:
+                self.changed.wait_for(
+                    lambda: self.cancelled or self._claimable()
+                    or self.claimed == len(self.blocks))
+                if self.cancelled or not self._claimable():
+                    return
+                i = self.claimed
+                self.claimed += 1
+            try:
+                rows = self.draw(*self.blocks[i])
+            except Exception as exc:  # raised again in the calling thread
+                rows = exc
+            with self.changed:
+                if i >= self.yielded:
+                    self.done[i] = rows
+                    self.changed.notify_all()
+
+    def _take(self, i: int):
+        """Rows of block i; draws blocks here until they are available."""
+        while True:
+            with self.changed:
+                if i in self.done:
+                    return self.done.pop(i)
+                if self._claimable():
+                    j = self.claimed
+                    self.claimed += 1
+                elif self.changed.wait_for(lambda: i in self.done,
+                                           self.patience):
+                    return self.done.pop(i)
+                else:
+                    j = i  # claimed by a thread that is late
+            start = time.perf_counter()
+            rows = self.draw(*self.blocks[j])
+            self.patience = time.perf_counter() - start
+            if j == i:
+                return rows
+            with self.changed:
+                self.done[j] = rows
+
+    def in_order(self):
+        """Yield the rows of every block in index order."""
+        for i in range(len(self.blocks)):
+            rows = self._take(i)
+            if isinstance(rows, Exception):
+                raise rows
+            yield rows
+            with self.changed:
+                self.yielded = i + 1
+                self.done.pop(i, None)  # a late copy
+                self.changed.notify_all()
+
+    def cancel(self) -> None:
+        with self.changed:
+            self.cancelled = True
+            self.changed.notify_all()
 
 
 def sample_ensemble(spec, n_samples: int, seed: int) -> Ensemble:
-    """Draw configurations and accumulate degree/strength statistics."""
+    """Draw configurations and accumulate degree/strength statistics.
+
+    Samples are drawn in blocks of about ``BLOCK_PAIRS`` firm-bank pairs on
+    one thread per core in the process's CPU affinity set, the calling
+    thread included, and added to the totals in sample-index order, so the
+    result is the same for any core count. A sample that fills a block on
+    its own is drawn in the calling thread.
+    """
     if n_samples < 1:
         raise NullModelError("n_samples must be >= 1")
     p = spec.probability_matrix()
-    w_cond = _weight_matrix(spec, p)
-    nf, nb = p.shape
-
-    acc = Ensemble(
-        spec=spec, n_samples=n_samples, seed=seed,
-        sum_firm_degrees=np.zeros(nf), sumsq_firm_degrees=np.zeros(nf),
-        sum_bank_degrees=np.zeros(nb), sumsq_bank_degrees=np.zeros(nb),
-        sum_firm_strengths=np.zeros(nf), sumsq_firm_strengths=np.zeros(nf),
-        sum_bank_strengths=np.zeros(nb), sumsq_bank_strengths=np.zeros(nb),
-        sum_links=0.0, sumsq_links=0.0,
-    )
-    for idx in range(n_samples):
-        rng = _sample_rng(seed, idx)
-        a = rng.random((nf, nb)) < p
-        w = np.where(a, w_cond, 0.0)
-        k = a.sum(axis=1)
-        h = a.sum(axis=0)
-        s = w.sum(axis=1)
-        t = w.sum(axis=0)
-        links = float(k.sum())
-        acc.sum_firm_degrees += k
-        acc.sumsq_firm_degrees += k.astype(float)**2
-        acc.sum_bank_degrees += h
-        acc.sumsq_bank_degrees += h.astype(float)**2
-        acc.sum_firm_strengths += s
-        acc.sumsq_firm_strengths += s**2
-        acc.sum_bank_strengths += t
-        acc.sumsq_bank_strengths += t**2
-        acc.sum_links += links
-        acc.sumsq_links += links**2
-    return acc
+    draw = _BlockSampler(p, _weight_matrix(spec, p), seed)
+    size = max(1, BLOCK_PAIRS // max(1, p.size))  # samples per block
+    blocks = [(i, min(i + size, n_samples)) for i in range(0, n_samples, size)]
+    total = np.zeros((2, draw.layout["links"] + 1))
+    workers = 1 if size == 1 else min(len(os.sched_getaffinity(0)),
+                                      len(blocks))
+    shared = _Blocks(draw, blocks, window=2 * workers)
+    threads = [threading.Thread(target=shared.work, daemon=True)
+               for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        for rows in shared.in_order():
+            # reducing [total, row_0, row_1, ...] along axis 0 adds one row
+            # at a time: bit for bit the per-sample ``total += row``
+            total = np.add.reduce(np.concatenate([total[None], rows]), axis=0)
+    finally:
+        shared.cancel()
+        for thread in threads:
+            thread.join()
+    moments = {name: total[:, col] for name, col in draw.layout.items()}
+    return Ensemble(spec=spec, n_samples=n_samples, seed=seed, moments=moments)

@@ -236,8 +236,9 @@ def write_null_variant(bundle: ReportBundle, config: RunConfig,
         "ensemble": ensemble.to_json(),
     })
     k, h = derived_degrees(sample.network)
-    for side, emp, model_mean in (("firms", k, ensemble.mean_firm_degrees),
-                                  ("banks", h, ensemble.mean_bank_degrees)):
+    for side, emp, degrees in (("firms", k, "firm_degrees"),
+                               ("banks", h, "bank_degrees")):
+        model_mean = ensemble.mean(degrees)
         try:
             cs = compare(emp, model_mean, n_bins=config.n_bins)
         except netstats.StatsError:
@@ -273,7 +274,7 @@ def write_cell(bundle: ReportBundle, sample: Sample, spec: econ.ModelSpec,
         _record(bundle, cell, exc)
         return None
     report.write_json(bundle.add(os.path.join(subdir, f"{cell}.json")),
-                      fit.to_json())
+                      dict(fit.to_json(), design=design.provenance()))
     report.write_text(bundle.add(os.path.join(subdir, f"{cell}.txt")),
                       fit.format_table(title=cell))
     return fit, design

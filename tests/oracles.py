@@ -210,18 +210,37 @@ def herman_correct(weights, i, j, stage, s_bal, t_bal):
                            max(float(t_bal) - w, 0.0))
 
 
-def ensemble_degree_sums(p, seed, n_samples):
-    """Firm and bank degree sums of ``n_samples`` draws from link matrix p.
+def ensemble_sums(p, s, t, seed, n_samples):
+    """The ten ensemble accumulators of ``n_samples`` draws from p.
 
     Draw ``index`` is an independent Philox stream keyed by
-    ``seed << 64 | index``, so each draw depends on its index alone.
+    ``seed << 64 | index``, so each draw depends on its index alone. A drawn
+    link (i, j) weighs s_i t_j / (W p_ij) with W = sqrt(S T). Each draw's
+    degrees, strengths and link count, and their squares, are added to the
+    sums one draw at a time. Keys are ``sum_<statistic>`` and
+    ``sumsq_<statistic>``.
     """
     p = np.asarray(p, float)
-    firm = np.zeros(p.shape[0])
-    bank = np.zeros(p.shape[1])
+    nf, nb = p.shape
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w_link = np.where(p > 0, np.outer(s, t)
+                          / (np.sqrt(np.sum(s) * np.sum(t)) * p), 0.0)
+    sums = {}
+    for name, shape in (("firm_degrees", nf), ("bank_degrees", nb),
+                        ("firm_strengths", nf), ("bank_strengths", nb),
+                        ("links", ())):
+        sums[f"sum_{name}"] = np.zeros(shape)
+        sums[f"sumsq_{name}"] = np.zeros(shape)
     for index in range(n_samples):
         rng = np.random.Generator(np.random.Philox(key=seed << 64 | index))
         links = rng.random(p.shape) < p
-        firm += links.sum(axis=1)
-        bank += links.sum(axis=0)
-    return firm, bank
+        w = np.where(links, w_link, 0.0)
+        draw = {"firm_degrees": links.sum(axis=1),
+                "bank_degrees": links.sum(axis=0),
+                "firm_strengths": w.sum(axis=1),
+                "bank_strengths": w.sum(axis=0),
+                "links": links.sum()}
+        for name, x in draw.items():
+            sums[f"sum_{name}"] += x
+            sums[f"sumsq_{name}"] += np.asarray(x, float) ** 2
+    return sums

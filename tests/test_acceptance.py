@@ -108,14 +108,14 @@ def test_acceptance_conditional_weight_conservation(bench_sample):
     # Monte Carlo: every node mean within 3 standard errors
     acc = sample_ensemble(spec, n_samples=10_000, seed=0)
     for mean, expect, stderr in (
-        (acc.mean_firm_strengths, metrics.firm_strengths,
-         acc.stderr_firm_strengths()),
-        (acc.mean_bank_strengths, metrics.bank_strengths,
-         acc.stderr_bank_strengths()),
-        (acc.mean_firm_degrees, metrics.firm_degrees,
-         acc.stderr_firm_degrees()),
-        (acc.mean_bank_degrees, metrics.bank_degrees,
-         acc.stderr_bank_degrees()),
+        (acc.mean("firm_strengths"), metrics.firm_strengths,
+         acc.stderr("firm_strengths")),
+        (acc.mean("bank_strengths"), metrics.bank_strengths,
+         acc.stderr("bank_strengths")),
+        (acc.mean("firm_degrees"), metrics.firm_degrees,
+         acc.stderr("firm_degrees")),
+        (acc.mean("bank_degrees"), metrics.bank_degrees,
+         acc.stderr("bank_degrees")),
     ):
         assert np.all(np.abs(mean - expect) <= 3 * np.maximum(stderr, 1e-12))
 
@@ -136,10 +136,10 @@ def test_acceptance_degree_null_residuals(bench_sample):
     assert residual < 1e-8
 
     acc = sample_ensemble(spec, n_samples=10_000, seed=0)
-    assert np.all(np.abs(acc.mean_firm_degrees - k)
-                  <= 3 * np.maximum(acc.stderr_firm_degrees(), 1e-12))
-    assert np.all(np.abs(acc.mean_bank_degrees - h)
-                  <= 3 * np.maximum(acc.stderr_bank_degrees(), 1e-12))
+    assert np.all(np.abs(acc.mean("firm_degrees") - k)
+                  <= 3 * np.maximum(acc.stderr("firm_degrees"), 1e-12))
+    assert np.all(np.abs(acc.mean("bank_degrees") - h)
+                  <= 3 * np.maximum(acc.stderr("bank_degrees"), 1e-12))
 
 
 # --------------------------------------------------------------------------
@@ -229,13 +229,18 @@ def test_acceptance_rest_of_world_correction(seed):
     linked = w[fi, bi] > 0  # stage 2 rows are the existing links
     for stage, number, rows in ((Stage.LINK_FORMATION, 1, slice(None)),
                                 (Stage.LOAN_SIZING, 2, linked)):
-        got = np.column_stack(rest_of_world(sample, fi[rows], bi[rows], stage))
+        columns, n_clamped = rest_of_world(sample, fi[rows], bi[rows], stage)
+        got = np.column_stack(columns)
+        negative = 0
         for row, i, j in zip(got, fi[rows], bi[rows]):
             c = herman_correct(w, i, j, number, s_bal[i], t_bal[j])
             np.testing.assert_allclose(
                 row, [c.firm_degree, c.bank_degree, c.firm_net_strength,
                       c.bank_net_strength, c.firm_bal_strength,
                       c.bank_bal_strength], rtol=1e-12, atol=1e-12)
+            if number == 2:
+                negative += int(s_bal[i] < w[i, j]) + int(t_bal[j] < w[i, j])
+        assert n_clamped == negative
 
 
 # --------------------------------------------------------------------------

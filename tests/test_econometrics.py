@@ -55,8 +55,8 @@ def random_sample(rng, nf=25, nb=8, p=0.35):
 
 def _pair(sample, i, j, stage):
     """(k, h, s_net, t_net, s_bal, t_bal) of the single pair (i, j)."""
-    return tuple(float(v[0]) for v in
-                 rest_of_world(sample, np.array([i]), np.array([j]), stage))
+    columns, _ = rest_of_world(sample, np.array([i]), np.array([j]), stage)
+    return tuple(float(v[0]) for v in columns)
 
 
 TWO_BY_TWO = dict(weights=[[10.0, 0.0], [5.0, 2.0]],
@@ -99,6 +99,25 @@ def test_herman_stage2_clamps_negative_balance():
     s_bal, t_bal = _pair(sample, 0, 0, Stage.LOAN_SIZING)[4:]
     assert s_bal == 0.0  # 3 - 10, clamped
     assert t_bal == 20.0
+    _, n_clamped = rest_of_world(sample, np.array([0]), np.array([0]),
+                                 Stage.LOAN_SIZING)
+    assert n_clamped == 1
+
+
+def test_design_counts_clamped_balances(caplog):
+    """Clamps are counted on the design, not logged."""
+    sample = make_sample(**TWO_BY_TWO)  # link (0, 0): s_bal 4 - 10 < 0
+    caplog.set_level("DEBUG")
+    for stage, herman, count in ((Stage.LOAN_SIZING, True, 1),
+                                 (Stage.LOAN_SIZING, False, 0),
+                                 (Stage.LINK_FORMATION, True, 0)):
+        d = build_design(sample, ModelSpec(stage, Model.M3_FULL,
+                                           herman=herman))
+        assert d.n_clamped == count
+        assert d.provenance() == {"n_obs": d.n_obs, "n_dropped": d.n_dropped,
+                                  "n_floored": d.n_floored,
+                                  "n_clamped": count}
+    assert not caplog.records
 
 
 # --------------------------------------------------------------------------

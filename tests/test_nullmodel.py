@@ -1,17 +1,25 @@
+import contextlib
+import faulthandler
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from creditnet import nullmodel
 from creditnet.core import derived_degrees, derived_strengths
-from creditnet.nullmodel import (FitnessSpec, NonGraphicalTargets,
+from creditnet.nullmodel import (BLOCK_PAIRS, STATISTICS, ConstantSpec,
+                                 FitnessSpec, NonGraphicalTargets,
                                  NonpositiveFitness, TargetOutOfRange, Variant,
                                  bicm_from_network, calibrate_z,
                                  expected_metrics, fitness_spec_from_sample,
                                  random_baseline, sample_ensemble, solve_bicm)
 from conftest import make_network, make_sample
-from oracles import (bicm_fixed_point, calibrate_z_bisection,
-                     ensemble_degree_sums)
+from oracles import bicm_fixed_point, calibrate_z_bisection, ensemble_sums
 
 
 def test_link_probability_closed_form():
@@ -142,33 +150,128 @@ def test_random_baseline_density(small_net):
     assert metrics.firm_degrees.sum() == pytest.approx(small_net.n_links)
 
 
-def test_ensemble_reproducible_and_order_free(rng):
-    s = rng.lognormal(0, 1, 10)
-    t = rng.lognormal(0, 1, 6)
-    spec = FitnessSpec(s=s, t=t, z=calibrate_z(s, t, 20.0),
+def _assert_matches_oracle(acc, spec, seed):
+    """All ten accumulators equal the per-sample oracle bit for bit."""
+    want = ensemble_sums(spec.probability_matrix(), spec.s, spec.t, seed,
+                         acc.n_samples)
+    for name in STATISTICS:
+        np.testing.assert_array_equal(acc.moments[name][0],
+                                      want[f"sum_{name}"])
+        np.testing.assert_array_equal(acc.moments[name][1],
+                                      want[f"sumsq_{name}"])
+
+
+@contextlib.contextmanager
+def _deadline(seconds=60):
+    """End the test run, printing every thread's stack, if the body hangs."""
+    faulthandler.dump_traceback_later(seconds, exit=True)
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+
+
+def _fitness(rng, nf, nb, density):
+    s = rng.lognormal(0, 1, nf)
+    t = rng.lognormal(0, 2, nb)
+    return FitnessSpec(s=s, t=t, z=calibrate_z(s, t, density * nf * nb),
                        variant=Variant.NETWORK_DRIVEN)
+
+
+def test_ensemble_reproducible_and_order_free(rng):
+    spec = _fitness(rng, 10, 6, 1 / 3)
     a = sample_ensemble(spec, n_samples=50, seed=7)
     b = sample_ensemble(spec, n_samples=50, seed=7)
-    for name in ("sum_firm_degrees", "sumsq_firm_degrees", "sum_bank_degrees",
-                 "sumsq_bank_degrees", "sum_firm_strengths",
-                 "sumsq_firm_strengths", "sum_bank_strengths",
-                 "sumsq_bank_strengths", "sum_links", "sumsq_links"):
-        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert sorted(a.moments) == sorted(STATISTICS)
+    for name in STATISTICS:
+        np.testing.assert_array_equal(a.moments[name], b.moments[name])
     c = sample_ensemble(spec, n_samples=50, seed=8)
     assert not np.array_equal(a.sum_firm_degrees, c.sum_firm_degrees)
 
 
 def test_ensemble_prefix_property(rng):
     """Sample i depends on (seed, i) alone, so ensembles share prefixes."""
-    s = rng.lognormal(0, 1, 6)
-    t = rng.lognormal(0, 1, 4)
-    spec = FitnessSpec(s=s, t=t, z=calibrate_z(s, t, 8.0),
-                       variant=Variant.NETWORK_DRIVEN)
+    spec = _fitness(rng, 6, 4, 1 / 3)
     for n in (5, 9):
-        acc = sample_ensemble(spec, n, seed=3)
-        firm, bank = ensemble_degree_sums(spec.probability_matrix(), 3, n)
-        np.testing.assert_array_equal(acc.sum_firm_degrees, firm)
-        np.testing.assert_array_equal(acc.sum_bank_degrees, bank)
+        _assert_matches_oracle(sample_ensemble(spec, n, seed=3), spec, 3)
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_ensemble_blocks_match_oracle(rng, monkeypatch, workers):
+    """Blocks on any number of threads add up like one sample at a time."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(workers)))
+    spec = _fitness(rng, 60, 40, 0.1)
+    block = BLOCK_PAIRS // (60 * 40)
+    n = 10 * block + 5  # more blocks than are drawn ahead; the last is short
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        with _deadline():
+            acc = sample_ensemble(spec, n, seed=2**63 + 5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert acc.n_samples == n
+    _assert_matches_oracle(acc, spec, 2**63 + 5)
+
+
+@pytest.mark.parametrize("failing", [0, 3, 4])
+def test_ensemble_block_error_reaches_caller(rng, monkeypatch, failing):
+    """A failing block raises in the caller; no drawing thread outlives it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    spec = _fitness(rng, 60, 40, 0.1)
+    block = BLOCK_PAIRS // (60 * 40)
+    draw = nullmodel._BlockSampler.__call__
+
+    def draw_or_fail(self, start, stop):
+        if start == failing * block:
+            raise FloatingPointError(f"block {failing}")
+        return draw(self, start, stop)
+
+    monkeypatch.setattr(nullmodel._BlockSampler, "__call__", draw_or_fail)
+    before = threading.active_count()
+    with _deadline(), pytest.raises(FloatingPointError,
+                                    match=f"block {failing}"):
+        # enough blocks that the other threads wait for room to hand over
+        sample_ensemble(spec, 30 * block, seed=1)
+    assert threading.active_count() == before
+
+
+def test_ensemble_late_blocks_are_drawn_again(rng, monkeypatch):
+    """The caller draws a block itself when another thread is slow with it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    spec = _fitness(rng, 60, 40, 0.1)
+    block = BLOCK_PAIRS // (60 * 40)
+    draw = nullmodel._BlockSampler.__call__
+    starts = []
+
+    def slow_elsewhere(self, start, stop):
+        starts.append(start)
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.05)
+        return draw(self, start, stop)
+
+    monkeypatch.setattr(nullmodel._BlockSampler, "__call__", slow_elsewhere)
+    n = 12 * block + 3
+    with _deadline():
+        acc = sample_ensemble(spec, n, seed=5)
+    assert len(starts) > 13  # some of the 13 blocks were drawn twice
+    _assert_matches_oracle(acc, spec, 5)
+
+
+def test_ensemble_large_samples_match_oracle(rng, monkeypatch):
+    """A sample that fills a block on its own is drawn in the caller."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    spec = _fitness(rng, 260, 130, 0.07)
+    assert spec.probability_matrix().size >= BLOCK_PAIRS
+    _assert_matches_oracle(sample_ensemble(spec, 3, seed=11), spec, 11)
+    # a bank linked to all 2**16 firms: its degree overflows 16-bit counts
+    n = 2**16
+    full = ConstantSpec(density=1.0, n_firms=n, n_banks=1, s=np.ones(n),
+                        t=np.ones(1), variant=Variant.NETWORK_DRIVEN)
+    acc = sample_ensemble(full, 2, seed=1)
+    assert acc.sum_bank_degrees[0] == 2 * n
+    _assert_matches_oracle(acc, full, 1)
 
 
 def test_ensemble_means_approach_expectations(rng):
@@ -178,9 +281,9 @@ def test_ensemble_means_approach_expectations(rng):
                        variant=Variant.NETWORK_DRIVEN)
     acc = sample_ensemble(spec, n_samples=4000, seed=11)
     metrics = expected_metrics(spec)
-    se = acc.stderr_firm_degrees()
-    assert np.all(np.abs(acc.mean_firm_degrees - metrics.firm_degrees)
+    se = acc.stderr("firm_degrees")
+    assert np.all(np.abs(acc.mean("firm_degrees") - metrics.firm_degrees)
                   <= 5 * np.maximum(se, 1e-3))
-    assert acc.mean_links == pytest.approx(30.0, rel=0.05)
-    np.testing.assert_allclose(acc.mean_firm_strengths.sum(),
+    assert acc.mean("links") == pytest.approx(30.0, rel=0.05)
+    np.testing.assert_allclose(acc.mean("firm_strengths").sum(),
                                metrics.firm_strengths.sum(), rtol=0.05)

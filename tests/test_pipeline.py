@@ -76,6 +76,16 @@ def test_run_emits_expected_files(completed_run):
         assert (out / rel).exists()
 
 
+def test_run_cell_json_records_design_provenance(completed_run):
+    out, _ = completed_run
+    cell = json.loads((out / "regress" / "loan_sizing_m3_a.json").read_text())
+    design = cell["design"]
+    assert sorted(design) == ["n_clamped", "n_dropped", "n_floored", "n_obs"]
+    assert design["n_obs"] == cell["n_obs"]
+    assert design["n_dropped"] == 0  # loan-sizing rows are the links
+    assert all(n >= 0 for n in design["n_floored"].values())
+
+
 def test_run_manifest_hashes_match(completed_run):
     out, bundle = completed_run
     manifest = json.loads((out / "manifest.json").read_text())
