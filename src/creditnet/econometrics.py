@@ -557,19 +557,32 @@ def fit_logit(design: DesignMatrix, tol_score: float = 1e-8,
     )
 
 
+def _svd(X: np.ndarray):
+    """Thin SVD ``(u, sing, vt)`` of X and the diagonal of (X'X)^-1, or None
+    when X is rank-deficient.
+
+    X is rank-deficient when its smallest singular value is at most
+    ``sing[0] * max(X.shape) * eps``: numpy.linalg.matrix_rank's default
+    tolerance.
+    """
+    u, sing, vt = np.linalg.svd(X, full_matrices=False)
+    if sing[-1] <= sing[0] * max(X.shape) * np.finfo(float).eps:
+        return None
+    # (X'X)^-1 = V diag(sing^-2) V'
+    return u, sing, vt, ((vt / sing[:, None])**2).sum(axis=0)
+
+
 def _ols_core(X: np.ndarray, y: np.ndarray, names, dof: int):
     """SVD least squares with classical covariance; raises on rank loss."""
-    n, p_dim = X.shape
-    rank = np.linalg.matrix_rank(X)
-    if rank < p_dim:
+    svd = _svd(X)
+    if svd is None:
         raise RankDeficient(_dependent_columns(X, names))
-    beta, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
+    u, sing, vt, xtx_inv_diag = svd
+    beta = vt.T @ ((u.T @ y) / sing)
     resid = y - X @ beta
     rss = float(resid @ resid)
     sigma2 = rss / dof if dof > 0 else float("nan")
-    u, sing, vt = np.linalg.svd(X, full_matrices=False)
-    xtx_inv = (vt.T / sing**2) @ vt
-    se = np.sqrt(sigma2 * np.diag(xtx_inv))
+    se = np.sqrt(sigma2 * xtx_inv_diag)
     return beta, se, resid, rss
 
 
@@ -604,23 +617,20 @@ def fit_ols_fixed_effects(design: DesignMatrix) -> FitResult:
             f"bank-level columns are absorbed under bank fixed effects: "
             f"{sorted(design.bank_columns)}")
     y = design.y
-    groups = design.bank_index
-    unique_groups = np.unique(groups)
-    n_groups = unique_groups.size
+    _, gidx, counts = np.unique(design.bank_index, return_inverse=True,
+                                return_counts=True)
+    n_groups = counts.size
     if n_groups < 2:
         raise EconError("need at least two banks for fixed effects")
-    counts = np.bincount(np.searchsorted(unique_groups, groups))
     if np.all(counts <= 1):
         raise SingletonGroupsOnly("every bank has a single observation")
 
-    gidx = np.searchsorted(unique_groups, groups)
-    y_means = np.bincount(gidx, weights=y) / counts
-    y_dm = y - y_means[gidx]
-    X_dm = np.empty_like(design.X)
-    for c in range(design.X.shape[1]):
-        col = design.X[:, c]
-        col_means = np.bincount(gidx, weights=col) / counts
-        X_dm[:, c] = col - col_means[gidx]
+    # group means of y and of every column, one bincount each
+    yx_dm = np.column_stack([y, design.X])
+    means = np.column_stack([np.bincount(gidx, weights=col)
+                             for col in yx_dm.T]) / counts[:, None]
+    yx_dm -= means[gidx]
+    y_dm, X_dm = yx_dm[:, 0], yx_dm[:, 1:]
 
     n = y.size
     p_dim = X_dm.shape[1]
@@ -631,7 +641,7 @@ def fit_ols_fixed_effects(design: DesignMatrix) -> FitResult:
 
     tss_within = float((y_dm**2).sum())
     r2_within = 1.0 - rss / tss_within if tss_within > 0 else 1.0
-    fitted_overall = X_dm @ beta + y_means[gidx]
+    fitted_overall = X_dm @ beta + means[gidx, 0]
     tss = float(((y - y.mean())**2).sum())
     resid_overall = y - fitted_overall
     r2_overall = 1.0 - float(resid_overall @ resid_overall) / tss if tss > 0 else 1.0
@@ -661,27 +671,21 @@ def fit_design(design: DesignMatrix) -> FitResult:
 
 
 def vif(design: DesignMatrix) -> dict[str, float]:
-    """Variance inflation factors from auxiliary regressions."""
+    """Variance inflation factors: the diagonal of the inverse correlation
+    matrix, from one SVD of the centred, unit-norm columns.
+
+    Every column reads inf when a column is constant or the columns (with
+    an intercept) are rank-deficient; a single VIF of 1e12 or more reads inf.
+    """
     X = design.X
-    names = design.column_names
     if X.shape[1] < 3:
         raise EconError("VIF needs at least three columns")
-    n = X.shape[0]
-    out: dict[str, float] = {}
-    for idx, name in enumerate(names):
-        target = X[:, idx]
-        others = np.column_stack(
-            [np.ones(n)] + [X[:, c] for c in range(X.shape[1]) if c != idx])
-        rank = np.linalg.matrix_rank(others)
-        if rank < others.shape[1]:
-            out[name] = float("inf")
-            continue
-        beta, _, _, _ = np.linalg.lstsq(others, target, rcond=None)
-        resid = target - others @ beta
-        tss = float(((target - target.mean())**2).sum())
-        rss = float(resid @ resid)
-        if tss == 0 or rss <= 1e-12 * tss:
-            out[name] = float("inf")
-        else:
-            out[name] = 1.0 / (rss / tss)
-    return out
+    svd = None
+    if np.all(np.ptp(X, axis=0) > 0):
+        centred = X - X.mean(axis=0)
+        svd = _svd(centred / np.linalg.norm(centred, axis=0))
+    if svd is None:
+        return {name: float("inf") for name in design.column_names}
+    # the centred unit-norm columns have X'X = the correlation matrix
+    return {name: float(v) if v < 1e12 else float("inf")
+            for name, v in zip(design.column_names, svd[3])}

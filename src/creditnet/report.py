@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -27,10 +28,10 @@ __all__ = [
 
 def _jsonable(obj):
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _jsonable(obj.tolist())
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, float) and obj != obj:  # NaN
+        return _jsonable(obj.item())
+    if isinstance(obj, float) and not math.isfinite(obj):  # NaN, +-inf
         return None
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}

@@ -87,19 +87,16 @@ def generate(config: GenConfig) -> tuple[Sample, GroundTruth]:
     st = z * np.outer(s_fit, t_fit)
     p_base = st / (1.0 + st)
 
-    # sequential link formation in (firm, bank) order; the attachment boost
-    # acts on the firm's running degree
+    # sequential link formation in bank order, all firms at once; the
+    # attachment boost acts on each firm's running degree
     uniforms = rng.random((nf, nb))
     adjacency = np.zeros((nf, nb), dtype=bool)
-    boost = config.attachment_boost
-    for i in range(nf):
-        k_running = 0
-        for j in range(nb):
-            logodds = _logit(p_base[i, j]) + boost * np.log1p(k_running)
-            p_link = 1.0 / (1.0 + np.exp(-logodds))
-            if uniforms[i, j] < p_link:
-                adjacency[i, j] = True
-                k_running += 1
+    logit_base = _logit(p_base)
+    k_running = np.zeros(nf)
+    for j in range(nb):
+        logodds = logit_base[:, j] + config.attachment_boost * np.log1p(k_running)
+        adjacency[:, j] = uniforms[:, j] < 1.0 / (1.0 + np.exp(-logodds))
+        k_running += adjacency[:, j]
 
     n_links = int(adjacency.sum())
     if n_links == 0 or n_links == nf * nb:

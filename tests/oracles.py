@@ -244,3 +244,24 @@ def ensemble_sums(p, s, t, seed, n_samples):
             sums[f"sum_{name}"] += x
             sums[f"sumsq_{name}"] += np.asarray(x, float) ** 2
     return sums
+
+
+def sequential_links(p_base, uniforms, boost):
+    """Links formed pair by pair in (firm, bank) order.
+
+    Pair (i, j) links when its uniform is below the logistic of
+    logit(p_base[i, j]) + boost * ln(1 + k), where k counts the links firm i
+    formed with banks 0..j-1.
+    """
+    nf, nb = p_base.shape
+    adjacency = np.zeros((nf, nb), dtype=bool)
+    for i in range(nf):
+        k_running = 0
+        for j in range(nb):
+            logodds = (np.log(p_base[i, j]) - np.log1p(-p_base[i, j])
+                       + boost * np.log1p(k_running))
+            p_link = 1.0 / (1.0 + np.exp(-logodds))
+            if uniforms[i, j] < p_link:
+                adjacency[i, j] = True
+                k_running += 1
+    return adjacency

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from creditnet.econometrics import (AbsorbedColumns, AllRowsDropped,
                                     DegreeSource, DegreeVariant, DesignMatrix,
@@ -348,6 +350,34 @@ def test_ols_rank_deficiency_names_columns(rng):
     assert "x2" in err.value.columns
 
 
+@given(n=st.integers(8, 60), p=st.integers(1, 4),
+       exponent=st.floats(3.0, 16.0), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_ols_rank_check_matches_matrix_rank(n, p, exponent, seed):
+    """RankDeficient is raised exactly when matrix_rank([1, X]) is short.
+
+    The last column is column 0 plus noise scaled by 10**-exponent, from
+    well conditioned (1e-3) to numerically dependent (1e-16). Designs whose
+    smallest singular value is within 1e-3 of the tolerance are skipped:
+    there numpy's values-only SVD (matrix_rank) and its full SVD may round
+    to different sides (by about 1e-4 of the tolerance in 20,000 random
+    designs).
+    """
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0, 1, (n, p))
+    X = np.column_stack([X, X[:, 0] + 10.0**-exponent * rng.normal(0, 1, n)])
+    A = np.column_stack([np.ones(n), X])
+    sing = np.linalg.svd(A, compute_uv=False)
+    tol = sing[0] * max(A.shape) * np.finfo(float).eps
+    assume(abs(sing[-1] / tol - 1) > 1e-3)
+    design = fake_design(X, rng.normal(0, 1, n))
+    if np.linalg.matrix_rank(A) < A.shape[1]:
+        with pytest.raises(RankDeficient):
+            fit_ols(design)
+    else:
+        assert fit_ols(design).n_obs == n
+
+
 def test_fixed_effects_matches_dummy_oracle(rng):
     n, g = 200, 8
     groups = rng.integers(0, g, n)
@@ -423,6 +453,13 @@ def test_vif_matches_correlation_oracle(rng):
 def test_vif_collinear_is_infinite(rng):
     X = rng.normal(0, 1, (100, 3))
     X[:, 2] = X[:, 0] + X[:, 1]
+    got = vif(fake_design(X, y=np.zeros(100)))
+    assert all(np.isinf(v) for v in got.values())
+
+
+def test_vif_constant_column_is_infinite(rng):
+    X = rng.normal(0, 1, (100, 4))
+    X[:, 1] = 0.1  # its float mean is not exactly 0.1
     got = vif(fake_design(X, y=np.zeros(100)))
     assert all(np.isinf(v) for v in got.values())
 

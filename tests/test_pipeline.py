@@ -33,6 +33,10 @@ def test_canonical_json_sorted_and_stable():
     assert a == b
     assert a.index('"a"') < a.index('"b"')
     assert canonical_json({"x": float("nan")}) == canonical_json({"x": None})
+    non_finite = {"a": float("inf"), "b": np.float64("-inf"),
+                  "c": np.array([1.5, np.inf, np.nan])}
+    assert json.loads(canonical_json(non_finite)) == {
+        "a": None, "b": None, "c": [1.5, None, None]}
 
 
 def test_svg_outputs_have_no_volatile_content():
@@ -151,6 +155,17 @@ def test_run_survives_a_failing_null_variant(tmp_path):
     assert not (out / "nullmodel_bicm.json").exists()
     for name in ("network", "balance", "random"):
         assert (out / f"nullmodel_{name}.json").exists()
+
+
+def test_run_survives_infinite_vifs(tmp_path):
+    # s_bal equal to s_net up to 1e-7 puts their VIFs above 1e12
+    run(RunConfig(out_dir=str(tmp_path),
+                  synth=GenConfig(seed=0, balance_noise=1e-7), n_samples=20))
+    assert (tmp_path / "manifest.json").exists()
+    vifs = json.loads((tmp_path / "vif.json").read_text())
+    for name in ("ln_s_net", "ln_s_bal", "ln_t_net", "ln_t_bal"):
+        assert vifs[name] is None
+    assert vifs["tang"] > 1.0
 
 
 def test_residual_diagnostics_content(completed_run):

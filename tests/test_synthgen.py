@@ -5,6 +5,7 @@ import pytest
 
 from creditnet.core import derived_degrees
 from creditnet.synthgen import DegenerateDensity, GenConfig, generate
+from oracles import sequential_links
 
 
 def test_generate_reproducible():
@@ -58,6 +59,21 @@ def test_attachment_boost_adds_links_to_connected_firms():
             assert j > firsts[i]
         extra_links += int(new.sum())
     assert extra_links > 0
+
+
+@pytest.mark.parametrize("boost", [0.0, 0.7, 1.3])
+def test_links_match_sequential_oracle(boost):
+    cfg = GenConfig(n_firms=113, n_banks=61, seed=9, target_density=0.1,
+                    attachment_boost=boost)
+    sample, truth = generate(cfg)
+    # replay the generator's draws up to the uniforms
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    s_fit = rng.lognormal(cfg.firm_size_mu, cfg.firm_size_sigma, cfg.n_firms)
+    t_fit = rng.lognormal(cfg.bank_size_mu, cfg.bank_size_sigma, cfg.n_banks)
+    st = truth.z * np.outer(s_fit, t_fit)
+    uniforms = rng.random((cfg.n_firms, cfg.n_banks))
+    expected = sequential_links(st / (1.0 + st), uniforms, boost)
+    np.testing.assert_array_equal(sample.network.weights > 0, expected)
 
 
 def test_fragmentation_penalty_shrinks_multibank_loans():
