@@ -269,19 +269,19 @@ def build_design(sample: Sample, spec: ModelSpec,
                 f"design requires a calibrated {spec.degree_source.value} model")
         null_spec = null_models[spec.degree_source]
 
-    # pair scope and row filtering
-    fi, bi = np.meshgrid(np.arange(nf), np.arange(nb), indexing="ij")
-    fi, bi = fi.ravel(), bi.ravel()
+    # pair scope and row filtering; rows run over firms, then banks
     n_dropped = 0
     if spec.stage is Stage.LOAN_SIZING:
-        keep = net.weights[fi, bi] > 0
-        fi, bi = fi[keep], bi[keep]
-    elif spec.model is not Model.M1_GRAVITY:
-        # banks isolated by the consistency filter carry no information for
-        # network specifications; their rows are dropped and counted
-        keep = h[bi] > 0
-        n_dropped = int((~keep).sum())
-        fi, bi = fi[keep], bi[keep]
+        fi, bi = np.nonzero(net.weights > 0)
+    else:
+        fi, bi = np.meshgrid(np.arange(nf), np.arange(nb), indexing="ij")
+        fi, bi = fi.ravel(), bi.ravel()
+        if spec.model is not Model.M1_GRAVITY:
+            # banks isolated by the consistency filter carry no information
+            # for network specifications; their rows are dropped and counted
+            keep = h[bi] > 0
+            n_dropped = int((~keep).sum())
+            fi, bi = fi[keep], bi[keep]
     if fi.size == 0:
         raise AllRowsDropped("no rows left for this specification")
 
@@ -297,6 +297,7 @@ def build_design(sample: Sample, spec: ModelSpec,
         s_bal_c = sample.firm_series("balance_strength")[fi]
         t_bal_c = sample.bank_series("balance_strength")[bi]
 
+    expected = expected_metrics(null_spec) if needs_null else None
     floored: dict[str, int] = {}
     values: dict[str, np.ndarray] = {}
     for name in columns:
@@ -316,13 +317,11 @@ def build_design(sample: Sample, spec: ModelSpec,
             # single-banked on the uncorrected network
             values[name] = (k[fi] == 1).astype(float)
         elif name == "ln_k_null":
-            exp_k = expected_metrics(null_spec).firm_degrees
-            values[name] = _floored_log(exp_k[fi], EXPECTED_DEGREE_FLOOR,
-                                        floored, name)
+            values[name] = _floored_log(expected.firm_degrees[fi],
+                                        EXPECTED_DEGREE_FLOOR, floored, name)
         elif name == "ln_h_null":
-            exp_h = expected_metrics(null_spec).bank_degrees
-            values[name] = _floored_log(exp_h[bi], EXPECTED_DEGREE_FLOOR,
-                                        floored, name)
+            values[name] = _floored_log(expected.bank_degrees[bi],
+                                        EXPECTED_DEGREE_FLOOR, floored, name)
         elif name == "ln_assets_firm":
             values[name] = np.log(sample.firm_series("total_assets"))[fi]
         elif name == "ln_assets_bank":
@@ -459,22 +458,27 @@ def _coef_stats(names, beta, se) -> dict[str, CoefficientStat]:
     return out
 
 
-def _dependent_columns(X: np.ndarray, names, tol: float = 1e-10):
-    """Name columns that are linear combinations of the preceding ones."""
-    basis = []
+def _rank_tolerance(sing: np.ndarray, shape) -> float:
+    """numpy.linalg.matrix_rank's default tolerance for singular values."""
+    return sing[0] * max(shape) * np.finfo(float).eps
+
+
+def _dependent_columns(X: np.ndarray, names):
+    """Name the columns that make X rank-deficient under ``_svd``'s rule.
+
+    Columns are taken in order. A column is named when it brings the
+    smallest singular value of the columns kept so far to within the
+    tolerance of X as a whole; otherwise it is kept.
+    """
+    tol = _rank_tolerance(np.linalg.svd(X, full_matrices=False)[1], X.shape)
+    kept: list[int] = []
     bad = []
     for idx, name in enumerate(names):
-        v = X[:, idx].astype(float).copy()
-        norm0 = np.linalg.norm(v)
-        if norm0 == 0:
-            bad.append(name)
-            continue
-        for b in basis:
-            v -= (b @ v) * b
-        if np.linalg.norm(v) < tol * norm0:
+        sing = np.linalg.svd(X[:, kept + [idx]], full_matrices=False)[1]
+        if sing[-1] <= tol:
             bad.append(name)
         else:
-            basis.append(v / np.linalg.norm(v))
+            kept.append(idx)
     return bad
 
 
@@ -566,7 +570,7 @@ def _svd(X: np.ndarray):
     tolerance.
     """
     u, sing, vt = np.linalg.svd(X, full_matrices=False)
-    if sing[-1] <= sing[0] * max(X.shape) * np.finfo(float).eps:
+    if sing[-1] <= _rank_tolerance(sing, X.shape):
         return None
     # (X'X)^-1 = V diag(sing^-2) V'
     return u, sing, vt, ((vt / sing[:, None])**2).sum(axis=0)

@@ -194,12 +194,6 @@ class ConstantSpec:
         }
 
 
-def _expected_links(z, s, t):
-    st = z * np.outer(s, t)
-    p = st / (1.0 + st)
-    return float(p.sum()), p
-
-
 def calibrate_z(s, t, l_target: float, rel_tol: float = 1e-10) -> float:
     """Solve sum_ij p_ij(z) = l_target for the unique positive root.
 
@@ -214,17 +208,28 @@ def calibrate_z(s, t, l_target: float, rel_tol: float = 1e-10) -> float:
         raise TargetOutOfRange(
             f"target link count {l_target} outside (0, {max_links})")
 
+    # every evaluation reuses these: st = s t', then z st and p in place
+    st = np.outer(s, t)
+    zst = np.empty_like(st)
+    p = np.empty_like(st)
+
+    def expected_links(z) -> float:
+        np.multiply(st, z, out=zst)
+        np.add(zst, 1.0, out=p)
+        np.divide(zst, p, out=p)
+        return float(p.sum())
+
     lo, hi = 1e-18, 1.0
-    while _expected_links(hi, s, t)[0] <= l_target:
+    while expected_links(hi) <= l_target:
         hi *= 2.0
         if hi > 1e30:
             raise NoConvergence(0, float("inf"))
-    while _expected_links(lo, s, t)[0] >= l_target:
+    while expected_links(lo) >= l_target:
         lo /= 2.0
 
     for _ in range(200):
         mid = np.sqrt(lo * hi)  # geometric bisection: z spans many decades
-        if _expected_links(mid, s, t)[0] < l_target:
+        if expected_links(mid) < l_target:
             lo = mid
         else:
             hi = mid
@@ -233,11 +238,13 @@ def calibrate_z(s, t, l_target: float, rel_tol: float = 1e-10) -> float:
 
     z = np.sqrt(lo * hi)
     for _ in range(50):
-        total, p = _expected_links(z, s, t)
-        resid = total - l_target
+        resid = expected_links(z) - l_target
         if abs(resid) <= rel_tol * l_target:
             return float(z)
-        slope = float((p * (1.0 - p)).sum()) / z
+        # p(1 - p) of this z, in the z st buffer
+        np.subtract(1.0, p, out=zst)
+        np.multiply(p, zst, out=zst)
+        slope = float(zst.sum()) / z
         step = resid / slope
         z_new = z - step
         if z_new <= 0:

@@ -203,7 +203,7 @@ def write_stats(bundle: ReportBundle,
         curve = ccdf(values)
         report.write_csv(bundle.add(f"ccdf_{label}.csv"),
                          ["value", "survival"],
-                         zip(curve.values, curve.survival))
+                         (curve.values, curve.survival))
         report.write_text(bundle.add(f"ccdf_{label}.svg"), report.svg_scatter(
             curve.values, curve.survival, title=f"CCDF of {label}",
             xlabel="value", ylabel="P(X >= x)",
@@ -247,8 +247,8 @@ def write_null_variant(bundle: ReportBundle, config: RunConfig,
         report.write_csv(
             bundle.add(f"{stem}.csv"),
             ["bin_lo", "bin_hi", "mean", "std", "p05", "p95"],
-            zip(cs.bin_edges[:-1], cs.bin_edges[1:], cs.binned_means,
-                cs.binned_stds, cs.binned_p05, cs.binned_p95))
+            (cs.bin_edges[:-1], cs.bin_edges[1:], cs.binned_means,
+             cs.binned_stds, cs.binned_p05, cs.binned_p95))
         report.write_json(bundle.add(f"{stem}.json"),
                           {"pearson": cs.pearson, "spearman": cs.spearman})
         report.write_text(bundle.add(f"{stem}.svg"), report.svg_scatter(
@@ -293,12 +293,12 @@ def _write_diagnostics(bundle: ReportBundle, fit: econ.FitResult,
     report.write_json(bundle.add("residual_diagnostics.json"), diag)
     report.write_csv(bundle.add("residual_hist.csv"),
                      ["bin_lo", "bin_hi", "count"],
-                     zip(edges[:-1], edges[1:], counts))
+                     (edges[:-1], edges[1:], counts))
     report.write_text(bundle.add("residual_hist.svg"), report.svg_histogram(
         counts, edges, title="loan-sizing residuals", xlabel="residual"))
     for col, data in diag["scatters"].items():
         report.write_csv(bundle.add(f"residual_vs_{col}.csv"),
-                         ["x", "residual"], zip(data["x"], data["residuals"]))
+                         ["x", "residual"], (data["x"], data["residuals"]))
 
 
 def _write_manifest(bundle: ReportBundle, config: RunConfig,
@@ -330,10 +330,13 @@ def run(config: RunConfig) -> ReportBundle:
     nulls = {source: built[name] for source, name in PLACEBO_NULLS.items()
              if built.get(name) is not None}
     grid = config.grid if config.grid is not None else default_grid()
-    fits = {spec.name(): write_cell(bundle, filtered, spec, nulls)
-            for spec in grid}
-    if fits.get("loan_sizing_m3_a"):
-        _write_diagnostics(bundle, *fits["loan_sizing_m3_a"])
+    diagnosed = None  # only this cell's fit and design outlive its write
+    for spec in grid:
+        cell = write_cell(bundle, filtered, spec, nulls)
+        if spec.name() == "loan_sizing_m3_a":
+            diagnosed = cell
+    if diagnosed:
+        _write_diagnostics(bundle, *diagnosed)
     _write_manifest(bundle, config, input_paths)
     return bundle
 

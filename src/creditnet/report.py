@@ -26,35 +26,107 @@ __all__ = [
 ]
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer)):
-        return _jsonable(obj.item())
-    if isinstance(obj, float) and not math.isfinite(obj):  # NaN, +-inf
+_INDENT = "  "
+# the text of non-finite floats: JSON has no NaN or infinity, CSV leaves NaN
+# empty
+_JSON_NONFINITE = {"nan": "null", "inf": "null", "-inf": "null"}
+_CSV_NONFINITE = {"nan": ""}
+
+
+def _float_strs(values: np.ndarray, nonfinite: dict) -> list[str]:
+    """``repr`` of every value of a 1-d float array, ``nonfinite`` applied.
+
+    Each distinct bit pattern is formatted once, so ``-0.0`` and ``0.0``
+    keep their own text.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = [nonfinite.get(text, text) for text in
+             map(float.__repr__, distinct.view(np.float64).tolist())]
+    return np.array(texts, dtype=object)[inverse].tolist()
+
+
+def _float_array(values):
+    """``values`` as a 1-d float array when it is one (float64 or narrower)
+    or a non-empty list or tuple of plain floats, else None."""
+    if isinstance(values, np.ndarray):
+        if (values.ndim == 1 and values.dtype.kind == "f"
+                and values.dtype.itemsize <= 8):
+            return values
         return None
+    if (isinstance(values, (list, tuple)) and values
+            and all(type(v) is float for v in values)):
+        return np.array(values, dtype=np.float64)
+    return None
+
+
+def _json_list(texts: list[str], level: int) -> str:
+    if not texts:
+        return "[]"
+    inner = "\n" + _INDENT * (level + 1)
+    return "[" + inner + ("," + inner).join(texts) + "\n" + _INDENT * level + "]"
+
+
+def _encode(obj, level: int) -> str:
+    if isinstance(obj, str):
+        return json.encoder.encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, float):  # np.float64 included
+        return float.__repr__(obj) if math.isfinite(obj) else "null"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+        if not obj:
+            return "{}"
+        items = {str(k): v for k, v in obj.items()}
+        inner = "\n" + _INDENT * (level + 1)
+        return "{" + inner + ("," + inner).join(
+            json.encoder.encode_basestring_ascii(k) + ": "
+            + _encode(items[k], level + 1) for k in sorted(items)
+        ) + "\n" + _INDENT * level + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        floats = _float_array(obj)
+        if floats is not None:
+            return _json_list(_float_strs(floats, _JSON_NONFINITE), level)
+        if isinstance(obj, np.ndarray):
+            return _encode(obj.tolist(), level)
+        return _json_list([_encode(v, level + 1) for v in obj], level)
+    if isinstance(obj, (np.floating, np.integer)):
+        return _encode(obj.item(), level)
+    raise TypeError(f"Object of type {type(obj).__name__} "
+                    f"is not JSON serializable")
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(_jsonable(obj), sort_keys=True, indent=2,
-                      allow_nan=False) + "\n"
+    """Deterministic JSON text of ``obj``, ending in a newline.
+
+    The text is byte for byte ``json.dumps(obj, sort_keys=True, indent=2,
+    allow_nan=False)`` after numpy arrays become lists and numpy scalars
+    Python numbers, dict keys become ``str(key)``, tuples become lists and
+    every non-finite float becomes ``null``: floats by ``float.__repr__``,
+    non-ASCII text as ``\\u`` escapes. Any other type raises ``TypeError``.
+    """
+    return _encode(obj, 0) + "\n"
+
+
+# the public writers do not call one another, so each file is one call
+def _write(path, text: str, newline=None) -> None:
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline=newline) as fh:
+        fh.write(text)
 
 
 def write_json(path, obj) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(obj))
+    _write(path, canonical_json(obj))
 
 
 def write_text(path, text: str) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write(path, text)
 
 
 def _fmt(value) -> str:
@@ -64,12 +136,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path, header, rows) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+def write_csv(path, header, columns) -> None:
+    """Write a CSV file from a sequence of equally long columns.
+
+    Row ``r`` holds the ``r``-th value of every column; the rows stop at
+    the shortest column. A float is written by ``repr`` and NaN as an
+    empty field; any other value by ``str``. Float arrays and lists of
+    plain floats are formatted a column at a time.
+    """
+    texts = []
+    for column in columns:
+        floats = _float_array(column)
+        texts.append([_fmt(v) for v in column] if floats is None
+                     else _float_strs(floats, _CSV_NONFINITE))
+    lines = [",".join(header)]
+    lines += map(",".join, zip(*texts))
+    _write(path, "\n".join(lines) + "\n", newline="")
 
 
 def sha256_file(path) -> str:

@@ -5,6 +5,8 @@ loops, textbook formulas) and never calls into the package code paths it
 is used to check.
 """
 
+import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +78,43 @@ def calibrate_z_bisection(s, t, l_target, tol=1e-12):
         if hi - lo < tol * hi:
             break
     return (lo + hi) / 2
+
+
+def calibrate_z_allocating(s, t, l_target, rel_tol=1e-10):
+    """Bracket, geometric bisection and Newton polish on fresh arrays.
+
+    Every evaluation of the expected link count forms z s t', 1 + z s t'
+    and p anew; the solver's sequence of steps is the package's.
+    """
+    s, t = np.asarray(s, float), np.asarray(t, float)
+
+    def expected_links(z):
+        st = z * np.outer(s, t)
+        p = st / (1.0 + st)
+        return float(p.sum()), p
+
+    lo, hi = 1e-18, 1.0
+    while expected_links(hi)[0] <= l_target:
+        hi *= 2.0
+    while expected_links(lo)[0] >= l_target:
+        lo /= 2.0
+    for _ in range(200):
+        mid = np.sqrt(lo * hi)
+        if expected_links(mid)[0] < l_target:
+            lo = mid
+        else:
+            hi = mid
+        if hi / lo < 1 + 1e-12:
+            break
+    z = np.sqrt(lo * hi)
+    for _ in range(50):
+        total, p = expected_links(z)
+        resid = total - l_target
+        if abs(resid) <= rel_tol * l_target:
+            return float(z)
+        z_new = z - resid / (float((p * (1.0 - p)).sum()) / z)
+        z = z_new if z_new > 0 else z / 2.0
+    raise RuntimeError("oracle Newton polish did not converge")
 
 
 def bicm_fixed_point(k, h, tol=1e-12, max_iters=200_000, damping=0.5):
@@ -265,3 +304,37 @@ def sequential_links(p_base, uniforms, boost):
                 adjacency[i, j] = True
                 k_running += 1
     return adjacency
+
+
+def _jsonable(obj):
+    if isinstance(obj, np.ndarray):
+        return _jsonable(obj.tolist())
+    if isinstance(obj, (np.floating, np.integer)):
+        return _jsonable(obj.item())
+    if isinstance(obj, float) and not math.isfinite(obj):  # NaN, +-inf
+        return None
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    return obj
+
+
+def canonical_json_dumps(obj):
+    """The standard library's JSON text of ``obj``, numpy values converted
+    to Python ones and non-finite floats to None."""
+    return json.dumps(_jsonable(obj), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
+
+
+def csv_rows_text(header, rows):
+    """CSV text written one row and one value at a time: floats by repr,
+    NaN as an empty field, anything else by str."""
+    def fmt(value):
+        if isinstance(value, (float, np.floating)):
+            v = float(value)
+            return "" if v != v else repr(v)
+        return str(value)
+    lines = [",".join(header)]
+    lines += [",".join(fmt(v) for v in row) for row in rows]
+    return "".join(line + "\n" for line in lines)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from creditnet import econometrics
 from creditnet.econometrics import (AbsorbedColumns, AllRowsDropped,
                                     DegreeSource, DegreeVariant, DesignMatrix,
                                     EconError, FixedEffects, Model, ModelSpec,
@@ -195,6 +196,23 @@ def test_design_row_scopes():
     d2 = build_design(sample, ModelSpec(Stage.LOAN_SIZING, Model.M3_FULL))
     assert d2.n_obs == net.n_links
     assert np.all(d2.y == np.log(net.weights[d2.firm_index, d2.bank_index]))
+    # rows run over firms, then banks
+    assert np.all(np.diff(d2.firm_index * net.n_banks + d2.bank_index) > 0)
+
+
+def test_design_computes_expected_metrics_once(monkeypatch):
+    sample = random_sample(np.random.default_rng(2))
+    nulls = {DegreeSource.NULL_NET: fitness_spec_from_sample(
+        sample, Variant.NETWORK_DRIVEN)}
+    calls = []
+    expected_metrics = econometrics.expected_metrics
+    monkeypatch.setattr(econometrics, "expected_metrics",
+                        lambda spec: calls.append(spec) or expected_metrics(spec))
+    d = build_design(sample, ModelSpec(
+        Stage.LOAN_SIZING, Model.M3_FULL,
+        degree_source=DegreeSource.NULL_NET), nulls)
+    assert {"ln_k_null", "ln_h_null"} <= set(d.column_names)
+    assert calls == [nulls[DegreeSource.NULL_NET]]
 
 
 def test_design_drops_rows_of_isolated_banks():
@@ -350,6 +368,16 @@ def test_ols_rank_deficiency_names_columns(rng):
     assert "x2" in err.value.columns
 
 
+def test_rank_deficiency_names_a_column_small_in_scale(rng):
+    """A column about 1e-14 the scale of the others falls under the rank
+    rule, which compares singular values with the largest; it is named."""
+    X = np.column_stack([rng.normal(0, 1, 50), 1e-14 * rng.normal(0, 1, 50),
+                         rng.normal(0, 1, 50)])
+    with pytest.raises(RankDeficient) as err:
+        fit_ols(fake_design(X, y=rng.normal(0, 1, 50)))
+    assert err.value.columns == ("x1",)
+
+
 @given(n=st.integers(8, 60), p=st.integers(1, 4),
        exponent=st.floats(3.0, 16.0), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=300, deadline=None)
@@ -372,8 +400,9 @@ def test_ols_rank_check_matches_matrix_rank(n, p, exponent, seed):
     assume(abs(sing[-1] / tol - 1) > 1e-3)
     design = fake_design(X, rng.normal(0, 1, n))
     if np.linalg.matrix_rank(A) < A.shape[1]:
-        with pytest.raises(RankDeficient):
+        with pytest.raises(RankDeficient) as err:
             fit_ols(design)
+        assert err.value.columns
     else:
         assert fit_ols(design).n_obs == n
 

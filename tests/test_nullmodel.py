@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from creditnet import nullmodel
@@ -19,7 +19,8 @@ from creditnet.nullmodel import (BLOCK_PAIRS, STATISTICS, ConstantSpec,
                                  expected_metrics, fitness_spec_from_sample,
                                  random_baseline, sample_ensemble, solve_bicm)
 from conftest import make_network, make_sample
-from oracles import bicm_fixed_point, calibrate_z_bisection, ensemble_sums
+from oracles import (bicm_fixed_point, calibrate_z_allocating,
+                     calibrate_z_bisection, ensemble_sums)
 
 
 def test_link_probability_closed_form():
@@ -49,6 +50,34 @@ def test_calibrate_z_matches_bisection_oracle(rng):
     z = calibrate_z(s, t, 30.0)
     z_oracle = calibrate_z_bisection(s, t, 30.0)
     assert z == pytest.approx(z_oracle, rel=1e-6)
+
+
+@given(st.integers(1, 600), st.integers(1, 60), st.floats(0.1, 2.5),
+       st.floats(0.01, 0.9), st.booleans(),
+       st.sampled_from([1e-10, 1e-14, 1e-15]), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+@example(300, 40, 1.5, 0.3, False, 1e-15, 0)
+def test_calibrate_z_equals_allocating_oracle(nf, nb, sigma, density, zeros,
+                                              rel_tol, seed):
+    """Bit for bit the z of the same solver on freshly allocated arrays.
+
+    The bisection alone meets the default tolerance; the tighter ones make
+    the Newton polish take steps.
+    """
+    rng = np.random.default_rng(seed)
+    s = rng.lognormal(0.0, sigma, nf)
+    t = rng.lognormal(0.0, sigma, nb)
+    if zeros:  # nodes without fitness: fewer possible links
+        s[rng.random(nf) < 0.2] = 0.0
+        s[0] = max(s[0], 1.0)
+    target = density * np.count_nonzero(s) * nb
+    try:
+        z = calibrate_z(s, t, target, rel_tol)
+    except nullmodel.NoConvergence:
+        with pytest.raises(RuntimeError):
+            calibrate_z_allocating(s, t, target, rel_tol)
+        return
+    assert z == calibrate_z_allocating(s, t, target, rel_tol)
 
 
 def test_calibrate_z_target_bounds(rng):

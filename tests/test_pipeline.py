@@ -1,16 +1,22 @@
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from creditnet.cli import main
 from creditnet.ingest import write_sample_csv
 from creditnet.pipeline import (RunConfig, default_grid, load_config_file,
                                 residual_diagnostics, run)
-from creditnet.report import canonical_json, sha256_file, svg_histogram, svg_scatter
+from creditnet.report import (canonical_json, sha256_file, svg_histogram,
+                              svg_scatter, write_csv)
 from creditnet.synthgen import GenConfig
 from conftest import make_sample
+from oracles import canonical_json_dumps, csv_rows_text
 
 
 def small_run_config(out_dir, seed=7):
@@ -37,6 +43,90 @@ def test_canonical_json_sorted_and_stable():
                   "c": np.array([1.5, np.inf, np.nan])}
     assert json.loads(canonical_json(non_finite)) == {
         "a": None, "b": None, "c": [1.5, None, None]}
+
+
+# floats at the edges of repr's forms: signed zero, subnormals, the switch
+# to exponent notation at 1e16 and below 1e-4, the largest finite values
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1e16, 9999999999999998.0, 1.0000000000000002e16,
+               1e-05, 9.999999999999999e-06, 0.0001, 9.999999999999999e-05,
+               1.7976931348623157e308, -1.7976931348623157e308, 0.1, -2.5,
+               float("inf"), float("-inf"), float("nan")]
+floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_subnormal=True))
+float_dtypes = st.sampled_from([np.float64, np.float32, np.float16])
+
+
+def _array_and_views(arr):
+    """An array, or a non-contiguous view of it: a column or a reversed
+    strided slice."""
+    column = arr.ndim == 2 and arr.shape[1] > 0
+    return st.sampled_from([arr, arr[:, 0] if column else arr[::-2]])
+
+
+float_arrays = hnp.arrays(
+    float_dtypes, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
+    elements=st.floats(width=16)).flatmap(_array_and_views)
+other_arrays = hnp.arrays(
+    st.sampled_from([np.int64, np.int32, np.uint8, np.bool_]),
+    hnp.array_shapes(min_dims=0, max_dims=2, max_side=4))
+numpy_scalars = st.one_of(
+    floats.map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8))
+json_leaves = st.one_of(
+    floats, st.integers(), st.booleans(), st.none(), st.text(),
+    numpy_scalars, float_arrays, other_arrays,
+    st.lists(floats, min_size=1, max_size=8))
+json_values = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.one_of(st.text(), st.integers()), children,
+                        max_size=5)),
+    max_leaves=30)
+
+
+@given(json_values)
+@settings(max_examples=300, deadline=None)
+@example({"floats": EDGE_FLOATS, "array": np.array(EDGE_FLOATS),
+          "column": np.array([EDGE_FLOATS, EDGE_FLOATS[::-1]]).T[:, 1],
+          "float32": np.float32(0.1), "text": "Zürich ✓", 3: [(), {}, []]})
+def test_canonical_json_matches_json_dumps(obj):
+    assert canonical_json(obj) == canonical_json_dumps(obj)
+
+
+@pytest.mark.parametrize("obj", [object(), np.bool_(True), 1j,
+                                 {"a": [1.0, {2}]}, np.array([1j])])
+def test_canonical_json_rejects_what_json_dumps_rejects(obj):
+    with pytest.raises(TypeError):
+        canonical_json_dumps(obj)
+    with pytest.raises(TypeError):
+        canonical_json(obj)
+
+
+csv_columns = st.one_of(
+    hnp.arrays(float_dtypes, st.integers(0, 8),
+               elements=st.floats(width=16)).flatmap(_array_and_views),
+    hnp.arrays(np.float64, st.integers(0, 8), elements=floats),
+    hnp.arrays(np.int64, st.integers(0, 8)),
+    st.lists(floats, max_size=8),
+    st.lists(st.integers(), max_size=8),
+    st.lists(st.one_of(floats, st.integers()), max_size=8))
+
+
+@given(st.lists(csv_columns, max_size=4))
+@settings(max_examples=200, deadline=None)
+@example([EDGE_FLOATS, np.array(EDGE_FLOATS)[::-1], list(range(19)),
+          np.array([EDGE_FLOATS, EDGE_FLOATS]).T[:, 0]])
+def test_write_csv_matches_row_writer(columns):
+    header = [f"c{i}" for i in range(len(columns))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.csv")
+        write_csv(path, header, columns)
+        with open(path, "rb") as fh:
+            written = fh.read()
+    assert written == csv_rows_text(header, zip(*columns)).encode("utf-8")
 
 
 def test_svg_outputs_have_no_volatile_content():
