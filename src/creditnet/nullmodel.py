@@ -11,14 +11,17 @@ Three interchangeable link models are provided:
 
 Sampled links receive conditional weights ``s_i t_j / (W p_ij)`` with
 ``W = sqrt(S T)``, so the unconditional expected weight is ``s_i t_j / W``.
+
+Links are independent in every model, so a Monte Carlo ensemble of N
+configurations is drawn as one matrix of link counts C ~ Binomial(N, P):
+degree, strength and link sums over the ensemble are row and column sums of
+C and of C times the conditional weights, and their standard errors follow
+from P in closed form.
 """
 
 from __future__ import annotations
 
 import enum
-import os
-import threading
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,8 +89,19 @@ def _as_fitness(values, name) -> np.ndarray:
     return arr
 
 
+class _SizedModel:
+    """A link model whose node sizes ``s`` and ``t`` set the link weights."""
+
+    @property
+    def weight_norm(self) -> float:
+        """Normalization W = sqrt(S T) of the conditional weight rule."""
+        if self.s is None or self.t is None:
+            raise NullModelError("no node sizes attached for weight assignment")
+        return float(np.sqrt(self.s.sum() * self.t.sum()))
+
+
 @dataclass(frozen=True)
-class FitnessSpec:
+class FitnessSpec(_SizedModel):
     """Calibrated fitness link model with dcGM conditional weights."""
 
     s: np.ndarray
@@ -100,19 +114,6 @@ class FitnessSpec:
         object.__setattr__(self, "t", _as_fitness(self.t, "bank fitness"))
         if self.z <= 0 or not np.isfinite(self.z):
             raise NullModelError("z must be a positive real")
-
-    @property
-    def total_firm_size(self) -> float:
-        return float(self.s.sum())
-
-    @property
-    def total_bank_size(self) -> float:
-        return float(self.t.sum())
-
-    @property
-    def weight_norm(self) -> float:
-        """Normalization W = sqrt(S T) of the conditional weight rule."""
-        return float(np.sqrt(self.total_firm_size * self.total_bank_size))
 
     def probability_matrix(self) -> np.ndarray:
         st = self.z * np.outer(self.s, self.t)
@@ -129,7 +130,7 @@ class FitnessSpec:
 
 
 @dataclass(frozen=True)
-class BicmSpec:
+class BicmSpec(_SizedModel):
     """Degree-constrained model: p_ij = x_i y_j / (1 + x_i y_j).
 
     ``s`` and ``t`` supply the node sizes for the conditional weight rule;
@@ -142,12 +143,6 @@ class BicmSpec:
     target_bank_degrees: np.ndarray
     s: np.ndarray | None = None
     t: np.ndarray | None = None
-
-    @property
-    def weight_norm(self) -> float:
-        if self.s is None or self.t is None:
-            raise NullModelError("no node sizes attached for weight assignment")
-        return float(np.sqrt(self.s.sum() * self.t.sum()))
 
     def probability_matrix(self) -> np.ndarray:
         xy = np.outer(self.x, self.y)
@@ -169,7 +164,7 @@ class BicmSpec:
 
 
 @dataclass(frozen=True)
-class ConstantSpec:
+class ConstantSpec(_SizedModel):
     """Random baseline: constant link probability equal to the density."""
 
     density: float
@@ -178,10 +173,6 @@ class ConstantSpec:
     s: np.ndarray
     t: np.ndarray
     variant: Variant
-
-    @property
-    def weight_norm(self) -> float:
-        return float(np.sqrt(self.s.sum() * self.t.sum()))
 
     def probability_matrix(self) -> np.ndarray:
         return np.full((self.n_firms, self.n_banks), self.density)
@@ -266,9 +257,9 @@ def fitness_spec_from_sample(sample: Sample, variant: Variant) -> FitnessSpec:
 
 
 def _weight_matrix(spec, p: np.ndarray) -> np.ndarray:
-    st = np.outer(spec.s, spec.t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(p > 0, st / (spec.weight_norm * p), 0.0)
+    """Conditional weights s_i t_j / (W p_ij); 0 where p_ij is 0."""
+    w = np.multiply(p, spec.weight_norm)
+    np.divide(np.outer(spec.s, spec.t), w, out=w, where=p > 0)
     return w
 
 
@@ -371,223 +362,81 @@ def expected_metrics(spec) -> ExpectedMetrics:
 STATISTICS = ("firm_degrees", "bank_degrees", "firm_strengths",
               "bank_strengths", "links")
 
-BLOCK_PAIRS = 2**15  # firm-bank pairs drawn per block of samples
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
-def _layout(nf: int, nb: int) -> dict:
-    """Columns of each statistic in a flat row of per-sample statistics."""
-    firm, bank = slice(0, nf), slice(nf, nf + nb)
-    strengths = nf + nb
-    return {"firm_degrees": firm, "bank_degrees": bank,
-            "firm_strengths": slice(strengths, strengths + nf),
-            "bank_strengths": slice(strengths + nf, strengths + nf + nb),
-            "links": 2 * (nf + nb)}
+def _margins(x: np.ndarray, kind: str) -> dict:
+    """Firm and bank sums of a firm-by-bank matrix of ``kind``."""
+    return {f"firm_{kind}": x.sum(axis=1), f"bank_{kind}": x.sum(axis=0)}
 
 
 @dataclass
 class Ensemble:
-    """Streaming statistics over seeded Monte Carlo configurations.
+    """Statistics of ``n_samples`` independent configurations of a model.
 
-    Per-sample randomness comes from a counter-based generator keyed by
-    (seed, sample_index), and samples are added up in index order, so the
-    statistics depend only on the seed and the sample count, never on
-    scheduling. ``moments[name]`` stacks the sum and the sum of squares over
-    the samples of one statistic named in ``STATISTICS``.
+    ``sums[name]`` sums a statistic named in ``STATISTICS`` over them, and
+    ``variances[name]`` is its exact variance in one configuration.
     """
 
     spec: object
     n_samples: int
     seed: int
-    moments: dict[str, np.ndarray]
+    sums: dict[str, np.ndarray]
+    variances: dict[str, np.ndarray]
 
     @property
     def sum_firm_degrees(self) -> np.ndarray:
-        return self.moments["firm_degrees"][0]
+        return self.sums["firm_degrees"]
 
     @property
     def sum_bank_degrees(self) -> np.ndarray:
-        return self.moments["bank_degrees"][0]
+        return self.sums["bank_degrees"]
 
     def mean(self, name: str):
-        return self.moments[name][0] / self.n_samples
+        return self.sums[name] / self.n_samples
 
     def stderr(self, name: str):
-        m, m2 = self.moments[name] / self.n_samples
-        return np.sqrt(np.maximum(m2 - m**2, 0.0) / self.n_samples)
+        return np.sqrt(self.variances[name] / self.n_samples)
+
+    def max_abs_z(self, expected: ExpectedMetrics) -> float:
+        """Largest |mean - closed form| / stderr; exact entries left out."""
+        largest = 0.0
+        for name in STATISTICS:
+            exact = (expected.firm_degrees.sum() if name == "links"
+                     else getattr(expected, name))
+            gap, se = np.atleast_1d(abs(self.mean(name) - exact),
+                                    self.stderr(name))
+            z = gap[se > 0] / se[se > 0]
+            largest = max(largest, float(z.max(initial=0.0)))
+        return largest
 
     def to_json(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "mean_links": float(self.mean("links")),
-            **{f"mean_{name}": self.mean(name).tolist()
-               for name in STATISTICS if name != "links"},
-        }
-
-
-class _BlockSampler:
-    """Per-sample statistics of a block of sample indices.
-
-    Each thread that draws keeps one Philox generator. Before every sample
-    it is reset to key ``[index, seed]`` at counter 0 with an empty buffer,
-    which is the stream of ``Philox(key=seed << 64 | index)``.
-    """
-
-    def __init__(self, p: np.ndarray, w_cond: np.ndarray, seed: int):
-        self.p, self.w_cond = p, w_cond
-        self.seed = int(seed) & _U64
-        self.layout = _layout(*p.shape)
-        self._local = threading.local()
-
-    def __call__(self, start: int, stop: int) -> np.ndarray:
-        """Rows ``[x, x**2]`` of the flat statistics x, one per sample."""
-        local = self._local
-        if not hasattr(local, "gen"):
-            local.gen = np.random.Generator(np.random.Philox(key=0))
-            local.state = {"bit_generator": "Philox",
-                           "state": {"counter": [0, 0, 0, 0],
-                                     "key": [0, self.seed]},
-                           "buffer": [0, 0, 0, 0], "buffer_pos": 4,
-                           "has_uint32": 0, "uinteger": 0}
-        a = np.empty((stop - start,) + self.p.shape, dtype=bool)
-        for row, index in zip(a, range(start, stop)):
-            local.state["state"]["key"][0] = index & _U64
-            local.gen.bit_generator.state = local.state
-            np.less(local.gen.random(self.p.shape), self.p, out=row)
-        rows = np.empty((stop - start, 2, self.layout["links"] + 1))
-        x, col = rows[:, 0], self.layout
-        # counting the 0/1 bytes in uint16 is the fastest exact way while no
-        # node can reach 2**16 links
-        count = np.uint16 if max(self.p.shape) < 2**16 else np.uint32
-        ones = a.view(np.uint8)
-        np.add.reduce(ones, axis=2, dtype=count, out=x[:, col["firm_degrees"]])
-        np.add.reduce(ones, axis=1, dtype=count, out=x[:, col["bank_degrees"]])
-        np.add.reduce(x[:, col["firm_degrees"]], axis=1,
-                      out=x[:, col["links"]])
-        # drawn after the degree sums, so w never coexists with their buffers
-        w = np.where(a, self.w_cond, 0.0)
-        np.add.reduce(w, axis=2, out=x[:, col["firm_strengths"]])
-        np.add.reduce(w, axis=1, out=x[:, col["bank_strengths"]])
-        np.square(x, out=rows[:, 1])
-        return rows
-
-
-class _Blocks:
-    """Blocks of samples drawn by several threads and yielded in order.
-
-    Each thread claims the next unclaimed block and draws it, at most
-    ``window`` blocks ahead of the next block to yield. When the calling
-    thread needs a block that another thread has claimed but not finished,
-    it waits about as long as its own last block took, then draws that block
-    itself; both draws give the same rows, and the late copy is dropped. A
-    stalled thread (a preempted virtual CPU, say) thus delays the sum by
-    about one block, not for as long as it stalls.
-    """
-
-    def __init__(self, draw: _BlockSampler, blocks: list, window: int):
-        self.draw, self.blocks, self.window = draw, blocks, window
-        self.changed = threading.Condition()
-        self.claimed = 0  # blocks claimed so far, in index order
-        self.yielded = 0  # blocks yielded so far
-        self.done: dict = {}  # index -> rows, or the exception raised
-        self.patience = 0.0  # seconds the calling thread took for a block
-        self.cancelled = False
-
-    def _claimable(self) -> bool:
-        return self.claimed < min(len(self.blocks), self.yielded + self.window)
-
-    def work(self) -> None:
-        """Loop of the other threads: claim and draw blocks until none left."""
-        while True:
-            with self.changed:
-                self.changed.wait_for(
-                    lambda: self.cancelled or self._claimable()
-                    or self.claimed == len(self.blocks))
-                if self.cancelled or not self._claimable():
-                    return
-                i = self.claimed
-                self.claimed += 1
-            try:
-                rows = self.draw(*self.blocks[i])
-            except Exception as exc:  # raised again in the calling thread
-                rows = exc
-            with self.changed:
-                if i >= self.yielded:
-                    self.done[i] = rows
-                    self.changed.notify_all()
-
-    def _take(self, i: int):
-        """Rows of block i; draws blocks here until they are available."""
-        while True:
-            with self.changed:
-                if i in self.done:
-                    return self.done.pop(i)
-                if self._claimable():
-                    j = self.claimed
-                    self.claimed += 1
-                elif self.changed.wait_for(lambda: i in self.done,
-                                           self.patience):
-                    return self.done.pop(i)
-                else:
-                    j = i  # claimed by a thread that is late
-            start = time.perf_counter()
-            rows = self.draw(*self.blocks[j])
-            self.patience = time.perf_counter() - start
-            if j == i:
-                return rows
-            with self.changed:
-                self.done[j] = rows
-
-    def in_order(self):
-        """Yield the rows of every block in index order."""
-        for i in range(len(self.blocks)):
-            rows = self._take(i)
-            if isinstance(rows, Exception):
-                raise rows
-            yield rows
-            with self.changed:
-                self.yielded = i + 1
-                self.done.pop(i, None)  # a late copy
-                self.changed.notify_all()
-
-    def cancel(self) -> None:
-        with self.changed:
-            self.cancelled = True
-            self.changed.notify_all()
+        return {"n_samples": self.n_samples, "seed": self.seed,
+                **{f"mean_{name}": self.mean(name).tolist()
+                   for name in STATISTICS}}
 
 
 def sample_ensemble(spec, n_samples: int, seed: int) -> Ensemble:
-    """Draw configurations and accumulate degree/strength statistics.
+    """Draw ``n_samples`` configurations as one matrix of link counts.
 
-    Samples are drawn in blocks of about ``BLOCK_PAIRS`` firm-bank pairs on
-    one thread per core in the process's CPU affinity set, the calling
-    thread included, and added to the totals in sample-index order, so the
-    result is the same for any core count. A sample that fills a block on
-    its own is drawn in the calling thread.
+    The counts are one ``binomial(n_samples, P)`` draw of a Philox generator
+    keyed by ``seed`` mod 2**64, so the result depends on the seed and N alone.
     """
     if n_samples < 1:
         raise NullModelError("n_samples must be >= 1")
     p = spec.probability_matrix()
-    draw = _BlockSampler(p, _weight_matrix(spec, p), seed)
-    size = max(1, BLOCK_PAIRS // max(1, p.size))  # samples per block
-    blocks = [(i, min(i + size, n_samples)) for i in range(0, n_samples, size)]
-    total = np.zeros((2, draw.layout["links"] + 1))
-    workers = 1 if size == 1 else min(len(os.sched_getaffinity(0)),
-                                      len(blocks))
-    shared = _Blocks(draw, blocks, window=2 * workers)
-    threads = [threading.Thread(target=shared.work, daemon=True)
-               for _ in range(workers - 1)]
-    for thread in threads:
-        thread.start()
-    try:
-        for rows in shared.in_order():
-            # reducing [total, row_0, row_1, ...] along axis 0 adds one row
-            # at a time: bit for bit the per-sample ``total += row``
-            total = np.add.reduce(np.concatenate([total[None], rows]), axis=0)
-    finally:
-        shared.cancel()
-        for thread in threads:
-            thread.join()
-    moments = {name: total[:, col] for name, col in draw.layout.items()}
-    return Ensemble(spec=spec, n_samples=n_samples, seed=seed, moments=moments)
+    w = _weight_matrix(spec, p)
+    gen = np.random.Generator(np.random.Philox(key=int(seed) & _U64))
+    counts = gen.binomial(n_samples, p)
+    # p and w are overwritten in place: the weights are never copied
+    np.multiply(p, 1.0 - p, out=p)  # the variance of each link indicator
+    sums, variances = _margins(counts, "degrees"), _margins(p, "degrees")
+    for stats in sums, variances:
+        stats["links"] = stats["firm_degrees"].sum()
+    p *= w
+    p *= w  # the variance of each link's weight, w**2 p (1 - p)
+    w *= counts  # the weight each link carries over all configurations
+    sums.update(_margins(w, "strengths"))
+    variances.update(_margins(p, "strengths"))
+    return Ensemble(spec=spec, n_samples=n_samples, seed=seed, sums=sums,
+                    variances=variances)

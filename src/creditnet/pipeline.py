@@ -130,9 +130,12 @@ def default_grid() -> tuple[econ.ModelSpec, ...]:
     return tuple(specs)
 
 
-def residual_diagnostics(fit: econ.FitResult, design: econ.DesignMatrix,
-                         n_bins: int = 30) -> dict:
-    """Residual histogram, moments, and scatters against key predictors."""
+def residual_diagnostics(fit: econ.FitResult, n_bins: int = 30) -> dict:
+    """Residual moments and histogram of a fit.
+
+    A run writes the scatters against key predictors to
+    ``residual_vs_<column>.csv`` only, not into this summary.
+    """
     if fit.residuals is None:
         raise econ.EconError("fit carries no stored residuals")
     resid = np.asarray(fit.residuals, dtype=float)
@@ -144,21 +147,13 @@ def residual_diagnostics(fit: econ.FitResult, design: econ.DesignMatrix,
     skew = m3 / m2**1.5 if m2 > 0 else 0.0
     kurt = m4 / m2**2 - 3.0 if m2 > 0 else 0.0
     counts, edges = np.histogram(resid, bins=n_bins)
-    out = {
+    return {
         "mean": float(m),
         "variance": m2,
         "skewness": float(skew),
         "excess_kurtosis": float(kurt),
         "histogram": {"counts": counts.tolist(), "edges": edges.tolist()},
-        "scatters": {},
     }
-    for col in ("ln_k", "ln_assets_firm"):
-        if col in design.column_names:
-            out["scatters"][col] = {
-                "x": design.column(col).tolist(),
-                "residuals": resid.tolist(),
-            }
-    return out
 
 
 def _load_sample(config: RunConfig, bundle: ReportBundle):
@@ -215,6 +210,10 @@ def write_null_variant(bundle: ReportBundle, config: RunConfig,
                        sample: Sample, name: str):
     """Build one null variant; write its ensemble JSON and comparisons.
 
+    The comparisons use the closed-form expected degrees, so they depend on
+    neither the seed nor the sample count. The ensemble block records, as a
+    health metric, the largest |z| of its means against the closed forms.
+
     Returns the calibrated model, or None after recording the failure as
     ``nullmodel_<name>``.
     """
@@ -233,14 +232,14 @@ def write_null_variant(bundle: ReportBundle, config: RunConfig,
         "expected_bank_degrees": expected.bank_degrees,
         "expected_firm_strengths": expected.firm_strengths,
         "expected_bank_strengths": expected.bank_strengths,
-        "ensemble": ensemble.to_json(),
+        "ensemble": dict(ensemble.to_json(),
+                         max_abs_z=ensemble.max_abs_z(expected)),
     })
     k, h = derived_degrees(sample.network)
-    for side, emp, degrees in (("firms", k, "firm_degrees"),
-                               ("banks", h, "bank_degrees")):
-        model_mean = ensemble.mean(degrees)
+    for side, emp, model_k in (("firms", k, expected.firm_degrees),
+                               ("banks", h, expected.bank_degrees)):
         try:
-            cs = compare(emp, model_mean, n_bins=config.n_bins)
+            cs = compare(emp, model_k, n_bins=config.n_bins)
         except netstats.StatsError:
             continue
         stem = f"comparison_{name}_{side}"
@@ -252,7 +251,7 @@ def write_null_variant(bundle: ReportBundle, config: RunConfig,
         report.write_json(bundle.add(f"{stem}.json"),
                           {"pearson": cs.pearson, "spearman": cs.spearman})
         report.write_text(bundle.add(f"{stem}.svg"), report.svg_scatter(
-            emp, model_mean, title=f"empirical vs {name} model ({side})",
+            emp, model_k, title=f"empirical vs {name} model ({side})",
             xlabel="empirical degree", ylabel="expected degree",
             identity=True))
     return spec
@@ -288,7 +287,7 @@ def _write_diagnostics(bundle: ReportBundle, fit: econ.FitResult,
         report.write_json(bundle.add("vif.json"), vif_values)
     except econ.EconError as exc:
         _record(bundle, "vif", exc)
-    diag = residual_diagnostics(fit, design)
+    diag = residual_diagnostics(fit)
     counts, edges = diag["histogram"]["counts"], diag["histogram"]["edges"]
     report.write_json(bundle.add("residual_diagnostics.json"), diag)
     report.write_csv(bundle.add("residual_hist.csv"),
@@ -296,9 +295,11 @@ def _write_diagnostics(bundle: ReportBundle, fit: econ.FitResult,
                      (edges[:-1], edges[1:], counts))
     report.write_text(bundle.add("residual_hist.svg"), report.svg_histogram(
         counts, edges, title="loan-sizing residuals", xlabel="residual"))
-    for col, data in diag["scatters"].items():
-        report.write_csv(bundle.add(f"residual_vs_{col}.csv"),
-                         ["x", "residual"], (data["x"], data["residuals"]))
+    for col in ("ln_k", "ln_assets_firm"):
+        if col in design.column_names:
+            report.write_csv(bundle.add(f"residual_vs_{col}.csv"),
+                             ["x", "residual"],
+                             (design.column(col), fit.residuals))
 
 
 def _write_manifest(bundle: ReportBundle, config: RunConfig,

@@ -249,40 +249,91 @@ def herman_correct(weights, i, j, stage, s_bal, t_bal):
                            max(float(t_bal) - w, 0.0))
 
 
-def ensemble_sums(p, s, t, seed, n_samples):
-    """The ten ensemble accumulators of ``n_samples`` draws from p.
+def _conditional_weights(p, s, t):
+    """w_ij = s_i t_j / (W p_ij) with W = sqrt(S T); 0 where p_ij = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p > 0, np.outer(s, t)
+                        / (np.sqrt(np.sum(s) * np.sum(t)) * p), 0.0)
 
-    Draw ``index`` is an independent Philox stream keyed by
-    ``seed << 64 | index``, so each draw depends on its index alone. A drawn
-    link (i, j) weighs s_i t_j / (W p_ij) with W = sqrt(S T). Each draw's
-    degrees, strengths and link count, and their squares, are added to the
-    sums one draw at a time. Keys are ``sum_<statistic>`` and
-    ``sumsq_<statistic>``.
+
+def binomial_ensemble_sums(p, s, t, seed, n_samples):
+    """Sums over ``n_samples`` draws from p, taken from their link counts.
+
+    The count matrix C ~ Binomial(n_samples, p) is drawn by a Philox
+    generator keyed by ``seed`` mod 2**64. A link (i, j) weighs w_ij in every
+    draw that holds it, so the strengths summed over the draws are the row
+    and column sums of C w. Keys are the statistic names.
     """
     p = np.asarray(p, float)
+    gen = np.random.Generator(np.random.Philox(key=seed % 2**64))
+    counts = gen.binomial(n_samples, p)
+    carried = counts * _conditional_weights(p, s, t)
+    return {"firm_degrees": counts.sum(axis=1),
+            "bank_degrees": counts.sum(axis=0),
+            "firm_strengths": carried.sum(axis=1),
+            "bank_strengths": carried.sum(axis=0),
+            "links": counts.sum()}
+
+
+def ensemble_stderr(p, s, t, n_samples):
+    """Standard errors of ensemble means over ``n_samples`` draws from p.
+
+    Links are independent, so in one draw a node's degree has variance
+    sum_j p_ij (1 - p_ij), its strength sum_j w_ij**2 p_ij (1 - p_ij), and
+    the link count the sum of p_ij (1 - p_ij) over all pairs. Added up pair
+    by pair.
+    """
+    p = np.asarray(p, float)
+    w = _conditional_weights(p, s, t)
     nf, nb = p.shape
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w_link = np.where(p > 0, np.outer(s, t)
-                          / (np.sqrt(np.sum(s) * np.sum(t)) * p), 0.0)
-    sums = {}
-    for name, shape in (("firm_degrees", nf), ("bank_degrees", nb),
-                        ("firm_strengths", nf), ("bank_strengths", nb),
-                        ("links", ())):
-        sums[f"sum_{name}"] = np.zeros(shape)
-        sums[f"sumsq_{name}"] = np.zeros(shape)
-    for index in range(n_samples):
-        rng = np.random.Generator(np.random.Philox(key=seed << 64 | index))
-        links = rng.random(p.shape) < p
-        w = np.where(links, w_link, 0.0)
-        draw = {"firm_degrees": links.sum(axis=1),
-                "bank_degrees": links.sum(axis=0),
-                "firm_strengths": w.sum(axis=1),
-                "bank_strengths": w.sum(axis=0),
-                "links": links.sum()}
-        for name, x in draw.items():
-            sums[f"sum_{name}"] += x
-            sums[f"sumsq_{name}"] += np.asarray(x, float) ** 2
-    return sums
+    var = {"firm_degrees": [0.0] * nf, "bank_degrees": [0.0] * nb,
+           "firm_strengths": [0.0] * nf, "bank_strengths": [0.0] * nb,
+           "links": 0.0}
+    for i in range(nf):
+        for j in range(nb):
+            q = float(p[i, j]) * (1.0 - float(p[i, j]))
+            var["firm_degrees"][i] += q
+            var["bank_degrees"][j] += q
+            var["firm_strengths"][i] += float(w[i, j]) ** 2 * q
+            var["bank_strengths"][j] += float(w[i, j]) ** 2 * q
+            var["links"] += q
+    return {name: np.sqrt(np.asarray(v) / n_samples)
+            for name, v in var.items()}
+
+
+def chi_square(observed, expected, min_expected=5.0):
+    """Pearson's statistic and degrees of freedom of counts in cells.
+
+    Neighbouring cells are pooled from the left until each pool expects at
+    least ``min_expected``; a short last pool joins the one before it.
+    """
+    pools, obs, exp = [], 0.0, 0.0
+    for o, e in zip(observed, expected):
+        obs, exp = obs + o, exp + e
+        if exp >= min_expected:
+            pools.append([obs, exp])
+            obs = exp = 0.0
+    if exp > 0:
+        pools[-1][0] += obs
+        pools[-1][1] += exp
+    stat = sum((o - e) ** 2 / e for o, e in pools)
+    return stat, len(pools) - 1
+
+
+def chi2_sf(x, df):
+    """P(X > x) for X ~ chi-square(df), from the series of the lower
+    regularized incomplete gamma function."""
+    a, y = df / 2.0, x / 2.0
+    if y <= 0:
+        return 1.0
+    term = total = 1.0 / a
+    n = 0
+    while term > 1e-17 * total:
+        n += 1
+        term *= y / (a + n)
+        total += term
+    return max(0.0, 1.0 - total * math.exp(a * math.log(y) - y
+                                           - math.lgamma(a)))
 
 
 def sequential_links(p_base, uniforms, boost):

@@ -1,9 +1,4 @@
-import contextlib
-import faulthandler
-import os
-import sys
-import threading
-import time
+import math
 
 import numpy as np
 import pytest
@@ -12,15 +7,16 @@ from hypothesis import strategies as st
 
 from creditnet import nullmodel
 from creditnet.core import derived_degrees, derived_strengths
-from creditnet.nullmodel import (BLOCK_PAIRS, STATISTICS, ConstantSpec,
+from creditnet.nullmodel import (STATISTICS, ConstantSpec,
                                  FitnessSpec, NonGraphicalTargets,
                                  NonpositiveFitness, TargetOutOfRange, Variant,
                                  bicm_from_network, calibrate_z,
                                  expected_metrics, fitness_spec_from_sample,
                                  random_baseline, sample_ensemble, solve_bicm)
 from conftest import make_network, make_sample
-from oracles import (bicm_fixed_point, calibrate_z_allocating,
-                     calibrate_z_bisection, ensemble_sums)
+from oracles import (bicm_fixed_point, binomial_ensemble_sums,
+                     calibrate_z_allocating, calibrate_z_bisection, chi2_sf,
+                     chi_square, ensemble_stderr)
 
 
 def test_link_probability_closed_form():
@@ -179,27 +175,6 @@ def test_random_baseline_density(small_net):
     assert metrics.firm_degrees.sum() == pytest.approx(small_net.n_links)
 
 
-def _assert_matches_oracle(acc, spec, seed):
-    """All ten accumulators equal the per-sample oracle bit for bit."""
-    want = ensemble_sums(spec.probability_matrix(), spec.s, spec.t, seed,
-                         acc.n_samples)
-    for name in STATISTICS:
-        np.testing.assert_array_equal(acc.moments[name][0],
-                                      want[f"sum_{name}"])
-        np.testing.assert_array_equal(acc.moments[name][1],
-                                      want[f"sumsq_{name}"])
-
-
-@contextlib.contextmanager
-def _deadline(seconds=60):
-    """End the test run, printing every thread's stack, if the body hangs."""
-    faulthandler.dump_traceback_later(seconds, exit=True)
-    try:
-        yield
-    finally:
-        faulthandler.cancel_dump_traceback_later()
-
-
 def _fitness(rng, nf, nb, density):
     s = rng.lognormal(0, 1, nf)
     t = rng.lognormal(0, 2, nb)
@@ -207,100 +182,121 @@ def _fitness(rng, nf, nb, density):
                        variant=Variant.NETWORK_DRIVEN)
 
 
+def _column_spec(p):
+    """A fitness model with one bank whose link probabilities are ``p``."""
+    p = np.asarray(p, float)
+    return FitnessSpec(s=p / (1 - p), t=np.ones(1), z=1.0,
+                       variant=Variant.NETWORK_DRIVEN)
+
+
 def test_ensemble_reproducible_and_order_free(rng):
     spec = _fitness(rng, 10, 6, 1 / 3)
     a = sample_ensemble(spec, n_samples=50, seed=7)
     b = sample_ensemble(spec, n_samples=50, seed=7)
-    assert sorted(a.moments) == sorted(STATISTICS)
+    assert sorted(a.sums) == sorted(a.variances) == sorted(STATISTICS)
     for name in STATISTICS:
-        np.testing.assert_array_equal(a.moments[name], b.moments[name])
+        np.testing.assert_array_equal(a.sums[name], b.sums[name])
     c = sample_ensemble(spec, n_samples=50, seed=8)
     assert not np.array_equal(a.sum_firm_degrees, c.sum_firm_degrees)
 
 
-def test_ensemble_prefix_property(rng):
-    """Sample i depends on (seed, i) alone, so ensembles share prefixes."""
-    spec = _fitness(rng, 6, 4, 1 / 3)
-    for n in (5, 9):
-        _assert_matches_oracle(sample_ensemble(spec, n, seed=3), spec, 3)
+@pytest.mark.parametrize("seed", [0, 2**63 + 5, -1])
+def test_ensemble_seeds_span_64_bits(rng, seed):
+    """Any integer seed is accepted, reproducible and draws its own links."""
+    spec = _fitness(rng, 30, 20, 0.3)
+    acc = sample_ensemble(spec, 40, seed)
+    again = sample_ensemble(spec, 40, seed)
+    for name in STATISTICS:
+        np.testing.assert_array_equal(acc.sums[name], again.sums[name])
+    for other in {0, 2**63 + 5, -1} - {seed}:
+        assert not np.array_equal(acc.sum_firm_degrees,
+                                  sample_ensemble(spec, 40,
+                                                  other).sum_firm_degrees)
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_ensemble_blocks_match_oracle(rng, monkeypatch, workers):
-    """Blocks on any number of threads add up like one sample at a time."""
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(workers)))
-    spec = _fitness(rng, 60, 40, 0.1)
-    block = BLOCK_PAIRS // (60 * 40)
-    n = 10 * block + 5  # more blocks than are drawn ahead; the last is short
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads as often as possible
-    try:
-        with _deadline():
-            acc = sample_ensemble(spec, n, seed=2**63 + 5)
-    finally:
-        sys.setswitchinterval(interval)
-    assert acc.n_samples == n
-    _assert_matches_oracle(acc, spec, 2**63 + 5)
+def test_ensemble_single_draw_is_bernoulli():
+    """With N = 1 every link is drawn once: 0 or 1 with P(1) = p_ij."""
+    p = np.linspace(0.01, 0.99, 20_000)
+    spec = _column_spec(p)
+    acc = sample_ensemble(spec, 1, seed=4)
+    links = acc.sum_firm_degrees  # the one bank's column of link counts
+    assert set(np.unique(links).tolist()) <= {0, 1}
+    assert acc.sums["links"] == links.sum()
+    # a drawn link carries its conditional weight, an absent one none
+    w = expected_metrics(spec).weights[:, 0] / spec.probability_matrix()[:, 0]
+    np.testing.assert_allclose(acc.sums["firm_strengths"], links * w,
+                               rtol=1e-14)
+    p = spec.probability_matrix()[:, 0]
+    # ten bands of p, each within 4 sd: a correct sampler fails with chance
+    # below 1e-3
+    for part in np.array_split(np.arange(p.size), 10):
+        gap = links[part].sum() - p[part].sum()
+        assert abs(gap) <= 4 * np.sqrt(np.sum(p[part] * (1 - p[part])))
 
 
-@pytest.mark.parametrize("failing", [0, 3, 4])
-def test_ensemble_block_error_reaches_caller(rng, monkeypatch, failing):
-    """A failing block raises in the caller; no drawing thread outlives it."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    spec = _fitness(rng, 60, 40, 0.1)
-    block = BLOCK_PAIRS // (60 * 40)
-    draw = nullmodel._BlockSampler.__call__
-
-    def draw_or_fail(self, start, stop):
-        if start == failing * block:
-            raise FloatingPointError(f"block {failing}")
-        return draw(self, start, stop)
-
-    monkeypatch.setattr(nullmodel._BlockSampler, "__call__", draw_or_fail)
-    before = threading.active_count()
-    with _deadline(), pytest.raises(FloatingPointError,
-                                    match=f"block {failing}"):
-        # enough blocks that the other threads wait for room to hand over
-        sample_ensemble(spec, 30 * block, seed=1)
-    assert threading.active_count() == before
+# chance that one probability's chi-square test rejects a correct sampler;
+# the four probabilities below fail together with chance at most 4e-3
+CHI2_ALPHA = 1e-3
 
 
-def test_ensemble_late_blocks_are_drawn_again(rng, monkeypatch):
-    """The caller draws a block itself when another thread is slow with it."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    spec = _fitness(rng, 60, 40, 0.1)
-    block = BLOCK_PAIRS // (60 * 40)
-    draw = nullmodel._BlockSampler.__call__
-    starts = []
-
-    def slow_elsewhere(self, start, stop):
-        starts.append(start)
-        if threading.current_thread() is not threading.main_thread():
-            time.sleep(0.05)
-        return draw(self, start, stop)
-
-    monkeypatch.setattr(nullmodel._BlockSampler, "__call__", slow_elsewhere)
-    n = 12 * block + 3
-    with _deadline():
-        acc = sample_ensemble(spec, n, seed=5)
-    assert len(starts) > 13  # some of the 13 blocks were drawn twice
-    _assert_matches_oracle(acc, spec, 5)
+def test_ensemble_counts_are_binomial():
+    """Each link count is Binomial(N, p_ij), over a fixed list of seeds."""
+    n = 12
+    spec = _column_spec([0.02, 0.15, 0.5, 0.9])
+    counts = np.array([sample_ensemble(spec, n, seed).sum_firm_degrees
+                       for seed in range(500)])
+    for p, drawn in zip(spec.probability_matrix()[:, 0], counts.T):
+        pmf = np.array([math.comb(n, k) * p**k * (1 - p)**(n - k)
+                        for k in range(n + 1)])
+        stat, df = chi_square(np.bincount(drawn, minlength=n + 1),
+                              pmf * drawn.size)
+        assert chi2_sf(stat, df) > CHI2_ALPHA, (p, stat, df)
 
 
-def test_ensemble_large_samples_match_oracle(rng, monkeypatch):
-    """A sample that fills a block on its own is drawn in the caller."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+def test_ensemble_stderr_is_closed_form(rng):
+    spec = _fitness(rng, 15, 8, 0.3)
+    spec = FitnessSpec(s=np.r_[0.0, spec.s[1:]], t=spec.t, z=spec.z,
+                       variant=spec.variant)  # firm 0 never links
+    acc = sample_ensemble(spec, 37, seed=2)
+    want = ensemble_stderr(spec.probability_matrix(), spec.s, spec.t, 37)
+    for name in STATISTICS:
+        np.testing.assert_allclose(acc.stderr(name), want[name], rtol=1e-12)
+    assert acc.stderr("firm_degrees")[0] == 0.0
+
+
+def test_ensemble_max_abs_z_matches_oracle(rng):
+    spec = _fitness(rng, 25, 10, 0.3)
+    acc = sample_ensemble(spec, 200, seed=9)
+    expected = expected_metrics(spec)
+    se = ensemble_stderr(spec.probability_matrix(), spec.s, spec.t, 200)
+    want = max(abs(acc.mean("links") - expected.firm_degrees.sum())
+               / se["links"],
+               *(np.max(np.abs(acc.mean(name) - getattr(expected, name))
+                        / se[name])
+                 for name in STATISTICS if name != "links"))
+    assert acc.max_abs_z(expected) == pytest.approx(want, rel=1e-9)
+    assert 0 < want < 6
+
+
+def test_ensemble_large_samples_match_oracle(rng):
+    """Sums equal the statistics of the documented count draw."""
     spec = _fitness(rng, 260, 130, 0.07)
-    assert spec.probability_matrix().size >= BLOCK_PAIRS
-    _assert_matches_oracle(sample_ensemble(spec, 3, seed=11), spec, 11)
-    # a bank linked to all 2**16 firms: its degree overflows 16-bit counts
+    p = spec.probability_matrix()
+    for seed in (11, -3):
+        acc = sample_ensemble(spec, 3, seed)
+        want = binomial_ensemble_sums(p, spec.s, spec.t, seed, 3)
+        for name in ("firm_degrees", "bank_degrees", "links"):
+            np.testing.assert_array_equal(acc.sums[name], want[name])
+        for name in ("firm_strengths", "bank_strengths"):
+            np.testing.assert_allclose(acc.sums[name], want[name],
+                                       rtol=1e-13)
+    # a bank linked to all 2**16 firms: its count exceeds 16-bit integers
     n = 2**16
     full = ConstantSpec(density=1.0, n_firms=n, n_banks=1, s=np.ones(n),
                         t=np.ones(1), variant=Variant.NETWORK_DRIVEN)
-    acc = sample_ensemble(full, 2, seed=1)
-    assert acc.sum_bank_degrees[0] == 2 * n
-    _assert_matches_oracle(acc, full, 1)
+    acc = sample_ensemble(full, 10_000, seed=1)
+    assert acc.sum_bank_degrees[0] == 10_000 * n
+    assert acc.stderr("bank_degrees")[0] == 0.0
 
 
 def test_ensemble_means_approach_expectations(rng):

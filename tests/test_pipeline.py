@@ -210,8 +210,15 @@ def test_run_seed_changes_ensembles(tmp_path):
     j2 = json.loads((tmp_path / "c" / "nullmodel_network.json").read_text())
     assert j1["ensemble"]["mean_firm_degrees"] != \
         j2["ensemble"]["mean_firm_degrees"]
-    # but closed-form expectations are seed-free
+    assert j1["ensemble"]["max_abs_z"] != j2["ensemble"]["max_abs_z"]
+    # but closed-form expectations, and the comparisons built on them, are
+    # seed-free
     assert j1["expected_firm_degrees"] == j2["expected_firm_degrees"]
+    for side in ("firms", "banks"):
+        for ext in ("csv", "json", "svg"):
+            name = f"comparison_network_{side}.{ext}"
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "c" / name).read_bytes()
 
 
 def test_run_records_cell_failures_without_aborting(tmp_path):
@@ -263,8 +270,18 @@ def test_residual_diagnostics_content(completed_run):
     diag = json.loads((out / "residual_diagnostics.json").read_text())
     assert abs(diag["mean"]) < 1e-8  # OLS residuals sum to zero
     assert diag["variance"] > 0
-    assert sum(diag["histogram"]["counts"]) > 0
-    assert "ln_k" in diag["scatters"]
+    assert "scatters" not in diag  # the pairs live in the CSVs only
+    x, resid = np.loadtxt(out / "residual_vs_ln_k.csv", delimiter=",",
+                          skiprows=1, unpack=True)
+    cell = json.loads((out / "regress" / "loan_sizing_m3_a.json").read_text())
+    assert x.size == resid.size == cell["n_obs"]
+    assert np.all(np.isfinite(x))
+    # the histogram summarises the residuals written beside ln_k
+    edges = diag["histogram"]["edges"]
+    assert np.histogram(resid, bins=edges)[0].tolist() == \
+        diag["histogram"]["counts"]
+    assert resid.mean() == pytest.approx(diag["mean"], abs=1e-8)
+    assert resid.var() == pytest.approx(diag["variance"], rel=1e-9)
 
 
 def test_residual_diagnostics_requires_residuals():
@@ -273,7 +290,7 @@ def test_residual_diagnostics_requires_residuals():
                      fit_stat_name="r_squared", n_obs=0, objective=0.0,
                      converged=True, n_iter=1)
     with pytest.raises(EconError):
-        residual_diagnostics(bare, design=None)
+        residual_diagnostics(bare)
 
 
 def test_config_validation(tmp_path):
