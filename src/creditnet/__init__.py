@@ -4,7 +4,7 @@ and two-stage credit econometrics."""
 from .core import (BankAttributes, BipartiteNetwork, FirmAttributes, Sample,
                    derived_degrees, derived_strengths)
 from .ingest import apply_consistency_filter, parse_sample
-from .netstats import ccdf, compare, precision_at_l, rmsre, summarize
+from .netstats import ccdf, compare, summarize
 from .nullmodel import (Variant, calibrate_z, expected_metrics,
                         fitness_spec_from_sample, random_baseline,
                         sample_ensemble, solve_bicm)

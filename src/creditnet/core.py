@@ -7,7 +7,8 @@ so topology and weights can never disagree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -167,15 +168,28 @@ class Sample:
 
     def firm_series(self, name: str) -> np.ndarray:
         """Attribute values aligned with ``network.firm_ids``."""
-        return _frozen_array(
-            [getattr(self.firm_attrs[f], name) for f in self.network.firm_ids]
-        )
+        return self._firm_columns[name]
 
     def bank_series(self, name: str) -> np.ndarray:
         """Attribute values aligned with ``network.bank_ids``."""
-        return _frozen_array(
-            [getattr(self.bank_attrs[b], name) for b in self.network.bank_ids]
-        )
+        return self._bank_columns[name]
+
+    @cached_property
+    def _firm_columns(self) -> dict[str, np.ndarray]:
+        return _attribute_columns(FirmAttributes, self.firm_attrs,
+                                  self.network.firm_ids)
+
+    @cached_property
+    def _bank_columns(self) -> dict[str, np.ndarray]:
+        return _attribute_columns(BankAttributes, self.bank_attrs,
+                                  self.network.bank_ids)
+
+
+def _attribute_columns(kind, attrs: Mapping, ids) -> dict[str, np.ndarray]:
+    """One read-only array per attribute field of ``kind``, aligned with ids."""
+    records = [attrs[i] for i in ids]
+    return {f.name: _frozen_array([getattr(r, f.name) for r in records])
+            for f in fields(kind)}
 
 
 def derived_degrees(net: BipartiteNetwork) -> tuple[np.ndarray, np.ndarray]:

@@ -12,16 +12,12 @@ __all__ = [
     "StatsError",
     "EmptyInput",
     "ConstantSequence",
-    "NoValidEntries",
-    "EmptyNetwork",
     "SummaryStats",
     "CcdfCurve",
     "ComparisonStats",
     "summarize",
     "ccdf",
     "compare",
-    "rmsre",
-    "precision_at_l",
 ]
 
 
@@ -34,14 +30,6 @@ class EmptyInput(StatsError):
 
 
 class ConstantSequence(StatsError):
-    pass
-
-
-class NoValidEntries(StatsError):
-    pass
-
-
-class EmptyNetwork(StatsError):
     pass
 
 
@@ -174,36 +162,3 @@ def compare(empirical, expected, n_bins: int = 10) -> ComparisonStats:
             p05[b] = np.percentile(sel, 5)
             p95[b] = np.percentile(sel, 95)
     return ComparisonStats(pearson, spearman, edges, means, stds, p05, p95)
-
-
-def rmsre(empirical, model) -> float:
-    """Root mean square relative error, skipping zero empirical entries."""
-    emp = np.asarray(empirical, dtype=float)
-    mod = np.asarray(model, dtype=float)
-    if emp.shape != mod.shape:
-        raise StatsError("shape mismatch")
-    mask = emp != 0
-    if not mask.any():
-        raise NoValidEntries("all empirical entries are zero")
-    rel = (mod[mask] - emp[mask]) / emp[mask]
-    return float(np.sqrt(np.mean(rel**2)))
-
-
-def precision_at_l(prob_matrix, net: BipartiteNetwork) -> float:
-    """Fraction of the top-L_obs probability pairs that are observed links.
-
-    Ties are broken deterministically by (firm, bank) lexicographic order.
-    """
-    p = np.asarray(prob_matrix, dtype=float)
-    if p.shape != net.weights.shape:
-        raise StatsError("probability matrix shape mismatch")
-    if np.any(p < 0) or np.any(p > 1):
-        raise StatsError("probabilities must lie in [0, 1]")
-    n_links = net.n_links
-    if n_links == 0:
-        raise EmptyNetwork("precision undefined on a network without links")
-    flat = p.ravel()
-    # stable sort on -p keeps lexicographic (i, j) order within ties
-    top = np.argsort(-flat, kind="stable")[:n_links]
-    observed = (net.weights > 0).ravel()
-    return float(observed[top].sum() / n_links)

@@ -160,6 +160,93 @@ def logit_newton(X, y, max_iters=500, tol=1e-12):
     return beta
 
 
+def fit_logit_allocating(design, tol_score=1e-8, tol_ll=1e-12, max_iters=200):
+    """The package's IRLS logit written as the textbook loop.
+
+    Each iteration forms [1, X], the probabilities, the log-likelihood and
+    X * w on fresh arrays; every floating-point operation is the
+    package's, in the same order, so its results must be identical.
+    """
+    from creditnet.econometrics import (EconError, FitResult, NoConvergence,
+                                        Separation, SingularInformation,
+                                        _coef_stats)
+
+    y = design.y
+    if not np.all((y == 0) | (y == 1)):
+        raise EconError("logit response must be binary")
+    n = y.size
+    names = ("intercept",) + design.column_names
+    X = np.column_stack([np.ones(n), design.X])
+    p_dim = X.shape[1]
+    if n <= p_dim:
+        raise EconError("need more observations than parameters")
+
+    ybar = y.mean()
+    if ybar in (0.0, 1.0):
+        raise EconError("response has a single class")
+    ll_null = n * (ybar * math.log(ybar) + (1 - ybar) * math.log(1 - ybar))
+
+    beta = np.zeros(p_dim)
+    ll_old = -np.inf
+    converged = False
+    for it in range(1, max_iters + 1):
+        eta = X @ beta
+        p = 1.0 / (1.0 + np.exp(-np.clip(eta, -700, 700)))
+        ll = float(y @ eta - np.logaddexp(0.0, eta).sum())
+        score = X.T @ (y - p)
+        weights = p * (1.0 - p)
+        if np.abs(score).max() < tol_score and \
+                abs(ll - ll_old) <= tol_ll * max(1.0, abs(ll)):
+            converged = True
+            break
+        info = (X * weights[:, None]).T @ X
+        try:
+            step = np.linalg.solve(info, score)
+        except np.linalg.LinAlgError:
+            raise SingularInformation("singular information matrix") from None
+        beta = beta + step
+        if np.abs(beta).max() > 1e4 or np.abs(eta).max() > 500:
+            raise Separation("diverging coefficients indicate separation")
+        ll_old = ll
+    else:
+        raise NoConvergence(f"IRLS did not converge in {max_iters} iterations")
+
+    info = (X * weights[:, None]).T @ X
+    try:
+        cov = np.linalg.inv(info)
+    except np.linalg.LinAlgError:
+        raise SingularInformation("singular information matrix") from None
+    with np.errstate(invalid="ignore"):
+        se = np.sqrt(np.diag(cov))
+
+    density = p * (1.0 - p)
+    ame = {}
+    for idx, name in enumerate(design.column_names):
+        col = idx + 1
+        if name in design.dummy_columns:
+            eta1 = eta + (1.0 - X[:, col]) * beta[col]
+            eta0 = eta - X[:, col] * beta[col]
+            p1 = 1.0 / (1.0 + np.exp(-np.clip(eta1, -700, 700)))
+            p0 = 1.0 / (1.0 + np.exp(-np.clip(eta0, -700, 700)))
+            ame[name] = float((p1 - p0).mean())
+        else:
+            ame[name] = float(beta[col] * density.mean())
+
+    pseudo_r2 = 1.0 - ll / ll_null if ll_null != 0 else 0.0
+    return FitResult(
+        method="logit",
+        coefficients=_coef_stats(names, beta, se),
+        fit_stat=float(pseudo_r2),
+        fit_stat_name="pseudo_r2",
+        n_obs=n,
+        objective=ll,
+        converged=converged,
+        n_iter=it,
+        ame=ame,
+        residuals=y - p,
+    )
+
+
 def logit_grid_refine(X, y, beta_start, half_width=0.5, levels=14):
     """Coordinate-wise likelihood grid search, successively refined."""
     beta = np.array(beta_start, float)
@@ -177,6 +264,39 @@ def logit_grid_refine(X, y, beta_start, half_width=0.5, levels=14):
             beta[idx] = best
         width /= 2
     return beta
+
+
+def rmsre(empirical, model) -> float:
+    """Root mean square relative error, skipping zero empirical entries."""
+    emp = np.asarray(empirical, dtype=float)
+    mod = np.asarray(model, dtype=float)
+    if emp.shape != mod.shape:
+        raise ValueError("shape mismatch")
+    mask = emp != 0
+    if not mask.any():
+        raise ValueError("all empirical entries are zero")
+    rel = (mod[mask] - emp[mask]) / emp[mask]
+    return float(np.sqrt(np.mean(rel**2)))
+
+
+def precision_at_l(prob_matrix, net) -> float:
+    """Fraction of the top-L_obs probability pairs that are observed links.
+
+    Ties are broken deterministically by (firm, bank) lexicographic order.
+    """
+    p = np.asarray(prob_matrix, dtype=float)
+    if p.shape != net.weights.shape:
+        raise ValueError("probability matrix shape mismatch")
+    if np.any(p < 0) or np.any(p > 1):
+        raise ValueError("probabilities must lie in [0, 1]")
+    n_links = net.n_links
+    if n_links == 0:
+        raise ValueError("precision undefined on a network without links")
+    flat = p.ravel()
+    # stable sort on -p keeps lexicographic (i, j) order within ties
+    top = np.argsort(-flat, kind="stable")[:n_links]
+    observed = (net.weights > 0).ravel()
+    return float(observed[top].sum() / n_links)
 
 
 def ols_normal_equations(X, y):

@@ -23,7 +23,7 @@ from creditnet.econometrics import (DegreeSource, DesignMatrix, Model,
                                     fit_ols, fit_ols_fixed_effects,
                                     rest_of_world, vif)
 from creditnet.ingest import parse_sample
-from creditnet.netstats import precision_at_l, rmsre, summarize
+from creditnet.netstats import summarize
 from creditnet.nullmodel import (Variant, bicm_from_network, calibrate_z,
                                  expected_metrics, fitness_spec_from_sample,
                                  random_baseline, sample_ensemble)
@@ -31,7 +31,8 @@ from creditnet.pipeline import RunConfig, run
 from creditnet.synthgen import GenConfig, generate
 from conftest import make_network, make_sample
 from oracles import (herman_correct, logit_grid_refine, logit_newton,
-                     ols_normal_equations, ols_with_group_dummies)
+                     ols_normal_equations, ols_with_group_dummies,
+                     precision_at_l, rmsre)
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -54,7 +55,8 @@ def _fake_design(X, y, names=None, dummies=(), groups=None):
     n = len(y)
     return DesignMatrix(
         spec=ModelSpec(Stage.LINK_FORMATION, Model.M1_GRAVITY),
-        column_names=names, X=X, y=y,
+        column_names=names,
+        augmented=np.column_stack([np.ones(n), X]), y=y,
         firm_index=np.zeros(n, dtype=int),
         bank_index=np.zeros(n, dtype=int) if groups is None else groups,
         dummy_columns=frozenset(dummies), bank_columns=frozenset(),
@@ -183,7 +185,8 @@ def test_acceptance_ols_fe_vif_oracles():
         + rng.normal(0, 0.4, 150)
     d = DesignMatrix(
         spec=ModelSpec(Stage.LOAN_SIZING, Model.M2_NETWORK),
-        column_names=("x0", "x1", "x2"), X=X[:, :3], y=y_fe,
+        column_names=("x0", "x1", "x2"),
+        augmented=np.column_stack([np.ones(150), X[:, :3]]), y=y_fe,
         firm_index=np.zeros(150, dtype=int), bank_index=groups,
         dummy_columns=frozenset(), bank_columns=frozenset(),
         n_floored={}, n_dropped=0)

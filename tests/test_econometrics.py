@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,15 +10,18 @@ from creditnet import econometrics
 from creditnet.econometrics import (AbsorbedColumns, AllRowsDropped,
                                     DegreeSource, DegreeVariant, DesignMatrix,
                                     EconError, FixedEffects, Model, ModelSpec,
-                                    MissingNullModel, RankDeficient,
-                                    Separation, SingletonGroupsOnly, Stage,
-                                    build_design, fit_design, fit_logit,
+                                    MissingNullModel, NoConvergence,
+                                    RankDeficient, Separation,
+                                    SingletonGroupsOnly, SingularInformation,
+                                    Stage, build_design, fit_design, fit_logit,
                                     fit_ols, fit_ols_fixed_effects,
                                     rest_of_world, vif)
 from creditnet.nullmodel import Variant, fitness_spec_from_sample
+from creditnet.report import canonical_json
 from conftest import make_network, make_sample
-from oracles import (logit_loglik, logit_newton, ols_normal_equations,
-                     ols_with_group_dummies, vif_from_correlation)
+from oracles import (fit_logit_allocating, logit_loglik, logit_newton,
+                     ols_normal_equations, ols_with_group_dummies,
+                     vif_from_correlation)
 
 
 def random_sample(rng, nf=25, nb=8, p=0.35):
@@ -215,6 +221,38 @@ def test_design_computes_expected_metrics_once(monkeypatch):
     assert calls == [nulls[DegreeSource.NULL_NET]]
 
 
+def test_design_computes_degrees_once(monkeypatch):
+    sample = random_sample(np.random.default_rng(2))
+    calls = []
+    derived_degrees = econometrics.derived_degrees
+    monkeypatch.setattr(econometrics, "derived_degrees",
+                        lambda net: calls.append(net) or derived_degrees(net))
+    for stage in Stage:
+        calls.clear()
+        build_design(sample, ModelSpec(stage, Model.M3_FULL))
+        assert calls == [sample.network]
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec(Stage.LINK_FORMATION, Model.M3_FULL),
+    ModelSpec(Stage.LINK_FORMATION, Model.M2_NETWORK, herman=False),
+    ModelSpec(Stage.LOAN_SIZING, Model.M3_FULL,
+              fixed_effects=FixedEffects.BANK_DUMMIES),
+], ids=lambda spec: spec.name())
+def test_design_is_one_augmented_array(spec):
+    sample = random_sample(np.random.default_rng(5))
+    d = build_design(sample, spec)
+    a = d.augmented
+    assert a.dtype == np.float64 and a.flags.c_contiguous
+    assert a.shape == (d.n_obs, 1 + len(d.column_names))
+    assert np.all(a[:, 0] == 1.0)
+    # X is the regressor view of the same memory, not a second copy
+    assert np.shares_memory(d.X, a) and d.X.shape == (d.n_obs, a.shape[1] - 1)
+    assert np.array_equal(d.X, a[:, 1:])
+    for j, name in enumerate(d.column_names, start=1):
+        assert np.array_equal(d.column(name), a[:, j])
+
+
 def test_design_drops_rows_of_isolated_banks():
     w = np.zeros((6, 3))
     w[:4, 0] = 2.0
@@ -269,7 +307,8 @@ def fake_design(X, y, names=None, dummies=()):
     names = tuple(names or (f"x{i}" for i in range(X.shape[1])))
     return DesignMatrix(
         spec=ModelSpec(Stage.LINK_FORMATION, Model.M1_GRAVITY),
-        column_names=names, X=X, y=y,
+        column_names=names,
+        augmented=np.column_stack([np.ones(len(y)), X]), y=y,
         firm_index=np.zeros(len(y), dtype=int),
         bank_index=np.zeros(len(y), dtype=int),
         dummy_columns=frozenset(dummies), bank_columns=frozenset(),
@@ -324,6 +363,129 @@ def test_logit_ame_continuous_and_dummy(rng):
     p1 = 1 / (1 + np.exp(-(eta + (1 - X[:, 1]) * beta[2])))
     p0 = 1 / (1 + np.exp(-(eta - X[:, 1] * beta[2])))
     assert fit.ame["dummy"] == pytest.approx(float((p1 - p0).mean()))
+
+
+def _assert_same_fit(got, expected):
+    assert canonical_json(got.to_json()) == canonical_json(expected.to_json())
+    assert np.array_equal(got.residuals, expected.residuals)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 300),
+       n_cont=st.integers(0, 3), n_dummy=st.integers(1, 2),
+       dummy_share=st.floats(0.02, 0.5), scale=st.floats(0.1, 6.0))
+def test_fit_logit_equals_allocating_oracle(seed, n, n_cont, n_dummy,
+                                            dummy_share, scale):
+    """Byte for byte the fit of the same IRLS on freshly allocated arrays.
+
+    Large coefficient scales give near-separated and separated designs.
+    """
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([rng.normal(0, 1, (n, n_cont)),
+                         (rng.random((n, n_dummy)) < dummy_share) * 1.0])
+    eta = rng.normal(0, scale, 1 + X.shape[1]) @ np.vstack([np.ones(n), X.T])
+    y = (rng.random(n) < 1 / (1 + np.exp(-eta))).astype(float)
+    names = tuple(f"x{i}" for i in range(X.shape[1]))
+    d = fake_design(X, y, names=names, dummies=names[n_cont:])
+    try:
+        expected = fit_logit_allocating(d)
+    except EconError as exc:
+        with pytest.raises(EconError) as raised:
+            fit_logit(d)
+        assert type(raised.value) is type(exc)
+        assert str(raised.value) == str(exc)
+        return
+    _assert_same_fit(fit_logit(d), expected)
+
+
+def _separated_design():
+    X = np.random.default_rng(0).normal(0, 1, (80, 1))
+    return fake_design(X, (X[:, 0] > 0).astype(float))
+
+
+def _quasi_separated_design():
+    """A logit design whose dummy predicts y = 1 perfectly."""
+    rng = np.random.default_rng(0)
+    n = 200
+    X = rng.normal(0, 1, (n, 2))
+    dummy = (rng.random(n) < 0.05).astype(float)
+    eta = 0.3 + X @ np.array([1.0, -0.5])
+    y = (rng.random(n) < 1 / (1 + np.exp(-eta))).astype(float)
+    y[dummy == 1] = 1.0
+    return fake_design(np.column_stack([X, dummy]), y,
+                       names=("x0", "x1", "d"), dummies=("d",))
+
+
+def test_fit_logit_equals_oracle_near_stopping_threshold():
+    """The stopping score is within 10% of tol_score on a near-separated
+    design, where any change in the arithmetic could move the stop."""
+    d = _quasi_separated_design()
+    tols = {"tol_score": 1e-8, "tol_ll": 1e-6}
+    got = fit_logit(d, **tols)
+    # the residuals are y - p of the stopping iteration, so this is its score
+    stop = np.abs(d.augmented.T @ got.residuals).max()
+    assert 0.9e-8 <= stop < 1e-8
+    assert got.coefficients["d"].std_error > 1e3  # near-separated
+    _assert_same_fit(got, fit_logit_allocating(d, **tols))
+    _assert_same_fit(fit_logit(d), fit_logit_allocating(d))
+
+
+def _outcomes(fit, design, **tols):
+    """What ``fit`` does at max_iters = 1, 2, ... until it stops raising
+    NoConvergence: error types, then n_iter if it converges."""
+    out = []
+    for max_iters in range(1, 201):
+        try:
+            result = fit(design, max_iters=max_iters, **tols)
+        except EconError as exc:
+            out.append(type(exc))
+            if not isinstance(exc, NoConvergence):
+                return out
+        else:
+            return out + [result.n_iter]
+    return out
+
+
+@pytest.mark.parametrize("error, make, tols", [
+    (Separation, _separated_design, {}),
+    # the dummy's weights underflow to exactly 0 once its p rounds to 1
+    (SingularInformation, _quasi_separated_design, {"tol_score": 0.0}),
+    (NoConvergence, _quasi_separated_design, {}),
+], ids=["separation", "singular", "no_convergence"])
+def test_fit_logit_raises_where_oracle_does(error, make, tols):
+    d = make()
+    expected = _outcomes(fit_logit_allocating, d, **tols)
+    assert error in expected and len(expected) > 10
+    assert _outcomes(fit_logit, d, **tols) == expected
+
+
+def test_fit_logit_allocates_one_design_sized_buffer():
+    """Besides the design, the fit holds one n x (1 + p) buffer (X * w)
+    and a few n-vectors: no copy of the design."""
+    sample = random_sample(np.random.default_rng(8), nf=500, nb=100, p=0.1)
+    d = build_design(sample, ModelSpec(Stage.LINK_FORMATION, Model.M3_FULL))
+    n, width = d.n_obs, 1 + len(d.column_names)
+    assert n == 50_000 and width == 15
+    tracemalloc.start()
+    try:
+        fit = fit_logit(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.converged
+    assert peak <= 8 * n * (width + 8)
+
+
+def test_coef_stats_nan_standard_error_has_no_test():
+    stat = econometrics._coef_stats(["a"], [0.3], [math.nan])["a"]
+    assert math.isnan(stat.std_error) and math.isnan(stat.p_value)
+    assert stat.stars == ""
+    fit = econometrics.FitResult(
+        method="logit", coefficients={"a": stat}, fit_stat=0.1,
+        fit_stat_name="pseudo_r2", n_obs=10, objective=-1.0, converged=True,
+        n_iter=3)
+    assert '"p_value": null' in canonical_json(fit.to_json())
+    assert "***" not in fit.format_table()
 
 
 def test_logit_stars_and_pvalues(rng):
@@ -416,7 +578,8 @@ def test_fixed_effects_matches_dummy_oracle(rng):
     d = DesignMatrix(
         spec=ModelSpec(Stage.LOAN_SIZING, Model.M2_NETWORK,
                        fixed_effects=FixedEffects.BANK_DUMMIES),
-        column_names=("x0", "x1", "x2"), X=X, y=y,
+        column_names=("x0", "x1", "x2"),
+        augmented=np.column_stack([np.ones(n), X]), y=y,
         firm_index=np.zeros(n, dtype=int), bank_index=groups,
         dummy_columns=frozenset(), bank_columns=frozenset(),
         n_floored={}, n_dropped=0)
@@ -435,7 +598,8 @@ def test_fixed_effects_rejects_bank_columns():
     d = DesignMatrix(
         spec=ModelSpec(Stage.LOAN_SIZING, Model.M3_FULL,
                        fixed_effects=FixedEffects.BANK_DUMMIES),
-        column_names=("ln_t_net",), X=np.ones((10, 1)), y=np.ones(10),
+        column_names=("ln_t_net",), augmented=np.ones((10, 2)),
+        y=np.ones(10),
         firm_index=np.zeros(10, dtype=int),
         bank_index=np.arange(10) % 3,
         dummy_columns=frozenset(), bank_columns=frozenset({"ln_t_net"}),
@@ -448,7 +612,8 @@ def test_fixed_effects_singleton_groups():
     d = DesignMatrix(
         spec=ModelSpec(Stage.LOAN_SIZING, Model.M2_NETWORK,
                        fixed_effects=FixedEffects.BANK_DUMMIES),
-        column_names=("x0",), X=np.arange(4.0).reshape(4, 1),
+        column_names=("x0",),
+        augmented=np.column_stack([np.ones(4), np.arange(4.0)]),
         y=np.arange(4.0), firm_index=np.zeros(4, dtype=int),
         bank_index=np.arange(4), dummy_columns=frozenset(),
         bank_columns=frozenset(), n_floored={}, n_dropped=0)
