@@ -15,8 +15,9 @@ import sys
 from . import econometrics as econ
 from . import pipeline, report
 from .ingest import apply_consistency_filter, parse_sample, write_sample_csv
-from .pipeline import ReportBundle, RunConfig, load_config_file, run
-from .synthgen import GenConfig, generate
+from .pipeline import (SYNTH_KEYS, ReportBundle, RunConfig, load_config_file,
+                       run)
+from .synthgen import GenConfig, write_synthetic
 
 STAGES = {"1": econ.Stage.LINK_FORMATION, "2": econ.Stage.LOAN_SIZING}
 
@@ -41,22 +42,15 @@ def _finish(bundle: ReportBundle) -> int:
 
 
 def _cmd_synth(args) -> int:
-    config = GenConfig(
-        n_firms=args.firms, n_banks=args.banks, seed=args.seed,
-        target_density=args.density, attachment_boost=args.attachment_boost,
-        fragmentation_penalty=args.fragmentation_penalty,
-        noise_sd=args.noise_sd, balance_noise=args.balance_noise,
-    )
-    sample, truth = generate(config)
-    write_sample_csv(sample, args.out)
-    truth.save(os.path.join(args.out, "ground_truth.json"))
+    config = GenConfig(**{name: getattr(args, name)
+                          for name, _ in SYNTH_KEYS.values()})
+    sample, _ = write_synthetic(config, args.out)
     print(f"wrote synthetic sample ({sample.network.n_links} links) to {args.out}")
     return 0
 
 
 def _cmd_ingest(args) -> int:
     filtered, rep = _parse_filtered(args)
-    os.makedirs(args.out, exist_ok=True)
     write_sample_csv(filtered, args.out)
     report.write_json(os.path.join(args.out, "filter_report.json"),
                       rep.to_json())
@@ -138,14 +132,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic sample")
     p.add_argument("--out", required=True)
-    p.add_argument("--firms", type=int, default=60)
-    p.add_argument("--banks", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--density", type=float, default=0.12)
-    p.add_argument("--attachment-boost", type=float, default=0.0)
-    p.add_argument("--fragmentation-penalty", type=float, default=0.0)
-    p.add_argument("--noise-sd", type=float, default=0.1)
-    p.add_argument("--balance-noise", type=float, default=0.05)
+    # the config-file keys without their "synth_" prefix, e.g. --noise-sd
+    for key, (name, kind) in SYNTH_KEYS.items():
+        p.add_argument("--" + key.removeprefix("synth_").replace("_", "-"),
+                       dest=name, type=kind, default=getattr(GenConfig, name))
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("ingest", help="parse, filter and re-emit a sample")
@@ -163,8 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--variant", choices=["network", "balance"],
                    default="network")
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--samples", type=int, default=RunConfig.n_samples)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
     p.set_defaults(func=_cmd_nullmodel)
 
     p = sub.add_parser("regress", help="fit one regression specification")
@@ -188,8 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges")
     p.add_argument("--firms")
     p.add_argument("--banks")
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--samples", type=int, default=RunConfig.n_samples)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
     p.set_defaults(func=_cmd_run)
 
     return parser

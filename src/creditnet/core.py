@@ -7,26 +7,21 @@ so topology and weights can never disagree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
     "BipartiteNetwork",
-    "FirmAttributes",
-    "BankAttributes",
+    "FIRM_FIELDS",
+    "BANK_FIELDS",
+    "InvalidAttribute",
+    "attribute_columns",
     "Sample",
     "derived_degrees",
     "derived_strengths",
 ]
-
-
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -86,110 +81,87 @@ class BipartiteNetwork:
     def density(self) -> float:
         return self.n_links / (self.n_firms * self.n_banks)
 
-    @property
-    def total_volume(self) -> float:
-        return float(self.weights.sum())
 
-    def firm_index(self, firm_id: str) -> int:
-        return self.firm_ids.index(firm_id)
-
-    def bank_index(self, bank_id: str) -> int:
-        return self.bank_ids.index(bank_id)
+FIRM_FIELDS = ("balance_strength", "total_assets", "leverage", "roa",
+               "tangibility")
+BANK_FIELDS = FIRM_FIELDS[:4]
 
 
-@dataclass(frozen=True)
-class FirmAttributes:
-    """Balance-sheet record of a firm (currency amounts in euros)."""
+class InvalidAttribute(ValueError):
+    """A node attribute outside its domain; ``position`` is the node's index."""
 
-    balance_strength: float  # reported debt to banks
-    total_assets: float
-    leverage: float
-    roa: float
-    tangibility: float
-
-    def __post_init__(self):
-        vals = (self.balance_strength, self.total_assets, self.leverage,
-                self.roa, self.tangibility)
-        if not all(np.isfinite(v) for v in vals):
-            raise ValueError("firm attributes must be finite")
-        if self.balance_strength < 0:
-            raise ValueError("balance_strength must be >= 0")
-        if self.total_assets <= 0:
-            raise ValueError("total_assets must be > 0")
-        if not 0 <= self.tangibility <= 1:
-            raise ValueError("tangibility must lie in [0, 1]")
+    def __init__(self, position: int, detail: str):
+        self.position = position
+        super().__init__(detail)
 
 
-@dataclass(frozen=True)
-class BankAttributes:
-    """Balance-sheet record of a bank (currency amounts in euros)."""
+def attribute_columns(columns: Mapping, fields: Sequence[str],
+                      n_nodes: int) -> dict[str, np.ndarray]:
+    """Validated read-only float columns of one side's node attributes.
 
-    balance_strength: float  # reported corporate loans
-    total_assets: float
-    leverage: float
-    roa: float
-
-    def __post_init__(self):
-        vals = (self.balance_strength, self.total_assets, self.leverage,
-                self.roa)
-        if not all(np.isfinite(v) for v in vals):
-            raise ValueError("bank attributes must be finite")
-        if self.balance_strength < 0:
-            raise ValueError("balance_strength must be >= 0")
-        if self.total_assets <= 0:
-            raise ValueError("total_assets must be > 0")
+    ``columns`` maps each name of ``fields`` to ``n_nodes`` values (balance
+    strengths and total assets in euros). The first node that fails a check
+    raises :class:`InvalidAttribute`; a node's values must be finite, then its
+    ``balance_strength`` >= 0, its ``total_assets`` > 0 and its
+    ``tangibility`` (firms only) in [0, 1].
+    """
+    if sorted(columns) != sorted(fields):
+        raise ValueError(f"attribute columns {sorted(columns)} are not "
+                         f"{sorted(fields)}")
+    out = {}
+    for name in fields:
+        col = np.array(columns[name], dtype=float)
+        if col.shape != (n_nodes,):
+            raise ValueError(f"attribute column {name!r} has shape "
+                             f"{col.shape}, not ({n_nodes},)")
+        col.setflags(write=False)
+        out[name] = col
+    checks = [
+        (~np.isfinite(np.column_stack(list(out.values()))).all(axis=1),
+         "attributes must be finite"),
+        (out["balance_strength"] < 0, "balance_strength must be >= 0"),
+        (out["total_assets"] <= 0, "total_assets must be > 0"),
+    ]
+    if "tangibility" in out:
+        tang = out["tangibility"]
+        checks.append((~((tang >= 0) & (tang <= 1)),
+                       "tangibility must lie in [0, 1]"))
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InvalidAttribute(i, next(msg for mask, msg in checks if mask[i]))
+    return out
 
 
 @dataclass(frozen=True)
 class Sample:
-    """A network together with complete node attribute registries."""
+    """A network with the balance-sheet attributes of its nodes.
+
+    ``firm_columns`` maps each name of :data:`FIRM_FIELDS` to one value per
+    firm, aligned with ``network.firm_ids``; ``bank_columns`` does the same
+    for :data:`BANK_FIELDS` and ``network.bank_ids``. The firm
+    ``balance_strength`` is the reported debt to banks, the bank one the
+    reported corporate loans. Both are stored as validated read-only arrays.
+    """
 
     network: BipartiteNetwork
-    firm_attrs: Mapping[str, FirmAttributes]
-    bank_attrs: Mapping[str, BankAttributes]
-    label: str = ""
+    firm_columns: Mapping[str, np.ndarray]
+    bank_columns: Mapping[str, np.ndarray]
 
     def __post_init__(self):
-        object.__setattr__(self, "firm_attrs", dict(self.firm_attrs))
-        object.__setattr__(self, "bank_attrs", dict(self.bank_attrs))
         net = self.network
-        missing_f = set(net.firm_ids) - set(self.firm_attrs)
-        missing_b = set(net.bank_ids) - set(self.bank_attrs)
-        if missing_f or missing_b:
-            raise ValueError(
-                f"nodes without attribute records: {sorted(missing_f | missing_b)}"
-            )
-        orphan_f = set(self.firm_attrs) - set(net.firm_ids)
-        orphan_b = set(self.bank_attrs) - set(net.bank_ids)
-        if orphan_f or orphan_b:
-            raise ValueError(
-                f"orphan attribute records: {sorted(orphan_f | orphan_b)}"
-            )
+        object.__setattr__(self, "firm_columns", attribute_columns(
+            self.firm_columns, FIRM_FIELDS, net.n_firms))
+        object.__setattr__(self, "bank_columns", attribute_columns(
+            self.bank_columns, BANK_FIELDS, net.n_banks))
 
     def firm_series(self, name: str) -> np.ndarray:
         """Attribute values aligned with ``network.firm_ids``."""
-        return self._firm_columns[name]
+        return self.firm_columns[name]
 
     def bank_series(self, name: str) -> np.ndarray:
         """Attribute values aligned with ``network.bank_ids``."""
-        return self._bank_columns[name]
-
-    @cached_property
-    def _firm_columns(self) -> dict[str, np.ndarray]:
-        return _attribute_columns(FirmAttributes, self.firm_attrs,
-                                  self.network.firm_ids)
-
-    @cached_property
-    def _bank_columns(self) -> dict[str, np.ndarray]:
-        return _attribute_columns(BankAttributes, self.bank_attrs,
-                                  self.network.bank_ids)
-
-
-def _attribute_columns(kind, attrs: Mapping, ids) -> dict[str, np.ndarray]:
-    """One read-only array per attribute field of ``kind``, aligned with ids."""
-    records = [attrs[i] for i in ids]
-    return {f.name: _frozen_array([getattr(r, f.name) for r in records])
-            for f in fields(kind)}
+        return self.bank_columns[name]
 
 
 def derived_degrees(net: BipartiteNetwork) -> tuple[np.ndarray, np.ndarray]:

@@ -398,7 +398,6 @@ class FitResult:
     fit_stat_name: str
     n_obs: int
     objective: float  # log-likelihood (logit) or RSS (OLS)
-    converged: bool
     n_iter: int
     ame: dict[str, float] | None = None
     residuals: np.ndarray | None = None
@@ -410,7 +409,6 @@ class FitResult:
             "n_obs": self.n_obs,
             self.fit_stat_name: self.fit_stat,
             "objective": self.objective,
-            "converged": self.converged,
             "n_iter": self.n_iter,
             "coefficients": {
                 name: {
@@ -604,7 +602,6 @@ def fit_logit(design: DesignMatrix, tol_score: float = 1e-8,
         fit_stat_name="pseudo_r2",
         n_obs=n,
         objective=ll,
-        converged=True,
         n_iter=it,
         ame=ame,
         residuals=resid,
@@ -658,7 +655,6 @@ def fit_ols(design: DesignMatrix) -> FitResult:
         fit_stat_name="r_squared",
         n_obs=n,
         objective=rss,
-        converged=True,
         n_iter=1,
         residuals=resid,
     )
@@ -707,7 +703,6 @@ def fit_ols_fixed_effects(design: DesignMatrix) -> FitResult:
         fit_stat_name="r_squared_within",
         n_obs=n,
         objective=rss,
-        converged=True,
         n_iter=1,
         residuals=resid,
         extra={"n_groups": int(n_groups), "r_squared_overall": float(r2_overall),

@@ -17,8 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BankAttributes, BipartiteNetwork, FirmAttributes, Sample, \
-    derived_strengths
+from . import report
+from .core import (BANK_FIELDS, FIRM_FIELDS, BipartiteNetwork,
+                   InvalidAttribute, Sample, attribute_columns,
+                   derived_strengths)
 
 __all__ = [
     "IngestError",
@@ -33,6 +35,14 @@ __all__ = [
 ]
 
 CONSISTENCY_BAND = (1e-3, 1e3)
+
+# the header of each input file, by the key write_sample_csv returns it under
+_HEADERS = {
+    "edges": ["firm_id", "bank_id", "amount"],
+    "firms": ["firm_id", "s_bal", "total_assets", "leverage", "roa",
+              "tangibility"],
+    "banks": ["bank_id", "t_bal", "total_assets", "leverage", "roa"],
+}
 
 
 class IngestError(ValueError):
@@ -111,47 +121,46 @@ def _parse_float(path, line_no, text):
     return value
 
 
-def parse_sample(edges_path, firm_attrs_path, bank_attrs_path, label="") -> Sample:
+def _read_attributes(path, header, fields):
+    """Node ids and validated attribute columns of one attribute file."""
+    line_nos: dict[str, int] = {}  # node id -> its line, in file order
+    rows = []
+
+    def columns():
+        try:
+            return attribute_columns(
+                dict(zip(fields, np.reshape(rows, (-1, len(fields))).T)),
+                fields, len(rows))
+        except InvalidAttribute as exc:
+            raise MalformedRow(path, list(line_nos.values())[exc.position],
+                               str(exc)) from None
+
+    try:
+        for line_no, row in _read_rows(path, header):
+            if not row[0]:
+                raise MalformedRow(path, line_no, f"empty {header[0]}")
+            if row[0] in line_nos:
+                raise DuplicateAttributeRow(row[0])
+            rows.append([_parse_float(path, line_no, v) for v in row[1:]])
+            line_nos[row[0]] = line_no
+    except IngestError:
+        columns()  # an out-of-range row above the bad one is named first
+        raise
+    return tuple(line_nos), columns()
+
+
+def parse_sample(edges_path, firm_attrs_path, bank_attrs_path) -> Sample:
     """Assemble a validated :class:`Sample` from the three CSV files."""
-    firm_attrs: dict[str, FirmAttributes] = {}
-    for line_no, row in _read_rows(
-        firm_attrs_path,
-        ["firm_id", "s_bal", "total_assets", "leverage", "roa", "tangibility"],
-    ):
-        fid = row[0]
-        if not fid:
-            raise MalformedRow(firm_attrs_path, line_no, "empty firm_id")
-        if fid in firm_attrs:
-            raise DuplicateAttributeRow(fid)
-        vals = [_parse_float(firm_attrs_path, line_no, v) for v in row[1:]]
-        try:
-            firm_attrs[fid] = FirmAttributes(*vals)
-        except ValueError as exc:
-            raise MalformedRow(firm_attrs_path, line_no, str(exc)) from None
-
-    bank_attrs: dict[str, BankAttributes] = {}
-    for line_no, row in _read_rows(
-        bank_attrs_path, ["bank_id", "t_bal", "total_assets", "leverage", "roa"]
-    ):
-        bid = row[0]
-        if not bid:
-            raise MalformedRow(bank_attrs_path, line_no, "empty bank_id")
-        if bid in bank_attrs:
-            raise DuplicateAttributeRow(bid)
-        vals = [_parse_float(bank_attrs_path, line_no, v) for v in row[1:]]
-        try:
-            bank_attrs[bid] = BankAttributes(*vals)
-        except ValueError as exc:
-            raise MalformedRow(bank_attrs_path, line_no, str(exc)) from None
-
-    # Node ordering follows the attribute files, so parsing is deterministic.
-    firm_ids = tuple(firm_attrs)
-    bank_ids = tuple(bank_attrs)
+    # node ordering follows the attribute files, so parsing is deterministic
+    firm_ids, firm_columns = _read_attributes(
+        firm_attrs_path, _HEADERS["firms"], FIRM_FIELDS)
+    bank_ids, bank_columns = _read_attributes(
+        bank_attrs_path, _HEADERS["banks"], BANK_FIELDS)
     firm_pos = {f: i for i, f in enumerate(firm_ids)}
     bank_pos = {b: j for j, b in enumerate(bank_ids)}
     weights = np.zeros((len(firm_ids), len(bank_ids)))
 
-    for line_no, row in _read_rows(edges_path, ["firm_id", "bank_id", "amount"]):
+    for line_no, row in _read_rows(edges_path, _HEADERS["edges"]):
         fid, bid, amount_text = row
         if not fid or not bid:
             raise MalformedRow(edges_path, line_no, "empty node id")
@@ -165,7 +174,7 @@ def parse_sample(edges_path, firm_attrs_path, bank_attrs_path, label="") -> Samp
         weights[firm_pos[fid], bank_pos[bid]] += amount
 
     net = BipartiteNetwork(firm_ids, bank_ids, weights)
-    return Sample(net, firm_attrs, bank_attrs, label=label)
+    return Sample(net, firm_columns, bank_columns)
 
 
 def apply_consistency_filter(sample: Sample) -> tuple[Sample, FilterReport]:
@@ -177,75 +186,48 @@ def apply_consistency_filter(sample: Sample) -> tuple[Sample, FilterReport]:
     """
     net = sample.network
     s_net, _ = derived_strengths(net)
+    s_bal = sample.firm_series("balance_strength")
     lower, upper = CONSISTENCY_BAND
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = s_net / s_bal  # inf or NaN where s_bal is 0
+    undefined = (s_bal == 0) & (s_net != 0)
+    low = ratio < lower
+    drop = undefined | low | (ratio > upper)
+    reasons = np.where(undefined, "undefined ratio", np.where(
+        low, "missing data", "inconsistent Nota Integrativa"))
+    ratios = np.where(undefined, None, ratio)  # None: no defined ratio
 
-    keep_mask = np.ones(net.n_firms, dtype=bool)
-    dropped: list[tuple[str, float | None, str]] = []
-    for i, fid in enumerate(net.firm_ids):
-        s_bal = sample.firm_attrs[fid].balance_strength
-        if s_bal == 0:
-            if s_net[i] == 0:
-                continue  # no debt, no links: consistent by convention
-            keep_mask[i] = False
-            dropped.append((fid, None, "undefined ratio"))
-            continue
-        ratio = float(s_net[i] / s_bal)
-        if ratio < lower:
-            keep_mask[i] = False
-            dropped.append((fid, ratio, "missing data"))
-        elif ratio > upper:
-            keep_mask[i] = False
-            dropped.append((fid, ratio, "inconsistent Nota Integrativa"))
-
-    kept_ids = tuple(f for f, keep in zip(net.firm_ids, keep_mask) if keep)
-    new_weights = net.weights[keep_mask, :]
-    new_net = BipartiteNetwork(kept_ids, net.bank_ids, new_weights)
+    keep = ~drop
+    firm_ids = np.array(net.firm_ids, dtype=object)
+    new_weights = net.weights[keep, :]
     new_sample = Sample(
-        new_net,
-        {f: sample.firm_attrs[f] for f in kept_ids},
-        dict(sample.bank_attrs),
-        label=sample.label,
+        BipartiteNetwork(tuple(firm_ids[keep]), net.bank_ids, new_weights),
+        {name: col[keep] for name, col in sample.firm_columns.items()},
+        sample.bank_columns,
     )
-    isolated = tuple(
-        b for b, deg in zip(net.bank_ids, (new_weights > 0).sum(axis=0)) if deg == 0
-    )
-    report = FilterReport(
-        kept_firms=len(kept_ids),
-        dropped_firms=tuple(dropped),
+    isolated = ~(new_weights > 0).any(axis=0)
+    return new_sample, FilterReport(
+        kept_firms=int(keep.sum()),
+        dropped_firms=tuple(zip(firm_ids[drop], ratios[drop].tolist(),
+                                reasons[drop].tolist())),
         band=CONSISTENCY_BAND,
-        isolated_banks=isolated,
+        isolated_banks=tuple(np.array(net.bank_ids, dtype=object)[isolated]),
     )
-    return new_sample, report
 
 
 def write_sample_csv(sample: Sample, out_dir) -> dict[str, str]:
-    """Write a sample back out in the exact schemas ``parse_sample`` reads."""
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "edges": os.path.join(out_dir, "edges.csv"),
-        "firms": os.path.join(out_dir, "firms.csv"),
-        "banks": os.path.join(out_dir, "banks.csv"),
-    }
+    """Write a sample back out in the exact schemas ``parse_sample`` reads.
+
+    Every link is one ``edges.csv`` row, in firm-major order.
+    """
+    paths = {name: os.path.join(out_dir, f"{name}.csv") for name in _HEADERS}
     net = sample.network
-    with open(paths["edges"], "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["firm_id", "bank_id", "amount"])
-        for i, fid in enumerate(net.firm_ids):
-            for j, bid in enumerate(net.bank_ids):
-                if net.weights[i, j] > 0:
-                    writer.writerow([fid, bid, repr(float(net.weights[i, j]))])
-    with open(paths["firms"], "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["firm_id", "s_bal", "total_assets", "leverage", "roa", "tangibility"])
-        for fid in net.firm_ids:
-            a = sample.firm_attrs[fid]
-            writer.writerow([fid] + [repr(float(v)) for v in (
-                a.balance_strength, a.total_assets, a.leverage, a.roa, a.tangibility)])
-    with open(paths["banks"], "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bank_id", "t_bal", "total_assets", "leverage", "roa"])
-        for bid in net.bank_ids:
-            a = sample.bank_attrs[bid]
-            writer.writerow([bid] + [repr(float(v)) for v in (
-                a.balance_strength, a.total_assets, a.leverage, a.roa)])
+    i, j = np.nonzero(net.weights > 0)
+    report.write_csv(paths["edges"], _HEADERS["edges"], (
+        np.array(net.firm_ids, dtype=object)[i],
+        np.array(net.bank_ids, dtype=object)[j], net.weights[i, j]))
+    report.write_csv(paths["firms"], _HEADERS["firms"], [net.firm_ids] + [
+        sample.firm_series(name) for name in FIRM_FIELDS])
+    report.write_csv(paths["banks"], _HEADERS["banks"], [net.bank_ids] + [
+        sample.bank_series(name) for name in BANK_FIELDS])
     return paths

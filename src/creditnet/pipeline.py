@@ -17,11 +17,11 @@ import numpy as np
 from . import econometrics as econ
 from . import netstats, nullmodel, report
 from .core import BipartiteNetwork, Sample, derived_degrees
-from .ingest import apply_consistency_filter, parse_sample, write_sample_csv
+from .ingest import apply_consistency_filter, parse_sample
 from .netstats import ccdf, compare, summarize
 from .nullmodel import (Variant, bicm_from_network, fitness_spec_from_sample,
                         random_baseline, sample_ensemble)
-from .synthgen import GenConfig, generate
+from .synthgen import GenConfig, write_synthetic
 
 __all__ = [
     "RunConfig",
@@ -36,6 +36,7 @@ __all__ = [
     "run",
     "residual_diagnostics",
     "load_config_file",
+    "SYNTH_KEYS",
 ]
 
 NULL_VARIANT_NAMES = ("network", "balance", "bicm", "random")
@@ -158,10 +159,8 @@ def residual_diagnostics(fit: econ.FitResult, n_bins: int = 30) -> dict:
 
 def _load_sample(config: RunConfig, bundle: ReportBundle):
     if config.synth is not None:
-        sample, truth = generate(config.synth)
-        input_dir = os.path.join(config.out_dir, "input")
-        paths = write_sample_csv(sample, input_dir)
-        truth.save(os.path.join(input_dir, "ground_truth.json"))
+        sample, paths = write_synthetic(
+            config.synth, os.path.join(config.out_dir, "input"))
         bundle.files += [os.path.relpath(p, config.out_dir)
                          for p in paths.values()]
         bundle.files.append(os.path.join("input", "ground_truth.json"))
@@ -343,7 +342,7 @@ def run(config: RunConfig) -> ReportBundle:
 
 
 # config-file key -> GenConfig field and type
-_SYNTH_KEYS = {
+SYNTH_KEYS = {
     "synth_firms": ("n_firms", int),
     "synth_banks": ("n_banks", int),
     "synth_seed": ("seed", int),
@@ -353,7 +352,7 @@ _SYNTH_KEYS = {
     "synth_noise_sd": ("noise_sd", float),
     "synth_balance_noise": ("balance_noise", float),
 }
-_CONFIG_KEYS = frozenset(_SYNTH_KEYS) | {
+_CONFIG_KEYS = frozenset(SYNTH_KEYS) | {
     "out", "edges", "firms", "banks", "variants", "samples", "seed", "bins"}
 
 
@@ -376,10 +375,10 @@ def load_config_file(path: str, out_dir: str | None = None) -> RunConfig:
     synth = None
     if "synth_firms" in values:
         synth = GenConfig(**{name: kind(values[key])
-                             for key, (name, kind) in _SYNTH_KEYS.items()
+                             for key, (name, kind) in SYNTH_KEYS.items()
                              if key in values})
-    variants = tuple(v.strip() for v in
-                     values.get("variants", "network,balance").split(",") if v.strip())
+    variants = tuple(v.strip() for v in values.get(
+        "variants", ",".join(RunConfig.null_variants)).split(",") if v.strip())
     return RunConfig(
         out_dir=out_dir or values.get("out", "out"),
         edges_path=values.get("edges"),
@@ -387,7 +386,7 @@ def load_config_file(path: str, out_dir: str | None = None) -> RunConfig:
         bank_attrs_path=values.get("banks"),
         synth=synth,
         null_variants=variants,
-        n_samples=int(values.get("samples", 10_000)),
-        seed=int(values.get("seed", 42)),
-        n_bins=int(values.get("bins", 10)),
+        n_samples=int(values.get("samples", RunConfig.n_samples)),
+        seed=int(values.get("seed", RunConfig.seed)),
+        n_bins=int(values.get("bins", RunConfig.n_bins)),
     )

@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import os
+import re
 
 import numpy as np
 
@@ -129,10 +130,15 @@ def write_text(path, text: str) -> None:
     _write(path, text)
 
 
+_CSV_SPECIAL = re.compile('[,"\r\n]').search
+
+
 def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         v = float(value)
         return "" if v != v else repr(v)
+    if isinstance(value, str) and _CSV_SPECIAL(value):
+        return '"' + value.replace('"', '""') + '"'
     return str(value)
 
 
@@ -142,14 +148,17 @@ def write_csv(path, header, columns) -> None:
     Row ``r`` holds the ``r``-th value of every column; the rows stop at
     the shortest column. A float is written by ``repr`` and NaN as an
     empty field; any other value by ``str``. Float arrays and lists of
-    plain floats are formatted a column at a time.
+    plain floats are formatted a column at a time. Text that holds a
+    comma, a double quote or a line break is quoted as ``csv.QUOTE_MINIMAL``
+    quotes it, with inner quotes doubled; numbers are never quoted. Lines
+    end in ``\\n``.
     """
     texts = []
     for column in columns:
         floats = _float_array(column)
         texts.append([_fmt(v) for v in column] if floats is None
                      else _float_strs(floats, _CSV_NONFINITE))
-    lines = [",".join(header)]
+    lines = [",".join(map(_fmt, header))]
     lines += map(",".join, zip(*texts))
     _write(path, "\n".join(lines) + "\n", newline="")
 

@@ -9,15 +9,18 @@ knobs at zero the realized network is a plain fitness draw.
 
 from __future__ import annotations
 
-import json
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import BankAttributes, BipartiteNetwork, FirmAttributes, Sample
+from . import report
+from .core import BipartiteNetwork, Sample
+from .ingest import write_sample_csv
 from .nullmodel import calibrate_z
 
-__all__ = ["GenConfig", "GroundTruth", "DegenerateDensity", "generate"]
+__all__ = ["GenConfig", "GroundTruth", "DegenerateDensity", "generate",
+           "write_synthetic"]
 
 
 class DegenerateDensity(ValueError):
@@ -66,9 +69,7 @@ class GroundTruth:
         }
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        report.write_json(path, self.to_json())
 
 
 def _logit(p):
@@ -128,27 +129,22 @@ def generate(config: GenConfig) -> tuple[Sample, GroundTruth]:
     bank_lev = np.clip(rng.normal(12.0, 2.0, nb), 4.0, 25.0)
     bank_roa = rng.normal(0.5, 0.4, nb)
 
-    firm_attrs = {
-        fid: FirmAttributes(
-            balance_strength=float(s_bal[i]),
-            total_assets=float(firm_assets[i]),
-            leverage=float(firm_lev[i]),
-            roa=float(firm_roa[i]),
-            tangibility=float(firm_tang[i]),
-        )
-        for i, fid in enumerate(firm_ids)
-    }
-    bank_attrs = {
-        bid: BankAttributes(
-            balance_strength=float(t_bal[j]),
-            total_assets=float(bank_assets[j]),
-            leverage=float(bank_lev[j]),
-            roa=float(bank_roa[j]),
-        )
-        for j, bid in enumerate(bank_ids)
-    }
-    sample = Sample(net, firm_attrs, bank_attrs,
-                    label=f"synthetic-seed{config.seed}")
+    sample = Sample(
+        net,
+        {"balance_strength": s_bal, "total_assets": firm_assets,
+         "leverage": firm_lev, "roa": firm_roa, "tangibility": firm_tang},
+        {"balance_strength": t_bal, "total_assets": bank_assets,
+         "leverage": bank_lev, "roa": bank_roa},
+    )
     truth = GroundTruth(config=config, z=float(z),
                         realized_density=net.density, realized_links=n_links)
     return sample, truth
+
+
+def write_synthetic(config: GenConfig, out_dir) -> tuple[Sample, dict[str, str]]:
+    """Generate a sample and write it to ``out_dir`` as the three input CSVs
+    plus ``ground_truth.json``; return it with the paths of the CSVs."""
+    sample, truth = generate(config)
+    paths = write_sample_csv(sample, out_dir)
+    truth.save(os.path.join(out_dir, "ground_truth.json"))
+    return sample, paths

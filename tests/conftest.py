@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from creditnet.core import (BankAttributes, BipartiteNetwork, FirmAttributes,
-                            Sample)
+from creditnet.core import BipartiteNetwork, Sample
 
 
 def make_network(weights, firm_prefix="F", bank_prefix="B"):
@@ -15,7 +14,7 @@ def make_network(weights, firm_prefix="F", bank_prefix="B"):
     )
 
 
-def make_sample(weights, s_bal=None, t_bal=None, label="test"):
+def make_sample(weights, s_bal=None, t_bal=None):
     net = make_network(weights)
     s_net = net.weights.sum(axis=1)
     t_net = net.weights.sum(axis=0)
@@ -23,26 +22,21 @@ def make_sample(weights, s_bal=None, t_bal=None, label="test"):
         s_bal = s_net
     if t_bal is None:
         t_bal = t_net
-    firm_attrs = {
-        fid: FirmAttributes(
-            balance_strength=float(s_bal[i]),
-            total_assets=float(max(s_net[i], 1.0) * 2.0),
-            leverage=0.5 + 0.01 * i,
-            roa=1.0 - 0.1 * i,
-            tangibility=min(0.1 + 0.02 * i, 1.0),
-        )
-        for i, fid in enumerate(net.firm_ids)
+    i, j = np.arange(net.n_firms), np.arange(net.n_banks)
+    firm_columns = {
+        "balance_strength": s_bal,
+        "total_assets": np.maximum(s_net, 1.0) * 2.0,
+        "leverage": 0.5 + 0.01 * i,
+        "roa": 1.0 - 0.1 * i,
+        "tangibility": np.minimum(0.1 + 0.02 * i, 1.0),
     }
-    bank_attrs = {
-        bid: BankAttributes(
-            balance_strength=float(t_bal[j]),
-            total_assets=float(max(t_net[j], 1.0) * 3.0),
-            leverage=10.0 + 0.1 * j,
-            roa=0.5 + 0.05 * j,
-        )
-        for j, bid in enumerate(net.bank_ids)
+    bank_columns = {
+        "balance_strength": t_bal,
+        "total_assets": np.maximum(t_net, 1.0) * 3.0,
+        "leverage": 10.0 + 0.1 * j,
+        "roa": 0.5 + 0.05 * j,
     }
-    return Sample(net, firm_attrs, bank_attrs, label=label)
+    return Sample(net, firm_columns, bank_columns)
 
 
 @pytest.fixture

@@ -188,7 +188,6 @@ def fit_logit_allocating(design, tol_score=1e-8, tol_ll=1e-12, max_iters=200):
 
     beta = np.zeros(p_dim)
     ll_old = -np.inf
-    converged = False
     for it in range(1, max_iters + 1):
         eta = X @ beta
         p = 1.0 / (1.0 + np.exp(-np.clip(eta, -700, 700)))
@@ -197,7 +196,6 @@ def fit_logit_allocating(design, tol_score=1e-8, tol_ll=1e-12, max_iters=200):
         weights = p * (1.0 - p)
         if np.abs(score).max() < tol_score and \
                 abs(ll - ll_old) <= tol_ll * max(1.0, abs(ll)):
-            converged = True
             break
         info = (X * weights[:, None]).T @ X
         try:
@@ -240,7 +238,6 @@ def fit_logit_allocating(design, tol_score=1e-8, tol_ll=1e-12, max_iters=200):
         fit_stat_name="pseudo_r2",
         n_obs=n,
         objective=ll,
-        converged=converged,
         n_iter=it,
         ame=ame,
         residuals=y - p,
@@ -498,14 +495,38 @@ def canonical_json_dumps(obj):
                       allow_nan=False) + "\n"
 
 
+def consistency_filter_loop(firm_ids, weights, s_bal, band=(1e-3, 1e3)):
+    """(kept firm ids, dropped (id, ratio, reason) rows), one firm at a time."""
+    kept, dropped = [], []
+    for i, fid in enumerate(firm_ids):
+        s_net = float(sum(weights[i]))
+        if s_bal[i] == 0:
+            if s_net == 0:
+                kept.append(fid)
+            else:
+                dropped.append((fid, None, "undefined ratio"))
+            continue
+        ratio = s_net / float(s_bal[i])
+        if ratio < band[0]:
+            dropped.append((fid, ratio, "missing data"))
+        elif ratio > band[1]:
+            dropped.append((fid, ratio, "inconsistent Nota Integrativa"))
+        else:
+            kept.append(fid)
+    return tuple(kept), tuple(dropped)
+
+
 def csv_rows_text(header, rows):
     """CSV text written one row and one value at a time: floats by repr,
-    NaN as an empty field, anything else by str."""
+    NaN as an empty field, text with a comma, a double quote or a line
+    break in double quotes (inner quotes doubled), anything else by str."""
     def fmt(value):
         if isinstance(value, (float, np.floating)):
             v = float(value)
             return "" if v != v else repr(v)
+        if isinstance(value, str) and set(value) & set(',"\r\n'):
+            return '"' + value.replace('"', '""') + '"'
         return str(value)
-    lines = [",".join(header)]
+    lines = [",".join(map(fmt, header))]
     lines += [",".join(fmt(v) for v in row) for row in rows]
     return "".join(line + "\n" for line in lines)

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from creditnet.core import (BipartiteNetwork, FirmAttributes, Sample,
+from creditnet.core import (BANK_FIELDS, FIRM_FIELDS, BipartiteNetwork,
+                            InvalidAttribute, Sample, attribute_columns,
                             derived_degrees, derived_strengths)
 from conftest import make_network, make_sample
 from oracles import row_col_sums
@@ -101,21 +102,55 @@ def test_network_weights_are_immutable(small_net):
         small_net.weights[0, 0] = 9.0
 
 
+def firm_rows(*rows):
+    return dict(zip(FIRM_FIELDS, np.array(rows, dtype=float).T))
+
+
+GOOD_FIRM = (1.0, 1.0, 0.5, 1.0, 0.5)
+
+
 def test_firm_attributes_validation():
-    with pytest.raises(ValueError):
-        FirmAttributes(1.0, 0.0, 0.5, 1.0, 0.5)  # nonpositive assets
-    with pytest.raises(ValueError):
-        FirmAttributes(1.0, 1.0, 0.5, 1.0, 1.5)  # tangibility out of range
+    # the first failing node is named, with its first failing check in the
+    # order finite, balance strength, assets, tangibility
+    for bad, detail in (
+            ((1.0, 0.0, 0.5, 1.0, 0.5), "total_assets must be > 0"),
+            ((1.0, 1.0, 0.5, 1.0, 1.5), "tangibility must lie in [0, 1]"),
+            ((-1.0, 1.0, 0.5, 1.0, -0.5), "balance_strength must be >= 0"),
+            ((-1.0, 0.0, 0.5, 1.0, 0.5), "balance_strength must be >= 0"),
+            ((-1.0, 0.0, np.inf, 1.0, 2.0), "attributes must be finite"),
+            ((1.0, -1.0, 0.5, 1.0, -0.5), "total_assets must be > 0")):
+        with pytest.raises(InvalidAttribute) as err:
+            attribute_columns(firm_rows(GOOD_FIRM, bad, bad[::-1]),
+                              FIRM_FIELDS, 3)
+        assert err.value.position == 1
+        assert str(err.value) == detail
+    columns = attribute_columns(firm_rows(GOOD_FIRM, (0.0, 2.0, 0.0, -1.0, 1.0)),
+                                FIRM_FIELDS, 2)
+    np.testing.assert_array_equal(columns["tangibility"], [0.5, 1.0])
+    assert not columns["tangibility"].flags.writeable
+    # banks carry no tangibility
+    banks = dict(zip(BANK_FIELDS, [[1.0], [1.0], [12.0], [0.5]]))
+    assert set(attribute_columns(banks, BANK_FIELDS, 1)) == set(BANK_FIELDS)
 
 
 def test_sample_requires_complete_attributes(small_net):
     sample = make_sample([[1.0, 0.0], [2.0, 3.0]])
     with pytest.raises(ValueError):
-        Sample(sample.network, {}, sample.bank_attrs)
-    extra = dict(sample.firm_attrs)
-    extra["F99"] = next(iter(sample.firm_attrs.values()))
+        Sample(sample.network, {}, sample.bank_columns)
+    missing = dict(sample.firm_columns)
+    del missing["roa"]
     with pytest.raises(ValueError):
-        Sample(sample.network, extra, sample.bank_attrs)
+        Sample(sample.network, missing, sample.bank_columns)
+    extra = dict(sample.firm_columns, rating=np.ones(2))
+    with pytest.raises(ValueError):
+        Sample(sample.network, extra, sample.bank_columns)
+    long = dict(sample.firm_columns, roa=np.ones(3))
+    with pytest.raises(ValueError):
+        Sample(sample.network, long, sample.bank_columns)
+    bad = dict(sample.bank_columns, total_assets=np.array([1.0, 0.0]))
+    with pytest.raises(InvalidAttribute) as err:
+        Sample(sample.network, sample.firm_columns, bad)
+    assert err.value.position == 1
 
 
 def test_sample_series_built_once():

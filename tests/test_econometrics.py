@@ -25,7 +25,7 @@ from oracles import (fit_logit_allocating, logit_loglik, logit_newton,
 
 
 def random_sample(rng, nf=25, nb=8, p=0.35):
-    from creditnet.core import BankAttributes, FirmAttributes, Sample
+    from creditnet.core import BANK_FIELDS, FIRM_FIELDS, Sample
 
     w = (rng.random((nf, nb)) < p) * rng.lognormal(3.0, 1.0, (nf, nb))
     w[:, 0] = np.maximum(w[:, 0], 0.5)  # keep every bank linked
@@ -36,26 +36,18 @@ def random_sample(rng, nf=25, nb=8, p=0.35):
     w[0, 1:] = 0.0
     net = make_network(w)
     s_net, t_net = w.sum(axis=1), w.sum(axis=0)
-    firm_attrs = {
-        fid: FirmAttributes(
-            balance_strength=float(s_net[i] * rng.uniform(1.0, 2.0)),
-            total_assets=float(s_net[i] * rng.uniform(2.0, 5.0)),
-            leverage=float(rng.uniform(0.1, 0.9)),
-            roa=float(rng.normal(1.0, 0.5)),
-            tangibility=float(rng.uniform(0.05, 0.95)),
-        )
-        for i, fid in enumerate(net.firm_ids)
-    }
-    bank_attrs = {
-        bid: BankAttributes(
-            balance_strength=float(t_net[j] * rng.uniform(1.0, 2.0)),
-            total_assets=float(t_net[j] * rng.uniform(2.0, 5.0)),
-            leverage=float(rng.uniform(8.0, 15.0)),
-            roa=float(rng.normal(0.5, 0.2)),
-        )
-        for j, bid in enumerate(net.bank_ids)
-    }
-    return Sample(net, firm_attrs, bank_attrs, label="random")
+    # one node at a time, in the field order, so the draws stay those of
+    # earlier versions of this helper
+    firms = np.array([[s_net[i] * rng.uniform(1.0, 2.0),
+                       s_net[i] * rng.uniform(2.0, 5.0),
+                       rng.uniform(0.1, 0.9), rng.normal(1.0, 0.5),
+                       rng.uniform(0.05, 0.95)] for i in range(nf)])
+    banks = np.array([[t_net[j] * rng.uniform(1.0, 2.0),
+                       t_net[j] * rng.uniform(2.0, 5.0),
+                       rng.uniform(8.0, 15.0), rng.normal(0.5, 0.2)]
+                      for j in range(nb)])
+    return Sample(net, dict(zip(FIRM_FIELDS, firms.T)),
+                  dict(zip(BANK_FIELDS, banks.T)))
 
 
 # --------------------------------------------------------------------------
@@ -322,7 +314,6 @@ def test_logit_matches_newton_oracle(rng):
     beta_oracle = logit_newton(Xc, y)
     est = np.array([c.estimate for c in fit.coefficients.values()])
     np.testing.assert_allclose(est, beta_oracle, atol=1e-7)
-    assert fit.converged
     # the oracle grid refinement cannot improve the likelihood
     ll_refined = logit_loglik(Xc, y, logit_grid := beta_oracle)
     assert fit.objective == pytest.approx(ll_refined, abs=1e-6)
@@ -472,7 +463,6 @@ def test_fit_logit_allocates_one_design_sized_buffer():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert fit.converged
     assert peak <= 8 * n * (width + 8)
 
 
@@ -482,8 +472,7 @@ def test_coef_stats_nan_standard_error_has_no_test():
     assert stat.stars == ""
     fit = econometrics.FitResult(
         method="logit", coefficients={"a": stat}, fit_stat=0.1,
-        fit_stat_name="pseudo_r2", n_obs=10, objective=-1.0, converged=True,
-        n_iter=3)
+        fit_stat_name="pseudo_r2", n_obs=10, objective=-1.0, n_iter=3)
     assert '"p_value": null' in canonical_json(fit.to_json())
     assert "***" not in fit.format_table()
 
@@ -680,7 +669,6 @@ def test_end_to_end_stage1_on_random_sample(rng):
     sample = random_sample(rng, nf=40, nb=10, p=0.3)
     d = build_design(sample, ModelSpec(Stage.LINK_FORMATION, Model.M1_GRAVITY))
     fit = fit_logit(d)
-    assert fit.converged
     assert 0 <= fit.fit_stat < 1
 
 

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from creditnet.ingest import (DuplicateAttributeRow, MalformedRow,
                               MissingAttribute, NegativeAmount,
                               apply_consistency_filter, parse_sample,
                               write_sample_csv)
+from creditnet.core import BANK_FIELDS, FIRM_FIELDS
+from creditnet.synthgen import GenConfig, generate
 from conftest import make_sample
+from oracles import consistency_filter_loop
 
 FIRM_HEADER = "firm_id,s_bal,total_assets,leverage,roa,tangibility\n"
 BANK_HEADER = "bank_id,t_bal,total_assets,leverage,roa\n"
@@ -17,7 +22,8 @@ def write_inputs(tmp_path, edges, firms, banks):
                                ("firms", FIRM_HEADER, firms),
                                ("banks", BANK_HEADER, banks)):
         p = tmp_path / f"{name}.csv"
-        p.write_text(header + "".join(r + "\n" for r in rows))
+        p.write_text(header + "".join(r + "\n" for r in rows),
+                     encoding="utf-8")
         paths[name] = str(p)
     return paths
 
@@ -80,8 +86,79 @@ def test_roundtrip_through_csv(tmp_path):
     back = parse_sample(paths["edges"], paths["firms"], paths["banks"])
     np.testing.assert_array_equal(back.network.weights,
                                   sample.network.weights)
-    assert back.firm_attrs == sample.firm_attrs
-    assert back.bank_attrs == sample.bank_attrs
+    for name in FIRM_FIELDS:
+        np.testing.assert_array_equal(back.firm_series(name),
+                                      sample.firm_series(name))
+    for name in BANK_FIELDS:
+        np.testing.assert_array_equal(back.bank_series(name),
+                                      sample.bank_series(name))
+    # one row per link, firm-major, floats by repr, lines ending in \n
+    tiny = write_sample_csv(make_sample([[1.5, 4.0], [2.0, 0.0]]),
+                            tmp_path / "tiny")
+    with open(tiny["edges"], "rb") as fh:
+        assert fh.read() == (b"firm_id,bank_id,amount\nF0,B0,1.5\n"
+                             b"F0,B1,4.0\nF1,B0,2.0\n")
+
+
+def quoted(text):
+    return '"' + text.replace('"', '""') + '"'
+
+
+def assert_same_files(paths, other):
+    for name, path in paths.items():
+        with open(path, "rb") as a, open(other[name], "rb") as b:
+            assert a.read() == b.read(), name
+
+
+def test_ids_with_csv_syntax_round_trip(tmp_path):
+    firm_ids = ("Rossi, S.p.A.", 'Bar "Sport"', "two\nlines", "Società ✓")
+    bank_ids = ("Banca, Popolare", 'B"1', "cr\r\nlf", "Crédit Agricole")
+    edges = [f"{quoted(f)},{quoted(b)},{10 + i}"
+             for i, (f, b) in enumerate(zip(firm_ids, bank_ids))]
+    paths = write_inputs(tmp_path, edges,
+                         default_firms(map(quoted, firm_ids), s_bal=10.0),
+                         default_banks(map(quoted, bank_ids)))
+    sample = parse_sample(paths["edges"], paths["firms"], paths["banks"])
+    assert sample.network.firm_ids == firm_ids
+    assert sample.network.bank_ids == bank_ids
+    first = write_sample_csv(sample, tmp_path / "first")
+    back = parse_sample(first["edges"], first["firms"], first["banks"])
+    assert back.network.firm_ids == firm_ids
+    assert back.network.bank_ids == bank_ids
+    np.testing.assert_array_equal(back.network.weights,
+                                  sample.network.weights)
+    assert_same_files(first, write_sample_csv(back, tmp_path / "second"))
+
+
+def test_out_of_range_attribute_names_its_line(tmp_path):
+    firms = default_firms(["F1", "F2"]) + ["F3,100.0,1000,0.5,1.2,1.5"]
+    paths = write_inputs(tmp_path, ["F1,B1,10"], firms, default_banks(["B1"]))
+    with pytest.raises(MalformedRow, match="tangibility") as err:
+        parse_sample(paths["edges"], paths["firms"], paths["banks"])
+    assert (err.value.path, err.value.line_no) == (paths["firms"], 4)
+
+    banks = default_banks(["B1"]) + ["B2,500.0,0,12,0.5"]
+    paths = write_inputs(tmp_path, ["F1,B1,10"], default_firms(["F1"]), banks)
+    with pytest.raises(MalformedRow, match="total_assets") as err:
+        parse_sample(paths["edges"], paths["firms"], paths["banks"])
+    assert (err.value.path, err.value.line_no) == (paths["banks"], 3)
+
+    # a bad value above an unreadable or duplicate row is named first
+    for later in ("F3,abc,1000,0.5,1.2,0.3", "F2,100.0,1000,0.5,1.2,0.3"):
+        firms = (default_firms(["F1"]) + ["F2,100.0,-1,0.5,1.2,0.3"]
+                 + [later])
+        paths = write_inputs(tmp_path, ["F1,B1,10"], firms,
+                             default_banks(["B1"]))
+        with pytest.raises(MalformedRow, match="total_assets") as err:
+            parse_sample(paths["edges"], paths["firms"], paths["banks"])
+        assert err.value.line_no == 3
+
+
+def test_write_parse_write_is_byte_identical(tmp_path):
+    sample, _ = generate(GenConfig(n_firms=30, n_banks=8, seed=2))
+    first = write_sample_csv(sample, tmp_path / "first")
+    back = parse_sample(first["edges"], first["firms"], first["banks"])
+    assert_same_files(first, write_sample_csv(back, tmp_path / "second"))
 
 
 def test_filter_drops_out_of_band_firms():
@@ -129,6 +206,33 @@ def test_filter_is_idempotent():
     assert once.network.firm_ids == twice.network.firm_ids
     assert not rep2.dropped_firms
     assert once.network.n_links >= twice.network.n_links
+
+
+@given(st.integers(1, 6), st.integers(1, 4), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_filter_matches_loop_oracle(nf, nb, rnd):
+    # sparse weights and balance strengths spread over the band's edges
+    weights = np.array([[rnd.choice([0.0, 0.0, rnd.uniform(0.5, 5.0)])
+                         for _ in range(nb)] for _ in range(nf)])
+    s_net = weights.sum(axis=1)
+    s_bal = [rnd.choice([0.0, s_net[i] * 1e3, s_net[i] / 1e3,
+                         s_net[i] * rnd.choice([1e-4, 0.5, 1.0, 2e3])])
+             for i in range(nf)]
+    sample = make_sample(weights, s_bal=s_bal)
+    kept, dropped = consistency_filter_loop(sample.network.firm_ids, weights,
+                                            s_bal)
+    assume(kept)  # a network needs a firm
+    filtered, rep = apply_consistency_filter(sample)
+    assert filtered.network.firm_ids == kept
+    assert rep.dropped_firms == dropped
+    assert rep.kept_firms == len(kept)
+    keep = [f in kept for f in sample.network.firm_ids]
+    np.testing.assert_array_equal(filtered.network.weights, weights[keep])
+    np.testing.assert_array_equal(filtered.firm_series("balance_strength"),
+                                  np.array(s_bal)[keep])
+    assert rep.isolated_banks == tuple(
+        b for j, b in enumerate(sample.network.bank_ids)
+        if not weights[keep, j].any())
 
 
 def test_filter_never_creates_links():

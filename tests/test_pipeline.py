@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import tempfile
@@ -14,7 +16,7 @@ from creditnet.pipeline import (RunConfig, default_grid, load_config_file,
                                 residual_diagnostics, run)
 from creditnet.report import (canonical_json, sha256_file, svg_histogram,
                               svg_scatter, write_csv)
-from creditnet.synthgen import GenConfig
+from creditnet.synthgen import GenConfig, generate
 from conftest import make_sample
 from oracles import canonical_json_dumps, csv_rows_text
 
@@ -112,7 +114,8 @@ csv_columns = st.one_of(
     hnp.arrays(np.int64, st.integers(0, 8)),
     st.lists(floats, max_size=8),
     st.lists(st.integers(), max_size=8),
-    st.lists(st.one_of(floats, st.integers()), max_size=8))
+    st.lists(st.one_of(floats, st.integers()), max_size=8),
+    st.lists(st.text(), max_size=8))
 
 
 @given(st.lists(csv_columns, max_size=4))
@@ -127,6 +130,27 @@ def test_write_csv_matches_row_writer(columns):
         with open(path, "rb") as fh:
             written = fh.read()
     assert written == csv_rows_text(header, zip(*columns)).encode("utf-8")
+
+
+@given(st.lists(st.text(), min_size=2, max_size=4),
+       st.lists(st.lists(st.text(), min_size=4, max_size=4), max_size=6))
+@settings(max_examples=200, deadline=None)
+@example(["a", "b"], [["", 'say "hi"', "x,y", "cr\r\nlf"]])
+def test_write_csv_quotes_text_as_csv_writer(header, rows):
+    # csv.writer differs only on a row of one empty field, which it quotes
+    rows = [row[:len(header)] for row in rows]
+
+    def writer_line(row):
+        buf = io.StringIO()
+        csv.writer(buf).writerow(row)
+        return buf.getvalue()[:-2] + "\n"  # its line ends in \r\n
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.csv")
+        write_csv(path, header, list(zip(*rows)) or [[]] * len(header))
+        with open(path, "rb") as fh:
+            written = fh.read().decode("utf-8")
+    assert written == "".join(map(writer_line, [header] + rows))
 
 
 def test_svg_outputs_have_no_volatile_content():
@@ -288,7 +312,7 @@ def test_residual_diagnostics_requires_residuals():
     from creditnet.econometrics import EconError, FitResult
     bare = FitResult(method="ols", coefficients={}, fit_stat=0.0,
                      fit_stat_name="r_squared", n_obs=0, objective=0.0,
-                     converged=True, n_iter=1)
+                     n_iter=1)
     with pytest.raises(EconError):
         residual_diagnostics(bare)
 
@@ -302,6 +326,14 @@ def test_config_validation(tmp_path):
     with pytest.raises(ValueError):
         RunConfig(out_dir=str(tmp_path), synth=GenConfig(),
                   null_variants=("bogus",))
+
+
+def test_config_file_defaults_are_run_config_defaults(tmp_path):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("synth_firms = 30\n")
+    config = load_config_file(str(cfg_path), out_dir=str(tmp_path / "o"))
+    assert config == RunConfig(out_dir=str(tmp_path / "o"),
+                               synth=GenConfig(n_firms=30))
 
 
 def test_load_config_file(tmp_path):
@@ -354,6 +386,18 @@ def test_cli_synth_then_stats_and_regress(tmp_path, capsys):
     table = (reg / "loan_sizing_m3_a.txt").read_text()
     assert "Observations" in table
     assert "ln_s_net" in table
+
+
+def test_cli_synth_defaults_are_gen_config_defaults(tmp_path):
+    assert main(["synth", "--out", str(tmp_path / "cli")]) == 0
+    sample, truth = generate(GenConfig())
+    paths = write_sample_csv(sample, str(tmp_path / "lib"))
+    for name, path in paths.items():
+        with open(path, "rb") as fh:
+            assert (tmp_path / "cli" / f"{name}.csv").read_bytes() == \
+                fh.read(), name
+    assert (tmp_path / "cli" / "ground_truth.json").read_text() == \
+        canonical_json(truth.to_json())
 
 
 def test_cli_stages_write_what_run_writes(tmp_path):

@@ -13,7 +13,9 @@ def test_generate_reproducible():
     s1, t1 = generate(cfg)
     s2, t2 = generate(cfg)
     np.testing.assert_array_equal(s1.network.weights, s2.network.weights)
-    assert s1.firm_attrs == s2.firm_attrs
+    for name in s1.firm_columns:
+        np.testing.assert_array_equal(s1.firm_series(name),
+                                      s2.firm_series(name))
     assert t1.z == t2.z
 
 
