@@ -9,6 +9,7 @@ or null variant failed (each is named on stderr), 1 on an error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -20,6 +21,9 @@ from .pipeline import (SYNTH_KEYS, ReportBundle, RunConfig, load_config_file,
 from .synthgen import GenConfig, write_synthetic
 
 STAGES = {"1": econ.Stage.LINK_FORMATION, "2": econ.Stage.LOAN_SIZING}
+# the RunConfig fields that `run` flags set; a flag left out is None
+RUN_FLAGS = ("edges_path", "firm_attrs_path", "bank_attrs_path", "n_samples",
+             "seed")
 
 
 def _add_input_args(parser):
@@ -72,9 +76,8 @@ def _cmd_nullmodel(args) -> int:
                        firm_attrs_path=args.firms, bank_attrs_path=args.banks,
                        n_samples=args.samples, seed=args.seed)
     bundle = ReportBundle(args.out)
-    spec = pipeline.write_null_variant(bundle, config, filtered, args.variant)
-    if spec is not None:
-        print(f"calibrated z = {spec.z:.6e}")
+    if pipeline.write_null_variant(bundle, config, filtered, args.variant):
+        print(f"wrote nullmodel_{args.variant}.json to {args.out}")
     return _finish(bundle)
 
 
@@ -93,7 +96,7 @@ def _cmd_regress(args) -> int:
 
 def _cmd_placebo(args) -> int:
     filtered, _ = _parse_filtered(args)
-    nulls = {source: pipeline.null_model(name, filtered)
+    nulls = {source: pipeline.NULL_VARIANTS[name](filtered)
              for source, name in pipeline.PLACEBO_NULLS.items()}
     bundle = ReportBundle(args.out)
     for spec in pipeline.placebo_panel(STAGES[args.stage]):
@@ -103,21 +106,16 @@ def _cmd_placebo(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    given = {name: getattr(args, name) for name in RUN_FLAGS
+             if getattr(args, name) is not None}
     if args.config:
-        config = load_config_file(args.config, out_dir=args.out)
+        config = dataclasses.replace(
+            load_config_file(args.config, out_dir=args.out), **given)
     else:
         synth = None
-        if args.edges is None:
-            synth = GenConfig(seed=args.seed)
-        config = RunConfig(
-            out_dir=args.out,
-            edges_path=args.edges,
-            firm_attrs_path=args.firms,
-            bank_attrs_path=args.banks,
-            synth=synth,
-            n_samples=args.samples,
-            seed=args.seed,
-        )
+        if args.edges_path is None:
+            synth = GenConfig(seed=given.get("seed", RunConfig.seed))
+        config = RunConfig(out_dir=args.out, synth=synth, **given)
     bundle = run(config)
     if bundle.ok:
         print(f"wrote {len(bundle.files)} files to {bundle.out_dir}")
@@ -151,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nullmodel", help="calibrate a null model and sample")
     _add_input_args(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--variant", choices=["network", "balance"],
+    p.add_argument("--variant", choices=list(pipeline.NULL_VARIANTS),
                    default="network")
     p.add_argument("--samples", type=int, default=RunConfig.n_samples)
     p.add_argument("--seed", type=int, default=RunConfig.seed)
@@ -174,12 +172,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="full pipeline")
     p.add_argument("--out", required=True)
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--edges")
-    p.add_argument("--firms")
-    p.add_argument("--banks")
-    p.add_argument("--samples", type=int, default=RunConfig.n_samples)
-    p.add_argument("--seed", type=int, default=RunConfig.seed)
+    p.add_argument("--config", help="flat key=value config file; the other "
+                   "flags given override its values")
+    p.add_argument("--edges", dest="edges_path")
+    p.add_argument("--firms", dest="firm_attrs_path")
+    p.add_argument("--banks", dest="bank_attrs_path")
+    p.add_argument("--samples", dest="n_samples", type=int)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_run)
 
     return parser

@@ -29,7 +29,8 @@ class BipartiteNetwork:
     """Weighted firm x bank credit network.
 
     ``weights[i, j]`` is the loan amount between firm ``i`` and bank ``j``
-    in currency units; a zero entry encodes an absent link.
+    in currency units; a zero entry encodes an absent link. Ids are
+    non-empty without surrounding whitespace, which the CSV reader strips.
     """
 
     firm_ids: tuple[str, ...]
@@ -47,6 +48,10 @@ class BipartiteNetwork:
             raise ValueError("duplicate firm identifiers")
         if len(set(bank_ids)) != len(bank_ids):
             raise ValueError("duplicate bank identifiers")
+        for node_id in firm_ids + bank_ids:
+            if not node_id or node_id != node_id.strip():
+                raise ValueError(f"node id {node_id!r} is empty or has "
+                                 f"surrounding whitespace")
         w = np.array(self.weights, dtype=float)
         if w.shape != (len(firm_ids), len(bank_ids)):
             raise ValueError(
@@ -67,11 +72,6 @@ class BipartiteNetwork:
     @property
     def n_banks(self) -> int:
         return len(self.bank_ids)
-
-    @property
-    def adjacency(self) -> np.ndarray:
-        """Binary link matrix, derived from the weights."""
-        return (self.weights > 0).astype(float)
 
     @property
     def n_links(self) -> int:

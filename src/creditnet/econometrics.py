@@ -126,17 +126,26 @@ class ModelSpec:
     variant: DegreeVariant = DegreeVariant.A_WITH_DEGREE
     degree_source: DegreeSource = DegreeSource.EMPIRICAL
     fixed_effects: FixedEffects = FixedEffects.NONE
-    herman: bool = True
+    herman: bool = True  # the rest-of-the-world correction
     drop_network_strength: bool = False  # the "no strength" placebo column
 
     def __post_init__(self):
-        if self.degree_source is not DegreeSource.EMPIRICAL and \
-                self.model is not Model.M3_FULL:
+        placebo = self.degree_source is not DegreeSource.EMPIRICAL
+        if placebo and self.model is not Model.M3_FULL:
             raise EconError("placebo degree sources require the full model")
         if self.drop_network_strength and self.model is not Model.M3_FULL:
             raise EconError("drop_network_strength requires the full model")
+        if placebo and (self.variant is DegreeVariant.B_WITHOUT_DEGREE
+                        or self.drop_network_strength):
+            # a placebo design has its own fixed columns
+            raise EconError("placebo degree sources take variant a and keep "
+                            "the network strength")
+        if self.fixed_effects is not FixedEffects.NONE and \
+                self.stage is not Stage.LOAN_SIZING:
+            raise EconError("bank fixed effects apply to loan sizing only")
 
     def name(self) -> str:
+        """The cell name; two specs share it only if their designs agree."""
         parts = [self.stage.value, self.model.value]
         if self.model is not Model.M1_GRAVITY:
             parts.append(self.variant.value)
@@ -146,16 +155,16 @@ class ModelSpec:
             parts.append("nostrength")
         if self.fixed_effects is not FixedEffects.NONE:
             parts.append("fe")
+        if not self.herman:
+            parts.append("uncorrected")
         return "_".join(parts)
 
 
-FIRM_NETWORK_COLS = ("ln_s_net", "ln_k", "is_exclusive")
-BANK_NETWORK_COLS = ("ln_t_net", "ln_h")
 FIRM_FUNDAMENTAL_COLS = ("ln_s_bal", "ln_assets_firm", "lev_firm",
                          "roa_firm", "tang")
 BANK_FUNDAMENTAL_COLS = ("ln_t_bal", "ln_assets_bank", "lev_bank", "roa_bank")
-BANK_SIDE_COLS = frozenset(BANK_NETWORK_COLS + BANK_FUNDAMENTAL_COLS +
-                           ("ln_h_null",))
+BANK_SIDE_COLS = frozenset(("ln_t_net", "ln_h", "ln_h_null") +
+                           BANK_FUNDAMENTAL_COLS)
 
 
 @dataclass(frozen=True)
@@ -197,63 +206,56 @@ class DesignMatrix:
 
 
 def _columns_for(spec: ModelSpec) -> list[str]:
-    with_degree = spec.variant is DegreeVariant.A_WITH_DEGREE
+    firm, bank = list(FIRM_FUNDAMENTAL_COLS), list(BANK_FUNDAMENTAL_COLS)
     if spec.model is Model.M1_GRAVITY:
-        return list(FIRM_FUNDAMENTAL_COLS + BANK_FUNDAMENTAL_COLS)
-    if spec.model is Model.M2_NETWORK:
-        firm = ["ln_s_net"] + (["ln_k", "is_exclusive"] if with_degree else [])
-        bank = ["ln_t_net"] + (["ln_h"] if with_degree else [])
-        return firm + bank
-    # full model
-    if spec.degree_source is DegreeSource.EMPIRICAL:
-        firm = ["ln_s_net"] + (["ln_k", "is_exclusive"] if with_degree else [])
-        firm += list(FIRM_FUNDAMENTAL_COLS)
-        bank = ["ln_t_net"] + (["ln_h"] if with_degree else [])
-        bank += list(BANK_FUNDAMENTAL_COLS)
-        if spec.drop_network_strength:
-            firm.remove("ln_s_net")
-            bank.remove("ln_t_net")
         return firm + bank
     if spec.degree_source is DegreeSource.NULL_NET:
         # degrees from the volume-driven null, cross-controlled by s_bal/t_bal
-        firm = ["ln_k_null"] + list(FIRM_FUNDAMENTAL_COLS)
-        bank = ["ln_h_null"] + list(BANK_FUNDAMENTAL_COLS)
-        return firm + bank
-    # NULL_BAL: degrees from the accounting-size null, controlled by s_net/t_net
-    firm = ["ln_k_null", "ln_s_net", "ln_assets_firm", "lev_firm",
-            "roa_firm", "tang"]
-    bank = ["ln_h_null", "ln_t_net", "ln_assets_bank", "lev_bank", "roa_bank"]
-    return firm + bank
+        return ["ln_k_null"] + firm + ["ln_h_null"] + bank
+    if spec.degree_source is DegreeSource.NULL_BAL:
+        # degrees from the accounting-size null, controlled by s_net/t_net
+        return (["ln_k_null", "ln_s_net"] + firm[1:] +
+                ["ln_h_null", "ln_t_net"] + bank[1:])
+    with_degree = spec.variant is DegreeVariant.A_WITH_DEGREE
+    net_firm = ["ln_s_net"] + (["ln_k", "is_exclusive"] if with_degree else [])
+    net_bank = ["ln_t_net"] + (["ln_h"] if with_degree else [])
+    if spec.model is Model.M2_NETWORK:
+        return net_firm + net_bank
+    if spec.drop_network_strength:
+        net_firm, net_bank = net_firm[1:], net_bank[1:]
+    return net_firm + firm + net_bank + bank
 
 
 def rest_of_world(
         sample: Sample, fi: np.ndarray, bi: np.ndarray, stage: Stage,
+        herman: bool = True,
         degrees: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[tuple[np.ndarray, ...], int]:
     """Predictors of the pairs (fi[r], bi[r]) without the pair's own loan.
 
     Returns ``((k, h, s_net, t_net, s_bal, t_bal), n_clamped)``, one entry
-    per pair in each array. Stage 1 subtracts the focal link (if present)
-    from degrees and network strengths only; stage 2, whose pairs are
-    existing links, also subtracts the loan amount from both balance-sheet
-    strengths, clamping at 0. ``n_clamped`` counts the corrected balance
-    strengths that were negative. ``degrees`` are the network's
-    ``derived_degrees``, when the caller already has them.
+    per pair in each array. With ``w`` the pair's loan and ``a = (w > 0)``
+    its link, degrees lose ``a`` and network strengths lose ``w`` at both
+    stages. Stage 2 also subtracts ``w`` from both balance-sheet strengths
+    and clamps them at 0; ``n_clamped`` counts those that were negative.
+    With ``herman`` false, ``w`` is 0: every predictor is its node's value.
+    ``degrees`` are the network's ``derived_degrees``, when the caller
+    already has them.
     """
     net = sample.network
     k, h = derived_degrees(net) if degrees is None else degrees
     s_net, t_net = derived_strengths(net)
     s_bal = sample.firm_series("balance_strength")[fi]
     t_bal = sample.bank_series("balance_strength")[bi]
-    w = net.weights[fi, bi]
-    if stage is Stage.LINK_FORMATION:
-        a = (w > 0).astype(float)
-        return (k[fi] - a, h[bi] - a, s_net[fi] - w, t_net[bi] - w, s_bal,
-                t_bal), 0
-    s_bal, t_bal = s_bal - w, t_bal - w
-    n_clamped = int((s_bal < 0).sum() + (t_bal < 0).sum())
-    return (k[fi] - 1.0, h[bi] - 1.0, s_net[fi] - w, t_net[bi] - w,
-            np.maximum(s_bal, 0.0), np.maximum(t_bal, 0.0)), n_clamped
+    w = net.weights[fi, bi] if herman else np.zeros(fi.size)
+    a = (w > 0).astype(float)
+    n_clamped = 0
+    if stage is Stage.LOAN_SIZING:
+        s_bal, t_bal = s_bal - w, t_bal - w
+        n_clamped = int((s_bal < 0).sum() + (t_bal < 0).sum())
+        s_bal, t_bal = np.maximum(s_bal, 0.0), np.maximum(t_bal, 0.0)
+    return (k[fi] - a, h[bi] - a, s_net[fi] - w, t_net[bi] - w, s_bal,
+            t_bal), n_clamped
 
 
 def _floored_log(values: np.ndarray, floor: float, counter: dict, name: str):
@@ -297,17 +299,8 @@ def build_design(sample: Sample, spec: ModelSpec,
     if fi.size == 0:
         raise AllRowsDropped("no rows left for this specification")
 
-    # rest-of-the-world corrections
-    n_clamped = 0
-    if spec.herman:
-        (k_c, h_c, s_net_c, t_net_c, s_bal_c, t_bal_c), n_clamped = \
-            rest_of_world(sample, fi, bi, spec.stage, (k, h))
-    else:
-        s_net, t_net = derived_strengths(net)
-        k_c, h_c = k[fi].astype(float), h[bi].astype(float)
-        s_net_c, t_net_c = s_net[fi], t_net[bi]
-        s_bal_c = sample.firm_series("balance_strength")[fi]
-        t_bal_c = sample.bank_series("balance_strength")[bi]
+    (k_c, h_c, s_net_c, t_net_c, s_bal_c, t_bal_c), n_clamped = \
+        rest_of_world(sample, fi, bi, spec.stage, spec.herman, (k, h))
 
     expected = expected_metrics(null_spec) if needs_null else None
     floored: dict[str, int] = {}

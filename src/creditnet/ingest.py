@@ -28,6 +28,7 @@ __all__ = [
     "MissingAttribute",
     "NegativeAmount",
     "DuplicateAttributeRow",
+    "NoFirmsLeft",
     "FilterReport",
     "parse_sample",
     "apply_consistency_filter",
@@ -71,6 +72,10 @@ class DuplicateAttributeRow(IngestError):
     def __init__(self, node_id):
         self.node_id = node_id
         super().__init__(f"duplicate attribute row for node {node_id!r}")
+
+
+class NoFirmsLeft(IngestError):
+    """The consistency filter dropped every firm."""
 
 
 @dataclass(frozen=True)
@@ -198,6 +203,10 @@ def apply_consistency_filter(sample: Sample) -> tuple[Sample, FilterReport]:
     ratios = np.where(undefined, None, ratio)  # None: no defined ratio
 
     keep = ~drop
+    if not keep.any():
+        raise NoFirmsLeft(f"the consistency filter dropped all {net.n_firms} "
+                          f"firms: none has a network/balance strength ratio "
+                          f"in [{lower:g}, {upper:g}]")
     firm_ids = np.array(net.firm_ids, dtype=object)
     new_weights = net.weights[keep, :]
     new_sample = Sample(

@@ -117,17 +117,11 @@ def ccdf(values) -> CcdfCurve:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2 + 1  # average rank, 1-based
-        i = j + 1
-    return ranks
+    """1-based ranks; tied values share the mean of their ranks."""
+    _, inverse, counts = np.unique(values, return_inverse=True,
+                                   return_counts=True)
+    first = np.cumsum(counts) - counts  # sorted position of the first copy
+    return (first + (counts - 1) / 2 + 1)[inverse]
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:

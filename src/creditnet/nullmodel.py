@@ -45,6 +45,7 @@ __all__ = [
     "bicm_from_network",
     "fitness_spec_from_sample",
     "random_baseline",
+    "conditional_weights",
     "expected_metrics",
     "sample_ensemble",
 ]
@@ -172,17 +173,12 @@ class ConstantSpec(_SizedModel):
     n_banks: int
     s: np.ndarray
     t: np.ndarray
-    variant: Variant
 
     def probability_matrix(self) -> np.ndarray:
         return np.full((self.n_firms, self.n_banks), self.density)
 
     def to_json(self) -> dict:
-        return {
-            "model": "random",
-            "variant": self.variant.value,
-            "density": self.density,
-        }
+        return {"model": "random", "density": self.density}
 
 
 def calibrate_z(s, t, l_target: float, rel_tol: float = 1e-10) -> float:
@@ -256,15 +252,19 @@ def fitness_spec_from_sample(sample: Sample, variant: Variant) -> FitnessSpec:
     return FitnessSpec(s=s, t=t, z=z, variant=variant)
 
 
-def _weight_matrix(spec, p: np.ndarray) -> np.ndarray:
-    """Conditional weights s_i t_j / (W p_ij); 0 where p_ij is 0."""
+def conditional_weights(spec, p: np.ndarray) -> np.ndarray:
+    """Conditional weights s_i t_j / (W p_ij) of a sized model whose link
+    probabilities are ``p``; 0 where p_ij is 0."""
     w = np.multiply(p, spec.weight_norm)
     np.divide(np.outer(spec.s, spec.t), w, out=w, where=p > 0)
     return w
 
 
-def solve_bicm(k, h, tol: float = 1e-8, max_iters: int = 10_000,
-               damping: float = 0.5) -> BicmSpec:
+BICM_MAX_ITERS = 10_000
+BICM_DAMPING = 0.5  # geometric weight of each new iterate
+
+
+def solve_bicm(k, h, tol: float = 1e-8) -> BicmSpec:
     """Fit per-node multipliers so expected degrees match the targets.
 
     Damped multiplicative fixed-point iteration; nodes with target degree
@@ -292,7 +292,7 @@ def solve_bicm(k, h, tol: float = 1e-8, max_iters: int = 10_000,
     y = np.where(active_b, h / nf, 0.0)
 
     residual = np.inf
-    for _ in range(max_iters):
+    for _ in range(BICM_MAX_ITERS):
         xy = np.outer(x, y)
         p = xy / (1.0 + xy)
         rk = p.sum(axis=1) - k
@@ -307,55 +307,51 @@ def solve_bicm(k, h, tol: float = 1e-8, max_iters: int = 10_000,
             denom_y = (x_prop[:, None] / (1.0 + xy)).sum(axis=0)
             y_prop = np.where(active_b, h / denom_y, 0.0)
         # geometric damping keeps the iterates positive
-        x = np.where(active_f, x**(1 - damping) * x_prop**damping, 0.0)
-        y = np.where(active_b, y**(1 - damping) * y_prop**damping, 0.0)
-    raise NoConvergence(max_iters, residual)
+        x = np.where(active_f, x**(1 - BICM_DAMPING) * x_prop**BICM_DAMPING,
+                     0.0)
+        y = np.where(active_b, y**(1 - BICM_DAMPING) * y_prop**BICM_DAMPING,
+                     0.0)
+    raise NoConvergence(BICM_MAX_ITERS, residual)
 
 
-def bicm_from_network(net: BipartiteNetwork, **kwargs) -> BicmSpec:
+def bicm_from_network(net: BipartiteNetwork) -> BicmSpec:
     """Degree-constrained model of a network, sized by network strengths."""
     k, h = derived_degrees(net)
     s, t = derived_strengths(net)
-    return solve_bicm(k, h, **kwargs).with_sizes(s, t)
+    return solve_bicm(k, h).with_sizes(s, t)
 
 
-def random_baseline(net: BipartiteNetwork, sample: Sample | None = None,
-                    variant: Variant = Variant.NETWORK_DRIVEN) -> ConstantSpec:
-    """Constant-probability baseline at the empirical density."""
+def random_baseline(net: BipartiteNetwork) -> ConstantSpec:
+    """Constant-probability baseline at the empirical density, sized by
+    network strengths."""
     if net.n_links == 0:
         raise NullModelError("random baseline needs at least one link")
-    if variant is Variant.NETWORK_DRIVEN or sample is None:
-        s, t = derived_strengths(net)
-    else:
-        s = sample.firm_series("balance_strength")
-        t = sample.bank_series("balance_strength")
+    s, t = derived_strengths(net)
     return ConstantSpec(density=net.density, n_firms=net.n_firms,
                         n_banks=net.n_banks, s=_as_fitness(s, "firm size"),
-                        t=_as_fitness(t, "bank size"), variant=variant)
+                        t=_as_fitness(t, "bank size"))
 
 
 @dataclass(frozen=True)
 class ExpectedMetrics:
-    """Closed-form ensemble expectations of degrees, strengths and weights."""
+    """Closed-form ensemble expectations of degrees and strengths."""
 
     firm_degrees: np.ndarray
     bank_degrees: np.ndarray
     firm_strengths: np.ndarray
     bank_strengths: np.ndarray
-    weights: np.ndarray
 
 
 def expected_metrics(spec) -> ExpectedMetrics:
-    """Expected degrees/strengths/weights of a calibrated model."""
+    """Expected degrees and strengths of a calibrated model."""
     p = spec.probability_matrix()
-    w_cond = _weight_matrix(spec, p)
-    w_mean = p * w_cond  # = s_i t_j / W wherever p > 0
+    w_mean = conditional_weights(spec, p)
+    w_mean *= p  # = s_i t_j / W wherever p > 0
     return ExpectedMetrics(
         firm_degrees=p.sum(axis=1),
         bank_degrees=p.sum(axis=0),
         firm_strengths=w_mean.sum(axis=1),
         bank_strengths=w_mean.sum(axis=0),
-        weights=w_mean,
     )
 
 
@@ -378,7 +374,6 @@ class Ensemble:
     ``variances[name]`` is its exact variance in one configuration.
     """
 
-    spec: object
     n_samples: int
     seed: int
     sums: dict[str, np.ndarray]
@@ -425,7 +420,7 @@ def sample_ensemble(spec, n_samples: int, seed: int) -> Ensemble:
     if n_samples < 1:
         raise NullModelError("n_samples must be >= 1")
     p = spec.probability_matrix()
-    w = _weight_matrix(spec, p)
+    w = conditional_weights(spec, p)
     gen = np.random.Generator(np.random.Philox(key=int(seed) & _U64))
     counts = gen.binomial(n_samples, p)
     # p and w are overwritten in place: the weights are never copied
@@ -438,5 +433,5 @@ def sample_ensemble(spec, n_samples: int, seed: int) -> Ensemble:
     w *= counts  # the weight each link carries over all configurations
     sums.update(_margins(w, "strengths"))
     variances.update(_margins(p, "strengths"))
-    return Ensemble(spec=spec, n_samples=n_samples, seed=seed, sums=sums,
+    return Ensemble(n_samples=n_samples, seed=seed, sums=sums,
                     variances=variances)

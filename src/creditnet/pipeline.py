@@ -29,7 +29,7 @@ __all__ = [
     "PLACEBO_NULLS",
     "default_grid",
     "placebo_panel",
-    "null_model",
+    "NULL_VARIANTS",
     "write_stats",
     "write_null_variant",
     "write_cell",
@@ -39,7 +39,15 @@ __all__ = [
     "SYNTH_KEYS",
 ]
 
-NULL_VARIANT_NAMES = ("network", "balance", "bicm", "random")
+# null variant name -> the function that calibrates it on a sample
+NULL_VARIANTS = {
+    "network": lambda sample: fitness_spec_from_sample(
+        sample, Variant.NETWORK_DRIVEN),
+    "balance": lambda sample: fitness_spec_from_sample(
+        sample, Variant.BALANCE_DRIVEN),
+    "bicm": lambda sample: bicm_from_network(sample.network),
+    "random": lambda sample: random_baseline(sample.network),
+}
 
 # the null variant whose expected degrees each placebo degree source uses
 PLACEBO_NULLS = {econ.DegreeSource.NULL_NET: "network",
@@ -70,7 +78,7 @@ class RunConfig:
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         for v in self.null_variants:
-            if v not in NULL_VARIANT_NAMES:
+            if v not in NULL_VARIANTS:
                 raise ValueError(f"unknown null variant {v!r}")
 
     def to_json(self) -> dict:
@@ -131,8 +139,11 @@ def default_grid() -> tuple[econ.ModelSpec, ...]:
     return tuple(specs)
 
 
-def residual_diagnostics(fit: econ.FitResult, n_bins: int = 30) -> dict:
-    """Residual moments and histogram of a fit.
+RESIDUAL_BINS = 30
+
+
+def residual_diagnostics(fit: econ.FitResult) -> dict:
+    """Residual moments and ``RESIDUAL_BINS``-bin histogram of a fit.
 
     A run writes the scatters against key predictors to
     ``residual_vs_<column>.csv`` only, not into this summary.
@@ -147,7 +158,7 @@ def residual_diagnostics(fit: econ.FitResult, n_bins: int = 30) -> dict:
     m4 = float((centered**4).mean())
     skew = m3 / m2**1.5 if m2 > 0 else 0.0
     kurt = m4 / m2**2 - 3.0 if m2 > 0 else 0.0
-    counts, edges = np.histogram(resid, bins=n_bins)
+    counts, edges = np.histogram(resid, bins=RESIDUAL_BINS)
     return {
         "mean": float(m),
         "variance": m2,
@@ -174,17 +185,6 @@ def _load_sample(config: RunConfig, bundle: ReportBundle):
 
 def _record(bundle: ReportBundle, name: str, exc: Exception) -> None:
     bundle.failures[name] = f"{type(exc).__name__}: {exc}"
-
-
-def null_model(name: str, sample: Sample):
-    """Calibrate the null variant ``name`` on a sample."""
-    if name == "network":
-        return fitness_spec_from_sample(sample, Variant.NETWORK_DRIVEN)
-    if name == "balance":
-        return fitness_spec_from_sample(sample, Variant.BALANCE_DRIVEN)
-    if name == "bicm":
-        return bicm_from_network(sample.network)
-    return random_baseline(sample.network)
 
 
 def write_stats(bundle: ReportBundle,
@@ -217,7 +217,7 @@ def write_null_variant(bundle: ReportBundle, config: RunConfig,
     ``nullmodel_<name>``.
     """
     try:
-        spec = null_model(name, sample)
+        spec = NULL_VARIANTS[name](sample)
         ensemble = sample_ensemble(spec, config.n_samples, config.seed)
         expected = nullmodel.expected_metrics(spec)
     except Exception as exc:  # recorded, never fatal for other stages

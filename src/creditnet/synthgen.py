@@ -1,10 +1,10 @@
 """Synthetic credit-network samples with controllable ground truth.
 
-The generator starts from a calibrated fitness mechanism and layers two
-optional distortions on top: an attachment boost that adds extra log-odds
-per unit of (log) running degree, and a fragmentation penalty that scales
-individual loan sizes by a power of the firm's final degree. With both
-knobs at zero the realized network is a plain fitness draw.
+The generator draws from the null models' fitness model and loan weights,
+with two optional distortions on top: an attachment boost that adds extra
+log-odds per unit of (log) running degree, and a fragmentation penalty that
+scales individual loan sizes by a power of the firm's final degree. With
+both knobs at zero the realized network is a plain fitness draw.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from . import report
 from .core import BipartiteNetwork, Sample
 from .ingest import write_sample_csv
-from .nullmodel import calibrate_z
+from .nullmodel import FitnessSpec, Variant, calibrate_z, conditional_weights
 
 __all__ = ["GenConfig", "GroundTruth", "DegenerateDensity", "generate",
            "write_synthetic"]
@@ -85,8 +85,9 @@ def generate(config: GenConfig) -> tuple[Sample, GroundTruth]:
     t_fit = rng.lognormal(config.bank_size_mu, config.bank_size_sigma, nb)
     l_target = config.target_density * nf * nb
     z = calibrate_z(s_fit, t_fit, l_target)
-    st = z * np.outer(s_fit, t_fit)
-    p_base = st / (1.0 + st)
+    # expected network strengths are proportional to these fitnesses
+    fitness = FitnessSpec(s_fit, t_fit, z, Variant.NETWORK_DRIVEN)
+    p_base = fitness.probability_matrix()
 
     # sequential link formation in bank order, all firms at once; the
     # attachment boost acts on each firm's running degree
@@ -103,8 +104,7 @@ def generate(config: GenConfig) -> tuple[Sample, GroundTruth]:
     if n_links == 0 or n_links == nf * nb:
         raise DegenerateDensity(f"realized link count {n_links}")
 
-    big_w = np.sqrt(s_fit.sum() * t_fit.sum())
-    w_cond = np.outer(s_fit, t_fit) / (big_w * p_base)
+    w_cond = conditional_weights(fitness, p_base)
     k_final = adjacency.sum(axis=1)
     frag = np.where(k_final > 0,
                     np.exp(config.fragmentation_penalty * np.log(np.maximum(k_final, 1))),

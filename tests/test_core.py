@@ -80,12 +80,6 @@ def test_permutation_equivariance(weights, rnd):
     assert hp.tolist() == [h[j] for j in perm_b]
 
 
-def test_adjacency_derived_from_weights(small_net):
-    np.testing.assert_array_equal(small_net.adjacency,
-                                  [[1.0, 0.0], [1.0, 1.0]])
-    assert small_net.n_links == 3
-
-
 def test_network_rejects_bad_inputs():
     with pytest.raises(ValueError):
         make_network([[-1.0]])
@@ -95,6 +89,19 @@ def test_network_rejects_bad_inputs():
         BipartiteNetwork(("F0", "F0"), ("B0",), np.zeros((2, 1)))
     with pytest.raises(ValueError):
         BipartiteNetwork((), ("B0",), np.zeros((0, 1)))
+
+
+@pytest.mark.parametrize("bad", ["", " F0", "F0 ", "\tF0", "F0\n",
+                                 "\u00a0F0"])
+def test_network_rejects_ids_the_csv_reader_cannot_return(bad):
+    """The CSV reader strips whitespace around every field: " F0" next to
+    "F0" would be written, then read back as a duplicate of it."""
+    with pytest.raises(ValueError, match="surrounding whitespace"):
+        BipartiteNetwork(("F0", bad), ("B0",), np.ones((2, 1)))
+    with pytest.raises(ValueError, match="surrounding whitespace"):
+        BipartiteNetwork(("F0",), (bad,), np.ones((1, 1)))
+    # whitespace inside an id survives the reader
+    BipartiteNetwork(("F 0", "two\nlines"), ("B\t0",), np.ones((2, 1)))
 
 
 def test_network_weights_are_immutable(small_net):

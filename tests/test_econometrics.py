@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from creditnet import econometrics
+from creditnet.core import derived_degrees, derived_strengths
 from creditnet.econometrics import (AbsorbedColumns, AllRowsDropped,
                                     DegreeSource, DegreeVariant, DesignMatrix,
                                     EconError, FixedEffects, Model, ModelSpec,
@@ -119,6 +121,25 @@ def test_design_counts_clamped_balances(caplog):
                                   "n_floored": d.n_floored,
                                   "n_clamped": count}
     assert not caplog.records
+
+
+@pytest.mark.parametrize("stage", list(Stage))
+def test_uncorrected_design_holds_node_values(stage):
+    sample = make_sample(**TWO_BY_TWO)  # link (0, 0): s_bal 4 - 10 < 0
+    d = build_design(sample, ModelSpec(stage, Model.M3_FULL, herman=False))
+    fi, bi = d.firm_index, d.bank_index
+    k, h = derived_degrees(sample.network)
+    s_net, t_net = derived_strengths(sample.network)
+    node_values = (k[fi].astype(float), h[bi].astype(float), s_net[fi],
+                   t_net[bi], sample.firm_series("balance_strength")[fi],
+                   sample.bank_series("balance_strength")[bi])
+    columns, n_clamped = rest_of_world(sample, fi, bi, stage, herman=False)
+    assert n_clamped == d.n_clamped == 0
+    for got, want in zip(columns, node_values):
+        assert np.array_equal(got, want)
+    for name, want in zip(("ln_k", "ln_h", "ln_s_net", "ln_t_net", "ln_s_bal",
+                           "ln_t_bal"), node_values):
+        assert np.array_equal(d.column(name), np.log(np.maximum(want, 1.0)))
 
 
 # --------------------------------------------------------------------------
@@ -655,6 +676,48 @@ def test_model_spec_names():
     spec = ModelSpec(Stage.LINK_FORMATION, Model.M3_FULL,
                      degree_source=DegreeSource.NULL_BAL)
     assert spec.name() == "link_formation_m3_a_null_bal"
+    assert ModelSpec(Stage.LOAN_SIZING, Model.M3_FULL, herman=False).name() \
+        == "loan_sizing_m3_a_uncorrected"
+
+
+def test_model_spec_rejects_fields_its_design_ignores():
+    with pytest.raises(EconError, match="loan sizing only"):
+        ModelSpec(Stage.LINK_FORMATION, Model.M3_FULL,
+                  fixed_effects=FixedEffects.BANK_DUMMIES)
+    for source in (DegreeSource.NULL_NET, DegreeSource.NULL_BAL):
+        with pytest.raises(EconError, match="placebo"):
+            ModelSpec(Stage.LINK_FORMATION, Model.M3_FULL,
+                      DegreeVariant.B_WITHOUT_DEGREE, source)
+        with pytest.raises(EconError, match="placebo"):
+            ModelSpec(Stage.LINK_FORMATION, Model.M3_FULL,
+                      degree_source=source, drop_network_strength=True)
+
+
+def test_model_spec_name_identifies_its_design():
+    """Specs that share a name build the same design, for every spec the
+    constructor accepts."""
+    by_name: dict[str, list[ModelSpec]] = {}
+    for fields in itertools.product(Stage, Model, DegreeVariant, DegreeSource,
+                                    FixedEffects, (True, False),
+                                    (False, True)):
+        try:
+            spec = ModelSpec(*fields)
+        except EconError:
+            continue
+        by_name.setdefault(spec.name(), []).append(spec)
+    assert len(by_name) > 50
+    sample = make_sample(**TWO_BY_TWO)  # the correction clamps a balance
+    nulls = {DegreeSource.NULL_NET: fitness_spec_from_sample(
+                 sample, Variant.NETWORK_DRIVEN),
+             DegreeSource.NULL_BAL: fitness_spec_from_sample(
+                 sample, Variant.BALANCE_DRIVEN)}
+    for name, specs in by_name.items():
+        first = build_design(sample, specs[0], nulls)
+        for spec in specs[1:]:
+            d = build_design(sample, spec, nulls)
+            assert d.column_names == first.column_names, name
+            assert np.array_equal(d.augmented, first.augmented), name
+            assert d.n_clamped == first.n_clamped, name
 
 
 def test_end_to_end_stage2_on_random_sample(rng):

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from creditnet.ingest import (DuplicateAttributeRow, MalformedRow,
-                              MissingAttribute, NegativeAmount,
-                              apply_consistency_filter, parse_sample,
-                              write_sample_csv)
+from creditnet.ingest import (DuplicateAttributeRow, IngestError,
+                              MalformedRow, MissingAttribute, NegativeAmount,
+                              NoFirmsLeft, apply_consistency_filter,
+                              parse_sample, write_sample_csv)
 from creditnet.core import BANK_FIELDS, FIRM_FIELDS
 from creditnet.synthgen import GenConfig, generate
 from conftest import make_sample
@@ -196,6 +196,13 @@ def test_filter_flags_isolated_banks():
     assert filtered.network.bank_ids == ("B0", "B1")  # bank retained
 
 
+def test_filter_dropping_every_firm_names_the_band():
+    with pytest.raises(NoFirmsLeft, match=r"all 1 firms.*\[0\.001, 1000\]"):
+        apply_consistency_filter(make_sample([[1.0]], s_bal=[1e9]))
+    with pytest.raises(IngestError, match="all 2 firms"):
+        apply_consistency_filter(make_sample([[1.0], [2.0]], s_bal=[0, 1e4]))
+
+
 def test_filter_is_idempotent():
     sample = make_sample(
         [[1.0, 2.0], [5.0, 5.0], [2000.0, 1.0]],
@@ -221,7 +228,10 @@ def test_filter_matches_loop_oracle(nf, nb, rnd):
     sample = make_sample(weights, s_bal=s_bal)
     kept, dropped = consistency_filter_loop(sample.network.firm_ids, weights,
                                             s_bal)
-    assume(kept)  # a network needs a firm
+    if not kept:  # a network needs a firm
+        with pytest.raises(NoFirmsLeft):
+            apply_consistency_filter(sample)
+        return
     filtered, rep = apply_consistency_filter(sample)
     assert filtered.network.firm_ids == kept
     assert rep.dropped_firms == dropped

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from creditnet import netstats
 from creditnet.netstats import (ConstantSequence, EmptyInput, ccdf, compare,
                                 summarize)
 from conftest import make_network
-from oracles import (ccdf_by_counting, pearson, precision_at_l, rmsre,
-                     spearman)
+from oracles import (average_ranks, ccdf_by_counting, pearson, precision_at_l,
+                     rmsre, spearman)
 
 
 def test_summarize_hand_computed(small_net):
@@ -88,6 +89,20 @@ def test_compare_matches_rank_pearson_oracle(rng):
     assert stats.spearman == pytest.approx(spearman(x, y), abs=1e-12)
 
 
+# a few distinct values, so most draws hold long runs of ties
+tied_values = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, 1e300]),
+              st.floats(-10, 10)),
+    min_size=1, max_size=300)
+
+
+@given(tied_values)
+@settings(max_examples=200, deadline=None)
+def test_average_ranks_equal_loop_oracle(values):
+    assert netstats._average_ranks(np.array(values)).tolist() == \
+        average_ranks(values)
+
+
 def test_compare_binned_profile(rng):
     x = rng.uniform(0, 10, 200)
     y = 2 * x + rng.normal(0, 1, 200)
@@ -124,9 +139,10 @@ def test_precision_perfect_and_inverted(rng):
     if w.sum() == 0:
         w[0, 0] = 1.0
     net = make_network(w)
-    assert precision_at_l(net.adjacency, net) == 1.0
+    adjacency = (net.weights > 0).astype(float)
+    assert precision_at_l(adjacency, net) == 1.0
     if net.n_links <= net.n_firms * net.n_banks - net.n_links:
-        assert precision_at_l(1.0 - net.adjacency, net) == 0.0
+        assert precision_at_l(1.0 - adjacency, net) == 0.0
 
 
 def test_precision_constant_probability_matches_enumeration(rng):

@@ -11,7 +11,8 @@ from creditnet.nullmodel import (STATISTICS, ConstantSpec,
                                  FitnessSpec, NonGraphicalTargets,
                                  NonpositiveFitness, TargetOutOfRange, Variant,
                                  bicm_from_network, calibrate_z,
-                                 expected_metrics, fitness_spec_from_sample,
+                                 conditional_weights, expected_metrics,
+                                 fitness_spec_from_sample,
                                  random_baseline, sample_ensemble, solve_bicm)
 from conftest import make_network, make_sample
 from oracles import (bicm_fixed_point, binomial_ensemble_sums,
@@ -104,8 +105,9 @@ def test_dcgm_weight_identity(rng):
     spec = FitnessSpec(s=s, t=t, z=calibrate_z(s, t, 12.0),
                        variant=Variant.NETWORK_DRIVEN)
     W = np.sqrt(s.sum() * t.sum())
+    p = spec.probability_matrix()
     # unconditional expectation p * <w | link> equals s_i t_j / W
-    np.testing.assert_allclose(expected_metrics(spec).weights,
+    np.testing.assert_allclose(p * conditional_weights(spec, p),
                                np.outer(s, t) / W, rtol=1e-12)
 
 
@@ -223,7 +225,7 @@ def test_ensemble_single_draw_is_bernoulli():
     assert set(np.unique(links).tolist()) <= {0, 1}
     assert acc.sums["links"] == links.sum()
     # a drawn link carries its conditional weight, an absent one none
-    w = expected_metrics(spec).weights[:, 0] / spec.probability_matrix()[:, 0]
+    w = conditional_weights(spec, spec.probability_matrix())[:, 0]
     np.testing.assert_allclose(acc.sums["firm_strengths"], links * w,
                                rtol=1e-14)
     p = spec.probability_matrix()[:, 0]
@@ -293,7 +295,7 @@ def test_ensemble_large_samples_match_oracle(rng):
     # a bank linked to all 2**16 firms: its count exceeds 16-bit integers
     n = 2**16
     full = ConstantSpec(density=1.0, n_firms=n, n_banks=1, s=np.ones(n),
-                        t=np.ones(1), variant=Variant.NETWORK_DRIVEN)
+                        t=np.ones(1))
     acc = sample_ensemble(full, 10_000, seed=1)
     assert acc.sum_bank_degrees[0] == 10_000 * n
     assert acc.stderr("bank_degrees")[0] == 0.0

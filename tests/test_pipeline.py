@@ -12,8 +12,8 @@ from hypothesis.extra import numpy as hnp
 
 from creditnet.cli import main
 from creditnet.ingest import write_sample_csv
-from creditnet.pipeline import (RunConfig, default_grid, load_config_file,
-                                residual_diagnostics, run)
+from creditnet.pipeline import (NULL_VARIANTS, RunConfig, default_grid,
+                                load_config_file, residual_diagnostics, run)
 from creditnet.report import (canonical_json, sha256_file, svg_histogram,
                               svg_scatter, write_csv)
 from creditnet.synthgen import GenConfig, generate
@@ -423,6 +423,36 @@ def test_cli_stages_write_what_run_writes(tmp_path):
         for name in written:
             assert (out / name).read_bytes() == \
                 (full / subdir / name).read_bytes(), name
+
+
+def test_cli_nullmodel_runs_every_variant(tmp_path, capsys):
+    data = tmp_path / "data"
+    main(["synth", "--out", str(data), "--firms", "40", "--banks", "12",
+          "--seed", "3", "--density", "0.25"])
+    inputs = [f"--{name}={data / name}.csv"
+              for name in ("edges", "firms", "banks")]
+    for variant in NULL_VARIANTS:
+        out = tmp_path / variant
+        assert main(["nullmodel", *inputs, "--out", str(out), "--variant",
+                     variant, "--samples", "20"]) == 0, variant
+        assert (out / f"nullmodel_{variant}.json").exists()
+        assert f"nullmodel_{variant}.json to {out}" in capsys.readouterr().out
+
+
+def test_cli_run_flags_override_config_file(tmp_path):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("synth_firms = 30\nsynth_banks = 10\n"
+                        "samples = 7\nseed = 5\nvariants = network\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out),
+                 "--samples", "9", "--seed", "3"]) in (0, 2)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["config"]["n_samples"], manifest["seed"]) == (9, 3)
+    assert manifest["config"]["null_variants"] == ["network"]  # the file's
+    # a flag left out keeps the file's value
+    main(["run", "--config", str(cfg_path), "--out", str(out)])
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["config"]["n_samples"], manifest["seed"]) == (7, 5)
 
 
 def test_cli_placebo_panel(tmp_path, capsys):

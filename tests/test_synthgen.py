@@ -50,8 +50,8 @@ def test_attachment_boost_adds_links_to_connected_firms():
         base, _ = generate(GenConfig(seed=seed, target_density=0.2))
         boosted, _ = generate(GenConfig(seed=seed, target_density=0.2,
                                         attachment_boost=1.5))
-        a0 = base.network.adjacency.astype(bool)
-        a1 = boosted.network.adjacency.astype(bool)
+        a0 = base.network.weights > 0
+        a1 = boosted.network.weights > 0
         # same uniforms, never-decreasing log-odds: links only appear
         assert np.all(a1[a0])
         # new links go to firms that already formed one in the row scan
@@ -83,8 +83,8 @@ def test_fragmentation_penalty_shrinks_multibank_loans():
     flat, _ = generate(GenConfig(**cfg))
     penal, _ = generate(GenConfig(**cfg, fragmentation_penalty=-1.0))
     k = derived_degrees(flat.network)[0]
-    same_topology = np.array_equal(flat.network.adjacency,
-                                   penal.network.adjacency)
+    same_topology = np.array_equal(flat.network.weights > 0,
+                                   penal.network.weights > 0)
     assert same_topology  # the penalty only rescales weights
     multi = k >= 2
     ratio = np.where(flat.network.weights > 0,
