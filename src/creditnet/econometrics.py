@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +33,7 @@ __all__ = [
     "Stage",
     "Model",
     "DegreeVariant",
-    "DegreeSource",
+    "Placebo",
     "FixedEffects",
     "ModelSpec",
     "DesignMatrix",
@@ -49,7 +50,9 @@ __all__ = [
 
 
 STRENGTH_FLOOR = 1.0  # one currency unit, keeps log terms finite
+DEGREE_FLOOR = 1.0  # a corrected degree of 0 reads as ln 1
 EXPECTED_DEGREE_FLOOR = 1e-8
+PLAIN_LOG = 0.0  # the log of values that are positive: nothing is floored
 
 
 class EconError(ValueError):
@@ -106,10 +109,13 @@ class DegreeVariant(enum.Enum):
     B_WITHOUT_DEGREE = "b"
 
 
-class DegreeSource(enum.Enum):
-    EMPIRICAL = "empirical"
-    NULL_NET = "null_net"
-    NULL_BAL = "null_bal"
+class Placebo(enum.Enum):
+    """The placebo column of the full model; each value is a name part."""
+
+    NONE = "none"
+    NO_STRENGTH = "nostrength"  # empirical degrees, no network strengths
+    NULL_NET = "null_net"  # degrees of the volume-driven null
+    NULL_BAL = "null_bal"  # degrees of the accounting-size null
 
 
 class FixedEffects(enum.Enum):
@@ -124,22 +130,16 @@ class ModelSpec:
     stage: Stage
     model: Model
     variant: DegreeVariant = DegreeVariant.A_WITH_DEGREE
-    degree_source: DegreeSource = DegreeSource.EMPIRICAL
+    placebo: Placebo = Placebo.NONE
     fixed_effects: FixedEffects = FixedEffects.NONE
     herman: bool = True  # the rest-of-the-world correction
-    drop_network_strength: bool = False  # the "no strength" placebo column
 
     def __post_init__(self):
-        placebo = self.degree_source is not DegreeSource.EMPIRICAL
-        if placebo and self.model is not Model.M3_FULL:
-            raise EconError("placebo degree sources require the full model")
-        if self.drop_network_strength and self.model is not Model.M3_FULL:
-            raise EconError("drop_network_strength requires the full model")
-        if placebo and (self.variant is DegreeVariant.B_WITHOUT_DEGREE
-                        or self.drop_network_strength):
+        if self.placebo is not Placebo.NONE and (
+                self.model is not Model.M3_FULL
+                or self.variant is not DegreeVariant.A_WITH_DEGREE):
             # a placebo design has its own fixed columns
-            raise EconError("placebo degree sources take variant a and keep "
-                            "the network strength")
+            raise EconError("a placebo takes the full model with variant a")
         if self.fixed_effects is not FixedEffects.NONE and \
                 self.stage is not Stage.LOAN_SIZING:
             raise EconError("bank fixed effects apply to loan sizing only")
@@ -149,10 +149,8 @@ class ModelSpec:
         parts = [self.stage.value, self.model.value]
         if self.model is not Model.M1_GRAVITY:
             parts.append(self.variant.value)
-        if self.degree_source is not DegreeSource.EMPIRICAL:
-            parts.append(self.degree_source.value)
-        if self.drop_network_strength:
-            parts.append("nostrength")
+        if self.placebo is not Placebo.NONE:
+            parts.append(self.placebo.value)
         if self.fixed_effects is not FixedEffects.NONE:
             parts.append("fe")
         if not self.herman:
@@ -160,11 +158,33 @@ class ModelSpec:
         return "_".join(parts)
 
 
-FIRM_FUNDAMENTAL_COLS = ("ln_s_bal", "ln_assets_firm", "lev_firm",
-                         "roa_firm", "tang")
-BANK_FUNDAMENTAL_COLS = ("ln_t_bal", "ln_assets_bank", "lev_bank", "roa_bank")
-BANK_SIDE_COLS = frozenset(("ln_t_net", "ln_h", "ln_h_null") +
-                           BANK_FUNDAMENTAL_COLS)
+FIRM, BANK = "firm", "bank"
+Column = namedtuple("Column", "side source floor")
+
+# design column -> its node side, source quantity and log floor. A source is
+# a rest-of-world quantity (k, h, s_net, t_net, s_bal or t_bal), a placebo
+# null's expected degree (k_null or h_null), "exclusive" (single-banked on
+# the uncorrected network) or a node attribute. A positive floor raises the
+# values below it to it, and counts them, before the log; PLAIN_LOG takes
+# the log alone, and None keeps the values.
+COLUMNS = {
+    "ln_k": Column(FIRM, "k", DEGREE_FLOOR),
+    "ln_h": Column(BANK, "h", DEGREE_FLOOR),
+    "ln_s_net": Column(FIRM, "s_net", STRENGTH_FLOOR),
+    "ln_t_net": Column(BANK, "t_net", STRENGTH_FLOOR),
+    "ln_s_bal": Column(FIRM, "s_bal", STRENGTH_FLOOR),
+    "ln_t_bal": Column(BANK, "t_bal", STRENGTH_FLOOR),
+    "ln_k_null": Column(FIRM, "k_null", EXPECTED_DEGREE_FLOOR),
+    "ln_h_null": Column(BANK, "h_null", EXPECTED_DEGREE_FLOOR),
+    "is_exclusive": Column(FIRM, "exclusive", None),
+    "ln_assets_firm": Column(FIRM, "total_assets", PLAIN_LOG),
+    "lev_firm": Column(FIRM, "leverage", None),
+    "roa_firm": Column(FIRM, "roa", None),
+    "tang": Column(FIRM, "tangibility", None),
+    "ln_assets_bank": Column(BANK, "total_assets", PLAIN_LOG),
+    "lev_bank": Column(BANK, "leverage", None),
+    "roa_bank": Column(BANK, "roa", None),
+}
 
 
 @dataclass(frozen=True)
@@ -206,13 +226,15 @@ class DesignMatrix:
 
 
 def _columns_for(spec: ModelSpec) -> list[str]:
-    firm, bank = list(FIRM_FUNDAMENTAL_COLS), list(BANK_FUNDAMENTAL_COLS)
+    # the gravity fundamentals of each side
+    firm = ["ln_s_bal", "ln_assets_firm", "lev_firm", "roa_firm", "tang"]
+    bank = ["ln_t_bal", "ln_assets_bank", "lev_bank", "roa_bank"]
     if spec.model is Model.M1_GRAVITY:
         return firm + bank
-    if spec.degree_source is DegreeSource.NULL_NET:
+    if spec.placebo is Placebo.NULL_NET:
         # degrees from the volume-driven null, cross-controlled by s_bal/t_bal
         return ["ln_k_null"] + firm + ["ln_h_null"] + bank
-    if spec.degree_source is DegreeSource.NULL_BAL:
+    if spec.placebo is Placebo.NULL_BAL:
         # degrees from the accounting-size null, controlled by s_net/t_net
         return (["ln_k_null", "ln_s_net"] + firm[1:] +
                 ["ln_h_null", "ln_t_net"] + bank[1:])
@@ -221,7 +243,7 @@ def _columns_for(spec: ModelSpec) -> list[str]:
     net_bank = ["ln_t_net"] + (["ln_h"] if with_degree else [])
     if spec.model is Model.M2_NETWORK:
         return net_firm + net_bank
-    if spec.drop_network_strength:
+    if spec.placebo is Placebo.NO_STRENGTH:
         net_firm, net_bank = net_firm[1:], net_bank[1:]
     return net_firm + firm + net_bank + bank
 
@@ -230,17 +252,17 @@ def rest_of_world(
         sample: Sample, fi: np.ndarray, bi: np.ndarray, stage: Stage,
         herman: bool = True,
         degrees: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[tuple[np.ndarray, ...], int]:
+) -> tuple[dict[str, np.ndarray], int]:
     """Predictors of the pairs (fi[r], bi[r]) without the pair's own loan.
 
-    Returns ``((k, h, s_net, t_net, s_bal, t_bal), n_clamped)``, one entry
-    per pair in each array. With ``w`` the pair's loan and ``a = (w > 0)``
-    its link, degrees lose ``a`` and network strengths lose ``w`` at both
-    stages. Stage 2 also subtracts ``w`` from both balance-sheet strengths
-    and clamps them at 0; ``n_clamped`` counts those that were negative.
-    With ``herman`` false, ``w`` is 0: every predictor is its node's value.
-    ``degrees`` are the network's ``derived_degrees``, when the caller
-    already has them.
+    Returns ``(quantities, n_clamped)``: ``quantities`` maps ``k``, ``h``,
+    ``s_net``, ``t_net``, ``s_bal`` and ``t_bal`` to one value per pair.
+    With ``w`` the pair's loan and ``a = (w > 0)`` its link, degrees lose
+    ``a`` and network strengths lose ``w`` at both stages. Stage 2 also
+    subtracts ``w`` from both balance-sheet strengths and clamps them at 0;
+    ``n_clamped`` counts those that were negative. With ``herman`` false,
+    ``w`` is 0: every predictor is its node's value. ``degrees`` are the
+    network's ``derived_degrees``, when the caller already has them.
     """
     net = sample.network
     k, h = derived_degrees(net) if degrees is None else degrees
@@ -254,34 +276,35 @@ def rest_of_world(
         s_bal, t_bal = s_bal - w, t_bal - w
         n_clamped = int((s_bal < 0).sum() + (t_bal < 0).sum())
         s_bal, t_bal = np.maximum(s_bal, 0.0), np.maximum(t_bal, 0.0)
-    return (k[fi] - a, h[bi] - a, s_net[fi] - w, t_net[bi] - w, s_bal,
-            t_bal), n_clamped
-
-
-def _floored_log(values: np.ndarray, floor: float, counter: dict, name: str):
-    floored = values < floor
-    counter[name] = counter.get(name, 0) + int(floored.sum())
-    return np.log(np.maximum(values, floor))
+    return {"k": k[fi] - a, "h": h[bi] - a, "s_net": s_net[fi] - w,
+            "t_net": t_net[bi] - w, "s_bal": s_bal, "t_bal": t_bal}, n_clamped
 
 
 def build_design(sample: Sample, spec: ModelSpec,
                  null_models: dict | None = None) -> DesignMatrix:
-    """Assemble the design matrix and response for a model specification."""
+    """Assemble the design matrix and response for a model specification.
+
+    Each column follows its ``COLUMNS`` entry; ``n_floored`` counts, per
+    floored column, the rows raised to its floor.
+    """
     net = sample.network
     nf, nb = net.n_firms, net.n_banks
     k, h = derived_degrees(net)
 
     columns = _columns_for(spec)
     if spec.fixed_effects is FixedEffects.BANK_DUMMIES:
-        columns = [c for c in columns if c not in BANK_SIDE_COLS]
+        columns = [c for c in columns if COLUMNS[c].side != BANK]
 
-    needs_null = any(c in ("ln_k_null", "ln_h_null") for c in columns)
-    null_spec = None
-    if needs_null:
-        if not null_models or spec.degree_source not in null_models:
+    # node quantities, transformed per node and then gathered into rows
+    nodes = {FIRM: dict(sample.firm_columns, exclusive=(k == 1).astype(float)),
+             BANK: dict(sample.bank_columns)}
+    if any(COLUMNS[c].source in ("k_null", "h_null") for c in columns):
+        if not null_models or spec.placebo not in null_models:
             raise MissingNullModel(
-                f"design requires a calibrated {spec.degree_source.value} model")
-        null_spec = null_models[spec.degree_source]
+                f"design requires a calibrated {spec.placebo.value} model")
+        expected = expected_metrics(null_models[spec.placebo])
+        nodes[FIRM]["k_null"] = expected.firm_degrees
+        nodes[BANK]["h_null"] = expected.bank_degrees
 
     # pair scope and row filtering; rows run over firms, then banks
     n_dropped = 0
@@ -299,53 +322,25 @@ def build_design(sample: Sample, spec: ModelSpec,
     if fi.size == 0:
         raise AllRowsDropped("no rows left for this specification")
 
-    (k_c, h_c, s_net_c, t_net_c, s_bal_c, t_bal_c), n_clamped = \
-        rest_of_world(sample, fi, bi, spec.stage, spec.herman, (k, h))
-
-    expected = expected_metrics(null_spec) if needs_null else None
+    per_row, n_clamped = rest_of_world(sample, fi, bi, spec.stage,
+                                       spec.herman, (k, h))
     floored: dict[str, int] = {}
     # each column is computed contiguous, then copied into its place
     augmented = np.empty((fi.size, 1 + len(columns)))
     augmented[:, 0] = 1.0
+    rows = {FIRM: fi, BANK: bi}
     for j, name in enumerate(columns, start=1):
-        if name == "ln_s_net":
-            col = _floored_log(s_net_c, STRENGTH_FLOOR, floored, name)
-        elif name == "ln_t_net":
-            col = _floored_log(t_net_c, STRENGTH_FLOOR, floored, name)
-        elif name == "ln_s_bal":
-            col = _floored_log(s_bal_c, STRENGTH_FLOOR, floored, name)
-        elif name == "ln_t_bal":
-            col = _floored_log(t_bal_c, STRENGTH_FLOOR, floored, name)
-        elif name == "ln_k":
-            col = np.log(np.maximum(k_c, 1.0))
-        elif name == "ln_h":
-            col = np.log(np.maximum(h_c, 1.0))
-        elif name == "is_exclusive":
-            # single-banked on the uncorrected network
-            col = (k[fi] == 1).astype(float)
-        elif name == "ln_k_null":
-            col = _floored_log(expected.firm_degrees[fi],
-                               EXPECTED_DEGREE_FLOOR, floored, name)
-        elif name == "ln_h_null":
-            col = _floored_log(expected.bank_degrees[bi],
-                               EXPECTED_DEGREE_FLOOR, floored, name)
-        elif name == "ln_assets_firm":
-            col = np.log(sample.firm_series("total_assets"))[fi]
-        elif name == "ln_assets_bank":
-            col = np.log(sample.bank_series("total_assets"))[bi]
-        elif name == "lev_firm":
-            col = sample.firm_series("leverage")[fi]
-        elif name == "roa_firm":
-            col = sample.firm_series("roa")[fi]
-        elif name == "tang":
-            col = sample.firm_series("tangibility")[fi]
-        elif name == "lev_bank":
-            col = sample.bank_series("leverage")[bi]
-        elif name == "roa_bank":
-            col = sample.bank_series("roa")[bi]
-        else:  # pragma: no cover
-            raise EconError(f"unknown column {name}")
-        augmented[:, j] = col
+        side, source, floor = COLUMNS[name]
+        if source in per_row:  # already one value per row
+            values, take = per_row[source], slice(None)
+        else:
+            values, take = nodes[side][source], rows[side]
+        if floor:
+            floored[name] = np.count_nonzero((values < floor)[take])
+            values = np.log(np.maximum(values, floor))
+        elif floor == PLAIN_LOG:
+            values = np.log(values)
+        augmented[:, j] = values[take]
     if not np.all(np.isfinite(augmented)):
         raise EconError("non-finite entries in the design matrix")
     w_row = net.weights[fi, bi]
@@ -362,7 +357,7 @@ def build_design(sample: Sample, spec: ModelSpec,
         firm_index=fi,
         bank_index=bi,
         dummy_columns=frozenset({"is_exclusive"} & set(columns)),
-        bank_columns=frozenset(BANK_SIDE_COLS & set(columns)),
+        bank_columns=frozenset(c for c in columns if COLUMNS[c].side == BANK),
         n_floored=floored,
         n_dropped=n_dropped,
         n_clamped=n_clamped,

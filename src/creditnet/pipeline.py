@@ -49,9 +49,9 @@ NULL_VARIANTS = {
     "random": lambda sample: random_baseline(sample.network),
 }
 
-# the null variant whose expected degrees each placebo degree source uses
-PLACEBO_NULLS = {econ.DegreeSource.NULL_NET: "network",
-                 econ.DegreeSource.NULL_BAL: "balance"}
+# the null variant whose expected degrees each null placebo uses
+PLACEBO_NULLS = {econ.Placebo.NULL_NET: "network",
+                 econ.Placebo.NULL_BAL: "balance"}
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,6 @@ class RunConfig:
     null_variants: tuple[str, ...] = ("network", "balance")
     n_samples: int = 10_000
     seed: int = 42
-    n_bins: int = 10
     grid: tuple[econ.ModelSpec, ...] | None = None  # None -> default grid
 
     def __post_init__(self):
@@ -90,7 +89,6 @@ class RunConfig:
             "null_variants": list(self.null_variants),
             "n_samples": self.n_samples,
             "seed": self.seed,
-            "n_bins": self.n_bins,
             "grid": [spec.name() for spec in self.grid] if self.grid else None,
         }
 
@@ -115,13 +113,8 @@ class ReportBundle:
 
 def placebo_panel(stage: econ.Stage) -> tuple[econ.ModelSpec, ...]:
     """Placebo columns: empirical, empirical w/o strength, two null sources."""
-    full = econ.Model.M3_FULL
-    return (econ.ModelSpec(stage, full),
-            econ.ModelSpec(stage, full, drop_network_strength=True),
-            econ.ModelSpec(stage, full,
-                           degree_source=econ.DegreeSource.NULL_NET),
-            econ.ModelSpec(stage, full,
-                           degree_source=econ.DegreeSource.NULL_BAL))
+    return tuple(econ.ModelSpec(stage, econ.Model.M3_FULL, placebo=placebo)
+                 for placebo in econ.Placebo)
 
 
 def default_grid() -> tuple[econ.ModelSpec, ...]:
@@ -140,6 +133,7 @@ def default_grid() -> tuple[econ.ModelSpec, ...]:
 
 
 RESIDUAL_BINS = 30
+COMPARISON_BINS = 10
 
 
 def residual_diagnostics(fit: econ.FitResult) -> dict:
@@ -183,8 +177,8 @@ def _load_sample(config: RunConfig, bundle: ReportBundle):
     return sample, paths
 
 
-def _record(bundle: ReportBundle, name: str, exc: Exception) -> None:
-    bundle.failures[name] = f"{type(exc).__name__}: {exc}"
+def _cause(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def write_stats(bundle: ReportBundle,
@@ -210,8 +204,11 @@ def write_null_variant(bundle: ReportBundle, config: RunConfig,
     """Build one null variant; write its ensemble JSON and comparisons.
 
     The comparisons use the closed-form expected degrees, so they depend on
-    neither the seed nor the sample count. The ensemble block records, as a
-    health metric, the largest |z| of its means against the closed forms.
+    neither the seed nor the sample count; a side that cannot be compared
+    (the random baseline's degrees are constant) is named with its cause
+    under ``skipped_comparisons``, not as a failure. The ensemble block
+    records, as a health metric, the largest |z| of its means against the
+    closed forms.
 
     Returns the calibrated model, or None after recording the failure as
     ``nullmodel_<name>``.
@@ -221,25 +218,16 @@ def write_null_variant(bundle: ReportBundle, config: RunConfig,
         ensemble = sample_ensemble(spec, config.n_samples, config.seed)
         expected = nullmodel.expected_metrics(spec)
     except Exception as exc:  # recorded, never fatal for other stages
-        _record(bundle, f"nullmodel_{name}", exc)
+        bundle.failures[f"nullmodel_{name}"] = _cause(exc)
         return None
-    report.write_json(bundle.add(f"nullmodel_{name}.json"), {
-        "spec": spec.to_json(),
-        "seed": config.seed,
-        "n_samples": config.n_samples,
-        "expected_firm_degrees": expected.firm_degrees,
-        "expected_bank_degrees": expected.bank_degrees,
-        "expected_firm_strengths": expected.firm_strengths,
-        "expected_bank_strengths": expected.bank_strengths,
-        "ensemble": dict(ensemble.to_json(),
-                         max_abs_z=ensemble.max_abs_z(expected)),
-    })
     k, h = derived_degrees(sample.network)
+    skipped = {}
     for side, emp, model_k in (("firms", k, expected.firm_degrees),
                                ("banks", h, expected.bank_degrees)):
         try:
-            cs = compare(emp, model_k, n_bins=config.n_bins)
-        except netstats.StatsError:
+            cs = compare(emp, model_k, n_bins=COMPARISON_BINS)
+        except netstats.StatsError as exc:
+            skipped[side] = _cause(exc)
             continue
         stem = f"comparison_{name}_{side}"
         report.write_csv(
@@ -253,6 +241,17 @@ def write_null_variant(bundle: ReportBundle, config: RunConfig,
             emp, model_k, title=f"empirical vs {name} model ({side})",
             xlabel="empirical degree", ylabel="expected degree",
             identity=True))
+    # the ensemble block holds the seed and the sample count
+    report.write_json(bundle.add(f"nullmodel_{name}.json"), {
+        "spec": spec.to_json(),
+        "expected_firm_degrees": expected.firm_degrees,
+        "expected_bank_degrees": expected.bank_degrees,
+        "expected_firm_strengths": expected.firm_strengths,
+        "expected_bank_strengths": expected.bank_strengths,
+        "ensemble": dict(ensemble.to_json(),
+                         max_abs_z=ensemble.max_abs_z(expected)),
+        "skipped_comparisons": skipped,
+    })
     return spec
 
 
@@ -260,7 +259,7 @@ def write_cell(bundle: ReportBundle, sample: Sample, spec: econ.ModelSpec,
                nulls: dict, subdir: str = "regress"):
     """Build, fit and write one grid cell into ``subdir`` of the bundle.
 
-    ``nulls`` maps placebo degree sources to calibrated null models. Returns
+    ``nulls`` maps null placebos to calibrated null models. Returns
     ``(fit, design)``, or None after recording the failure under the cell's
     name.
     """
@@ -269,7 +268,7 @@ def write_cell(bundle: ReportBundle, sample: Sample, spec: econ.ModelSpec,
         design = econ.build_design(sample, spec, nulls)
         fit = econ.fit_design(design)
     except Exception as exc:  # recorded, never fatal for other cells
-        _record(bundle, cell, exc)
+        bundle.failures[cell] = _cause(exc)
         return None
     report.write_json(bundle.add(os.path.join(subdir, f"{cell}.json")),
                       dict(fit.to_json(), design=design.provenance()))
@@ -285,7 +284,7 @@ def _write_diagnostics(bundle: ReportBundle, fit: econ.FitResult,
         vif_values = econ.vif(design)
         report.write_json(bundle.add("vif.json"), vif_values)
     except econ.EconError as exc:
-        _record(bundle, "vif", exc)
+        bundle.failures["vif"] = _cause(exc)
     diag = residual_diagnostics(fit)
     counts, edges = diag["histogram"]["counts"], diag["histogram"]["edges"]
     report.write_json(bundle.add("residual_diagnostics.json"), diag)
@@ -353,7 +352,7 @@ SYNTH_KEYS = {
     "synth_balance_noise": ("balance_noise", float),
 }
 _CONFIG_KEYS = frozenset(SYNTH_KEYS) | {
-    "out", "edges", "firms", "banks", "variants", "samples", "seed", "bins"}
+    "out", "edges", "firms", "banks", "variants", "samples", "seed"}
 
 
 def load_config_file(path: str, out_dir: str | None = None) -> RunConfig:
@@ -388,5 +387,4 @@ def load_config_file(path: str, out_dir: str | None = None) -> RunConfig:
         null_variants=variants,
         n_samples=int(values.get("samples", RunConfig.n_samples)),
         seed=int(values.get("seed", RunConfig.seed)),
-        n_bins=int(values.get("bins", RunConfig.n_bins)),
     )

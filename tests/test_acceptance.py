@@ -18,10 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from creditnet.core import Sample, derived_degrees, derived_strengths
-from creditnet.econometrics import (DegreeSource, DesignMatrix, Model,
-                                    ModelSpec, Stage, build_design, fit_logit,
-                                    fit_ols, fit_ols_fixed_effects,
-                                    rest_of_world, vif)
+from creditnet.econometrics import (DesignMatrix, Model, ModelSpec, Placebo,
+                                    Stage, build_design, fit_logit, fit_ols,
+                                    fit_ols_fixed_effects, rest_of_world, vif)
 from creditnet.ingest import parse_sample
 from creditnet.netstats import summarize
 from creditnet.nullmodel import (Variant, bicm_from_network, calibrate_z,
@@ -233,7 +232,8 @@ def test_acceptance_rest_of_world_correction(seed):
     for stage, number, rows in ((Stage.LINK_FORMATION, 1, slice(None)),
                                 (Stage.LOAN_SIZING, 2, linked)):
         columns, n_clamped = rest_of_world(sample, fi[rows], bi[rows], stage)
-        got = np.column_stack(columns)
+        got = np.column_stack([columns[q] for q in (
+            "k", "h", "s_net", "t_net", "s_bal", "t_bal")])
         negative = 0
         for row, i, j in zip(got, fi[rows], bi[rows]):
             c = herman_correct(w, i, j, number, s_bal[i], t_bal[j])
@@ -296,14 +296,14 @@ def test_acceptance_sign_patterns():
 def _placebo_pair(cfg):
     """Degree coefficients of the matched empirical and placebo designs."""
     sample, _ = generate(cfg)
-    nulls = {DegreeSource.NULL_NET:
+    nulls = {Placebo.NULL_NET:
              fitness_spec_from_sample(sample, Variant.NETWORK_DRIVEN)}
     emp = fit_logit(build_design(sample, ModelSpec(
         Stage.LINK_FORMATION, Model.M3_FULL,
-        drop_network_strength=True, herman=False), nulls))
+        placebo=Placebo.NO_STRENGTH, herman=False), nulls))
     null = fit_logit(build_design(sample, ModelSpec(
         Stage.LINK_FORMATION, Model.M3_FULL,
-        degree_source=DegreeSource.NULL_NET), nulls))
+        placebo=Placebo.NULL_NET), nulls))
     return emp.coefficients["ln_k"], null.coefficients["ln_k_null"]
 
 

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from creditnet import econometrics
 from creditnet.core import derived_degrees, derived_strengths
 from creditnet.econometrics import (AbsorbedColumns, AllRowsDropped,
-                                    DegreeSource, DegreeVariant, DesignMatrix,
-                                    EconError, FixedEffects, Model, ModelSpec,
-                                    MissingNullModel, NoConvergence,
+                                    DegreeVariant, DesignMatrix, EconError,
+                                    FixedEffects, Model, ModelSpec,
+                                    MissingNullModel, NoConvergence, Placebo,
                                     RankDeficient, Separation,
                                     SingletonGroupsOnly, SingularInformation,
                                     Stage, build_design, fit_design, fit_logit,
@@ -56,10 +56,13 @@ def random_sample(rng, nf=25, nb=8, p=0.35):
 # rest-of-the-world corrections
 
 
+ROW_QUANTITIES = ("k", "h", "s_net", "t_net", "s_bal", "t_bal")
+
+
 def _pair(sample, i, j, stage):
     """(k, h, s_net, t_net, s_bal, t_bal) of the single pair (i, j)."""
     columns, _ = rest_of_world(sample, np.array([i]), np.array([j]), stage)
-    return tuple(float(v[0]) for v in columns)
+    return tuple(float(columns[q][0]) for q in ROW_QUANTITIES)
 
 
 TWO_BY_TWO = dict(weights=[[10.0, 0.0], [5.0, 2.0]],
@@ -135,8 +138,8 @@ def test_uncorrected_design_holds_node_values(stage):
                    sample.bank_series("balance_strength")[bi])
     columns, n_clamped = rest_of_world(sample, fi, bi, stage, herman=False)
     assert n_clamped == d.n_clamped == 0
-    for got, want in zip(columns, node_values):
-        assert np.array_equal(got, want)
+    for quantity, want in zip(ROW_QUANTITIES, node_values):
+        assert np.array_equal(columns[quantity], want)
     for name, want in zip(("ln_k", "ln_h", "ln_s_net", "ln_t_net", "ln_s_bal",
                            "ln_t_bal"), node_values):
         assert np.array_equal(d.column(name), np.log(np.maximum(want, 1.0)))
@@ -165,7 +168,7 @@ def test_design_column_sets():
 
 def test_design_drop_network_strength():
     spec = ModelSpec(Stage.LOAN_SIZING, Model.M3_FULL,
-                     drop_network_strength=True)
+                     placebo=Placebo.NO_STRENGTH)
     d = build_design(random_sample(np.random.default_rng(1)), spec)
     assert "ln_s_net" not in d.column_names
     assert "ln_t_net" not in d.column_names
@@ -175,26 +178,26 @@ def test_design_drop_network_strength():
 def test_design_placebo_requires_full_model():
     with pytest.raises(EconError):
         ModelSpec(Stage.LINK_FORMATION, Model.M2_NETWORK,
-                  degree_source=DegreeSource.NULL_NET)
+                  placebo=Placebo.NULL_NET)
     with pytest.raises(EconError):
         ModelSpec(Stage.LINK_FORMATION, Model.M2_NETWORK,
-                  drop_network_strength=True)
+                  placebo=Placebo.NO_STRENGTH)
 
 
 def test_design_placebo_cross_controls():
     sample = random_sample(np.random.default_rng(2))
     nets = {
-        DegreeSource.NULL_NET: fitness_spec_from_sample(
+        Placebo.NULL_NET: fitness_spec_from_sample(
             sample, Variant.NETWORK_DRIVEN),
-        DegreeSource.NULL_BAL: fitness_spec_from_sample(
+        Placebo.NULL_BAL: fitness_spec_from_sample(
             sample, Variant.BALANCE_DRIVEN),
     }
     d_net = build_design(sample, ModelSpec(
         Stage.LINK_FORMATION, Model.M3_FULL,
-        degree_source=DegreeSource.NULL_NET), nets)
+        placebo=Placebo.NULL_NET), nets)
     d_bal = build_design(sample, ModelSpec(
         Stage.LINK_FORMATION, Model.M3_FULL,
-        degree_source=DegreeSource.NULL_BAL), nets)
+        placebo=Placebo.NULL_BAL), nets)
     # volume-driven null is controlled by accounting size, and vice versa
     assert "ln_s_bal" in d_net.column_names
     assert "ln_s_net" not in d_net.column_names
@@ -204,7 +207,7 @@ def test_design_placebo_cross_controls():
     with pytest.raises(MissingNullModel):
         build_design(sample, ModelSpec(
             Stage.LINK_FORMATION, Model.M3_FULL,
-            degree_source=DegreeSource.NULL_NET), {})
+            placebo=Placebo.NULL_NET), {})
 
 
 def test_design_row_scopes():
@@ -221,7 +224,7 @@ def test_design_row_scopes():
 
 def test_design_computes_expected_metrics_once(monkeypatch):
     sample = random_sample(np.random.default_rng(2))
-    nulls = {DegreeSource.NULL_NET: fitness_spec_from_sample(
+    nulls = {Placebo.NULL_NET: fitness_spec_from_sample(
         sample, Variant.NETWORK_DRIVEN)}
     calls = []
     expected_metrics = econometrics.expected_metrics
@@ -229,9 +232,9 @@ def test_design_computes_expected_metrics_once(monkeypatch):
                         lambda spec: calls.append(spec) or expected_metrics(spec))
     d = build_design(sample, ModelSpec(
         Stage.LOAN_SIZING, Model.M3_FULL,
-        degree_source=DegreeSource.NULL_NET), nulls)
+        placebo=Placebo.NULL_NET), nulls)
     assert {"ln_k_null", "ln_h_null"} <= set(d.column_names)
-    assert calls == [nulls[DegreeSource.NULL_NET]]
+    assert calls == [nulls[Placebo.NULL_NET]]
 
 
 def test_design_computes_degrees_once(monkeypatch):
@@ -293,8 +296,9 @@ def test_design_log_floors():
     # firm 0 with a single 1.5 loan: corrected strength 0 -> floored to ln 1
     assert d.column("ln_s_net")[0] == 0.0
     assert d.n_floored["ln_s_net"] >= 1
-    # degrees: k-1 = 0 -> ln(max(0, 1)) = 0
+    # degrees: k-1 = 0 -> ln(max(0, 1)) = 0, counted as floored
     assert d.column("ln_k")[0] == 0.0
+    assert d.n_floored["ln_k"] >= 1
 
 
 def test_design_all_rows_dropped():
@@ -674,7 +678,7 @@ def test_model_spec_names():
     assert ModelSpec(Stage.LINK_FORMATION, Model.M1_GRAVITY).name() == \
         "link_formation_m1"
     spec = ModelSpec(Stage.LINK_FORMATION, Model.M3_FULL,
-                     degree_source=DegreeSource.NULL_BAL)
+                     placebo=Placebo.NULL_BAL)
     assert spec.name() == "link_formation_m3_a_null_bal"
     assert ModelSpec(Stage.LOAN_SIZING, Model.M3_FULL, herman=False).name() \
         == "loan_sizing_m3_a_uncorrected"
@@ -684,32 +688,33 @@ def test_model_spec_rejects_fields_its_design_ignores():
     with pytest.raises(EconError, match="loan sizing only"):
         ModelSpec(Stage.LINK_FORMATION, Model.M3_FULL,
                   fixed_effects=FixedEffects.BANK_DUMMIES)
-    for source in (DegreeSource.NULL_NET, DegreeSource.NULL_BAL):
+    for placebo in (Placebo.NO_STRENGTH, Placebo.NULL_NET, Placebo.NULL_BAL):
+        for model in (Model.M1_GRAVITY, Model.M2_NETWORK):
+            with pytest.raises(EconError, match="placebo"):
+                ModelSpec(Stage.LOAN_SIZING, model, placebo=placebo)
         with pytest.raises(EconError, match="placebo"):
             ModelSpec(Stage.LINK_FORMATION, Model.M3_FULL,
-                      DegreeVariant.B_WITHOUT_DEGREE, source)
-        with pytest.raises(EconError, match="placebo"):
-            ModelSpec(Stage.LINK_FORMATION, Model.M3_FULL,
-                      degree_source=source, drop_network_strength=True)
+                      DegreeVariant.B_WITHOUT_DEGREE, placebo)
 
 
 def test_model_spec_name_identifies_its_design():
     """Specs that share a name build the same design, for every spec the
     constructor accepts."""
     by_name: dict[str, list[ModelSpec]] = {}
-    for fields in itertools.product(Stage, Model, DegreeVariant, DegreeSource,
-                                    FixedEffects, (True, False),
-                                    (False, True)):
+    for fields in itertools.product(Stage, Model, DegreeVariant, Placebo,
+                                    FixedEffects, (True, False)):
         try:
             spec = ModelSpec(*fields)
         except EconError:
             continue
         by_name.setdefault(spec.name(), []).append(spec)
-    assert len(by_name) > 50
+    # per herman setting: 8 stage-1 names, and 16 at stage 2 with and
+    # without bank fixed effects
+    assert len(by_name) == 48
     sample = make_sample(**TWO_BY_TWO)  # the correction clamps a balance
-    nulls = {DegreeSource.NULL_NET: fitness_spec_from_sample(
+    nulls = {Placebo.NULL_NET: fitness_spec_from_sample(
                  sample, Variant.NETWORK_DRIVEN),
-             DegreeSource.NULL_BAL: fitness_spec_from_sample(
+             Placebo.NULL_BAL: fitness_spec_from_sample(
                  sample, Variant.BALANCE_DRIVEN)}
     for name, specs in by_name.items():
         first = build_design(sample, specs[0], nulls)
@@ -718,6 +723,7 @@ def test_model_spec_name_identifies_its_design():
             assert d.column_names == first.column_names, name
             assert np.array_equal(d.augmented, first.augmented), name
             assert d.n_clamped == first.n_clamped, name
+            assert d.n_floored == first.n_floored, name
 
 
 def test_end_to_end_stage2_on_random_sample(rng):

@@ -12,8 +12,9 @@ from hypothesis.extra import numpy as hnp
 
 from creditnet.cli import main
 from creditnet.ingest import write_sample_csv
-from creditnet.pipeline import (NULL_VARIANTS, RunConfig, default_grid,
-                                load_config_file, residual_diagnostics, run)
+from creditnet.pipeline import (NULL_VARIANTS, ReportBundle, RunConfig,
+                                default_grid, load_config_file,
+                                residual_diagnostics, run, write_null_variant)
 from creditnet.report import (canonical_json, sha256_file, svg_histogram,
                               svg_scatter, write_csv)
 from creditnet.synthgen import GenConfig, generate
@@ -276,6 +277,30 @@ def test_run_survives_a_failing_null_variant(tmp_path):
     assert not (out / "nullmodel_bicm.json").exists()
     for name in ("network", "balance", "random"):
         assert (out / f"nullmodel_{name}.json").exists()
+
+
+def test_null_variant_json_writes_each_number_once(completed_run):
+    out, _ = completed_run
+    written = json.loads((out / "nullmodel_network.json").read_text())
+    assert written["skipped_comparisons"] == {}
+    assert "seed" not in written and "n_samples" not in written
+    assert (written["ensemble"]["seed"],
+            written["ensemble"]["n_samples"]) == (11, 50)
+
+
+def test_null_variant_names_skipped_comparisons(tmp_path):
+    """The random baseline's expected degrees are constant, so neither side
+    can be compared: the JSON names each cause, and no failure is recorded
+    because the model itself worked."""
+    config = small_run_config(tmp_path)
+    sample, _ = generate(config.synth)
+    bundle = ReportBundle(str(tmp_path))
+    assert write_null_variant(bundle, config, sample, "random") is not None
+    assert bundle.failures == {}
+    assert bundle.files == ["nullmodel_random.json"]
+    written = json.loads((tmp_path / "nullmodel_random.json").read_text())
+    cause = "ConstantSequence: correlation undefined for a constant sequence"
+    assert written["skipped_comparisons"] == {"firms": cause, "banks": cause}
 
 
 def test_run_survives_infinite_vifs(tmp_path):
