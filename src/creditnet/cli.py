@@ -71,12 +71,12 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_nullmodel(args) -> int:
+    if args.samples < 1:  # an invalid request, not a failing model
+        raise ValueError("n_samples must be >= 1")
     filtered, _ = _parse_filtered(args)
-    config = RunConfig(out_dir=args.out, edges_path=args.edges,
-                       firm_attrs_path=args.firms, bank_attrs_path=args.banks,
-                       n_samples=args.samples, seed=args.seed)
     bundle = ReportBundle(args.out)
-    if pipeline.write_null_variant(bundle, config, filtered, args.variant):
+    if pipeline.write_null_variant(bundle, filtered, args.variant,
+                                   args.samples, args.seed):
         print(f"wrote nullmodel_{args.variant}.json to {args.out}")
     return _finish(bundle)
 
@@ -110,7 +110,7 @@ def _cmd_run(args) -> int:
              if getattr(args, name) is not None}
     if args.config:
         config = dataclasses.replace(
-            load_config_file(args.config, out_dir=args.out), **given)
+            load_config_file(args.config, args.out), **given)
     else:
         synth = None
         if args.edges_path is None:

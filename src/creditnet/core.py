@@ -155,14 +155,6 @@ class Sample:
         object.__setattr__(self, "bank_columns", attribute_columns(
             self.bank_columns, BANK_FIELDS, net.n_banks))
 
-    def firm_series(self, name: str) -> np.ndarray:
-        """Attribute values aligned with ``network.firm_ids``."""
-        return self.firm_columns[name]
-
-    def bank_series(self, name: str) -> np.ndarray:
-        """Attribute values aligned with ``network.bank_ids``."""
-        return self.bank_columns[name]
-
 
 def derived_degrees(net: BipartiteNetwork) -> tuple[np.ndarray, np.ndarray]:
     """Firm and bank degrees (counts of positive-weight links)."""

@@ -267,8 +267,8 @@ def rest_of_world(
     net = sample.network
     k, h = derived_degrees(net) if degrees is None else degrees
     s_net, t_net = derived_strengths(net)
-    s_bal = sample.firm_series("balance_strength")[fi]
-    t_bal = sample.bank_series("balance_strength")[bi]
+    s_bal = sample.firm_columns["balance_strength"][fi]
+    t_bal = sample.bank_columns["balance_strength"][bi]
     w = net.weights[fi, bi] if herman else np.zeros(fi.size)
     a = (w > 0).astype(float)
     n_clamped = 0

@@ -191,7 +191,7 @@ def apply_consistency_filter(sample: Sample) -> tuple[Sample, FilterReport]:
     """
     net = sample.network
     s_net, _ = derived_strengths(net)
-    s_bal = sample.firm_series("balance_strength")
+    s_bal = sample.firm_columns["balance_strength"]
     lower, upper = CONSISTENCY_BAND
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = s_net / s_bal  # inf or NaN where s_bal is 0
@@ -236,7 +236,7 @@ def write_sample_csv(sample: Sample, out_dir) -> dict[str, str]:
         np.array(net.firm_ids, dtype=object)[i],
         np.array(net.bank_ids, dtype=object)[j], net.weights[i, j]))
     report.write_csv(paths["firms"], _HEADERS["firms"], [net.firm_ids] + [
-        sample.firm_series(name) for name in FIRM_FIELDS])
+        sample.firm_columns[name] for name in FIRM_FIELDS])
     report.write_csv(paths["banks"], _HEADERS["banks"], [net.bank_ids] + [
-        sample.bank_series(name) for name in BANK_FIELDS])
+        sample.bank_columns[name] for name in BANK_FIELDS])
     return paths

@@ -12,11 +12,12 @@ Three interchangeable link models are provided:
 Sampled links receive conditional weights ``s_i t_j / (W p_ij)`` with
 ``W = sqrt(S T)``, so the unconditional expected weight is ``s_i t_j / W``.
 
-Links are independent in every model, so a Monte Carlo ensemble of N
-configurations is drawn as one matrix of link counts C ~ Binomial(N, P):
-degree, strength and link sums over the ensemble are row and column sums of
-C and of C times the conditional weights, and their standard errors follow
-from P in closed form.
+Links are independent in every model, so the mean and the variance of each
+node's degree and strength in one configuration follow from P in closed form
+(:func:`expected_metrics`). A Monte Carlo ensemble of N configurations is
+drawn as one matrix of link counts C ~ Binomial(N, P): degree, strength and
+link sums over the ensemble are row and column sums of C and of C times the
+conditional weights (:func:`sample_ensemble`).
 """
 
 from __future__ import annotations
@@ -246,8 +247,8 @@ def fitness_spec_from_sample(sample: Sample, variant: Variant) -> FitnessSpec:
     if variant is Variant.NETWORK_DRIVEN:
         s, t = derived_strengths(net)
     else:
-        s = sample.firm_series("balance_strength")
-        t = sample.bank_series("balance_strength")
+        s = sample.firm_columns["balance_strength"]
+        t = sample.bank_columns["balance_strength"]
     z = calibrate_z(s, t, net.n_links)
     return FitnessSpec(s=s, t=t, z=z, variant=variant)
 
@@ -332,33 +333,34 @@ def random_baseline(net: BipartiteNetwork) -> ConstantSpec:
                         t=_as_fitness(t, "bank size"))
 
 
+STATISTICS = ("firm_degrees", "bank_degrees", "firm_strengths",
+              "bank_strengths", "links")
+
+
 @dataclass(frozen=True)
 class ExpectedMetrics:
-    """Closed-form ensemble expectations of degrees and strengths."""
+    """Closed-form moments of one configuration of a model: the mean of
+    each statistic named in ``STATISTICS`` and its exact ``variances``."""
 
     firm_degrees: np.ndarray
     bank_degrees: np.ndarray
     firm_strengths: np.ndarray
     bank_strengths: np.ndarray
+    variances: dict[str, np.ndarray]
 
+    @property
+    def links(self):
+        return self.firm_degrees.sum()
 
-def expected_metrics(spec) -> ExpectedMetrics:
-    """Expected degrees and strengths of a calibrated model."""
-    p = spec.probability_matrix()
-    w_mean = conditional_weights(spec, p)
-    w_mean *= p  # = s_i t_j / W wherever p > 0
-    return ExpectedMetrics(
-        firm_degrees=p.sum(axis=1),
-        bank_degrees=p.sum(axis=0),
-        firm_strengths=w_mean.sum(axis=1),
-        bank_strengths=w_mean.sum(axis=0),
-    )
+    def stderr(self, name: str, n_samples: int):
+        """Standard error of the mean of ``name`` over ``n_samples``."""
+        return np.sqrt(self.variances[name] / n_samples)
 
-
-STATISTICS = ("firm_degrees", "bank_degrees", "firm_strengths",
-              "bank_strengths", "links")
-
-_U64 = 0xFFFFFFFFFFFFFFFF
+    def to_json(self) -> dict:
+        """The mean and the standard deviation of each node statistic."""
+        nodes = STATISTICS[:-1]
+        return {**{f"expected_{n}": getattr(self, n) for n in nodes},
+                **{f"sd_{n}": self.stderr(n, 1) for n in nodes}}
 
 
 def _margins(x: np.ndarray, kind: str) -> dict:
@@ -366,18 +368,33 @@ def _margins(x: np.ndarray, kind: str) -> dict:
     return {f"firm_{kind}": x.sum(axis=1), f"bank_{kind}": x.sum(axis=0)}
 
 
+def expected_metrics(spec) -> ExpectedMetrics:
+    """Means and variances of degrees, strengths and the link count. Links
+    are independent, so a degree has variance sum_j p_ij (1 - p_ij) and a
+    strength sum_j w_ij**2 p_ij (1 - p_ij), ``w`` the conditional weights."""
+    p = spec.probability_matrix()
+    w = conditional_weights(spec, p)
+    q = 1.0 - p
+    q *= p  # the variance of each link indicator
+    variances = _margins(q, "degrees")
+    variances["links"] = variances["firm_degrees"].sum()
+    q *= w
+    q *= w  # the variance of each link's weight, w**2 p (1 - p)
+    variances.update(_margins(q, "strengths"))
+    w *= p  # = s_i t_j / W wherever p > 0
+    return ExpectedMetrics(**_margins(p, "degrees"),
+                           **_margins(w, "strengths"), variances=variances)
+
+
+_U64 = 0xFFFFFFFFFFFFFFFF
+
+
 @dataclass
 class Ensemble:
-    """Statistics of ``n_samples`` independent configurations of a model.
-
-    ``sums[name]`` sums a statistic named in ``STATISTICS`` over them, and
-    ``variances[name]`` is its exact variance in one configuration.
-    """
+    """Sums of ``STATISTICS`` over ``n_samples`` configurations of a model."""
 
     n_samples: int
-    seed: int
     sums: dict[str, np.ndarray]
-    variances: dict[str, np.ndarray]
 
     @property
     def sum_firm_degrees(self) -> np.ndarray:
@@ -390,25 +407,15 @@ class Ensemble:
     def mean(self, name: str):
         return self.sums[name] / self.n_samples
 
-    def stderr(self, name: str):
-        return np.sqrt(self.variances[name] / self.n_samples)
-
     def max_abs_z(self, expected: ExpectedMetrics) -> float:
         """Largest |mean - closed form| / stderr; exact entries left out."""
         largest = 0.0
         for name in STATISTICS:
-            exact = (expected.firm_degrees.sum() if name == "links"
-                     else getattr(expected, name))
-            gap, se = np.atleast_1d(abs(self.mean(name) - exact),
-                                    self.stderr(name))
+            gap = abs(self.mean(name) - getattr(expected, name))
+            gap, se = np.atleast_1d(gap, expected.stderr(name, self.n_samples))
             z = gap[se > 0] / se[se > 0]
             largest = max(largest, float(z.max(initial=0.0)))
         return largest
-
-    def to_json(self) -> dict:
-        return {"n_samples": self.n_samples, "seed": self.seed,
-                **{f"mean_{name}": self.mean(name).tolist()
-                   for name in STATISTICS}}
 
 
 def sample_ensemble(spec, n_samples: int, seed: int) -> Ensemble:
@@ -423,15 +430,8 @@ def sample_ensemble(spec, n_samples: int, seed: int) -> Ensemble:
     w = conditional_weights(spec, p)
     gen = np.random.Generator(np.random.Philox(key=int(seed) & _U64))
     counts = gen.binomial(n_samples, p)
-    # p and w are overwritten in place: the weights are never copied
-    np.multiply(p, 1.0 - p, out=p)  # the variance of each link indicator
-    sums, variances = _margins(counts, "degrees"), _margins(p, "degrees")
-    for stats in sums, variances:
-        stats["links"] = stats["firm_degrees"].sum()
-    p *= w
-    p *= w  # the variance of each link's weight, w**2 p (1 - p)
+    sums = _margins(counts, "degrees")
+    sums["links"] = sums["firm_degrees"].sum()
     w *= counts  # the weight each link carries over all configurations
     sums.update(_margins(w, "strengths"))
-    variances.update(_margins(p, "strengths"))
-    return Ensemble(n_samples=n_samples, seed=seed, sums=sums,
-                    variances=variances)
+    return Ensemble(n_samples=n_samples, sums=sums)

@@ -69,11 +69,15 @@ class RunConfig:
     grid: tuple[econ.ModelSpec, ...] | None = None  # None -> default grid
 
     def __post_init__(self):
-        has_files = all((self.edges_path, self.firm_attrs_path,
-                         self.bank_attrs_path))
-        if has_files == (self.synth is not None):
-            raise ValueError("provide either the three CSV paths or a "
-                             "synthetic generator config, not both")
+        paths = {"edges": self.edges_path, "firms": self.firm_attrs_path,
+                 "banks": self.bank_attrs_path}
+        given = [name for name, path in paths.items() if path]
+        if self.synth is not None and given:
+            raise ValueError(f"CSV path ({', '.join(given)}) given together "
+                             "with a synthetic generator config")
+        if self.synth is None and len(given) < len(paths):
+            raise ValueError("provide the three CSV paths (edges, firms, "
+                             "banks) or a synthetic generator config")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         for v in self.null_variants:
@@ -199,23 +203,23 @@ def write_stats(bundle: ReportBundle,
     return stats
 
 
-def write_null_variant(bundle: ReportBundle, config: RunConfig,
-                       sample: Sample, name: str):
-    """Build one null variant; write its ensemble JSON and comparisons.
+def write_null_variant(bundle: ReportBundle, sample: Sample, name: str,
+                       n_samples: int, seed: int):
+    """Build one null variant; write its JSON and comparisons.
 
-    The comparisons use the closed-form expected degrees, so they depend on
-    neither the seed nor the sample count; a side that cannot be compared
-    (the random baseline's degrees are constant) is named with its cause
-    under ``skipped_comparisons``, not as a failure. The ensemble block
-    records, as a health metric, the largest |z| of its means against the
-    closed forms.
+    The JSON holds each node's closed-form mean and standard deviation. The
+    comparisons use the expected degrees, so they depend on neither the seed
+    nor the sample count; a side that cannot be compared (the random
+    baseline's degrees are constant) is named with its cause under
+    ``skipped_comparisons``, not as a failure. The ensemble block records
+    the largest |z| of ``n_samples`` draws' means against the closed forms.
 
     Returns the calibrated model, or None after recording the failure as
     ``nullmodel_<name>``.
     """
     try:
         spec = NULL_VARIANTS[name](sample)
-        ensemble = sample_ensemble(spec, config.n_samples, config.seed)
+        ensemble = sample_ensemble(spec, n_samples, seed)
         expected = nullmodel.expected_metrics(spec)
     except Exception as exc:  # recorded, never fatal for other stages
         bundle.failures[f"nullmodel_{name}"] = _cause(exc)
@@ -241,15 +245,11 @@ def write_null_variant(bundle: ReportBundle, config: RunConfig,
             emp, model_k, title=f"empirical vs {name} model ({side})",
             xlabel="empirical degree", ylabel="expected degree",
             identity=True))
-    # the ensemble block holds the seed and the sample count
     report.write_json(bundle.add(f"nullmodel_{name}.json"), {
         "spec": spec.to_json(),
-        "expected_firm_degrees": expected.firm_degrees,
-        "expected_bank_degrees": expected.bank_degrees,
-        "expected_firm_strengths": expected.firm_strengths,
-        "expected_bank_strengths": expected.bank_strengths,
-        "ensemble": dict(ensemble.to_json(),
-                         max_abs_z=ensemble.max_abs_z(expected)),
+        **expected.to_json(),
+        "ensemble": {"n_samples": n_samples, "seed": seed,
+                     "max_abs_z": ensemble.max_abs_z(expected)},
         "skipped_comparisons": skipped,
     })
     return spec
@@ -324,7 +324,8 @@ def run(config: RunConfig) -> ReportBundle:
     report.write_json(bundle.add("filter_report.json"),
                       filter_report.to_json())
     write_stats(bundle, filtered.network)
-    built = {name: write_null_variant(bundle, config, filtered, name)
+    built = {name: write_null_variant(bundle, filtered, name,
+                                      config.n_samples, config.seed)
              for name in config.null_variants}
     nulls = {source: built[name] for source, name in PLACEBO_NULLS.items()
              if built.get(name) is not None}
@@ -352,10 +353,10 @@ SYNTH_KEYS = {
     "synth_balance_noise": ("balance_noise", float),
 }
 _CONFIG_KEYS = frozenset(SYNTH_KEYS) | {
-    "out", "edges", "firms", "banks", "variants", "samples", "seed"}
+    "edges", "firms", "banks", "variants", "samples", "seed"}
 
 
-def load_config_file(path: str, out_dir: str | None = None) -> RunConfig:
+def load_config_file(path: str, out_dir: str) -> RunConfig:
     """Parse the flat key=value run configuration format."""
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
@@ -379,7 +380,7 @@ def load_config_file(path: str, out_dir: str | None = None) -> RunConfig:
     variants = tuple(v.strip() for v in values.get(
         "variants", ",".join(RunConfig.null_variants)).split(",") if v.strip())
     return RunConfig(
-        out_dir=out_dir or values.get("out", "out"),
+        out_dir=out_dir,
         edges_path=values.get("edges"),
         firm_attrs_path=values.get("firms"),
         bank_attrs_path=values.get("banks"),

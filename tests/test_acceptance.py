@@ -110,13 +110,13 @@ def test_acceptance_conditional_weight_conservation(bench_sample):
     acc = sample_ensemble(spec, n_samples=10_000, seed=0)
     for mean, expect, stderr in (
         (acc.mean("firm_strengths"), metrics.firm_strengths,
-         acc.stderr("firm_strengths")),
+         metrics.stderr("firm_strengths", 10_000)),
         (acc.mean("bank_strengths"), metrics.bank_strengths,
-         acc.stderr("bank_strengths")),
+         metrics.stderr("bank_strengths", 10_000)),
         (acc.mean("firm_degrees"), metrics.firm_degrees,
-         acc.stderr("firm_degrees")),
+         metrics.stderr("firm_degrees", 10_000)),
         (acc.mean("bank_degrees"), metrics.bank_degrees,
-         acc.stderr("bank_degrees")),
+         metrics.stderr("bank_degrees", 10_000)),
     ):
         assert np.all(np.abs(mean - expect) <= 3 * np.maximum(stderr, 1e-12))
 
@@ -137,10 +137,13 @@ def test_acceptance_degree_null_residuals(bench_sample):
     assert residual < 1e-8
 
     acc = sample_ensemble(spec, n_samples=10_000, seed=0)
+    expected = expected_metrics(spec)
     assert np.all(np.abs(acc.mean("firm_degrees") - k)
-                  <= 3 * np.maximum(acc.stderr("firm_degrees"), 1e-12))
+                  <= 3 * np.maximum(expected.stderr("firm_degrees", 10_000),
+                                    1e-12))
     assert np.all(np.abs(acc.mean("bank_degrees") - h)
-                  <= 3 * np.maximum(acc.stderr("bank_degrees"), 1e-12))
+                  <= 3 * np.maximum(expected.stderr("bank_degrees", 10_000),
+                                    1e-12))
 
 
 # --------------------------------------------------------------------------

@@ -162,14 +162,15 @@ def test_sample_requires_complete_attributes(small_net):
 
 def test_sample_series_built_once():
     sample = make_sample([[1.0, 0.0], [2.0, 3.0]], s_bal=[10.0, 20.0])
-    for series in (sample.firm_series, sample.bank_series):
-        first = series("balance_strength")
-        assert series("balance_strength") is first
+    for columns in (sample.firm_columns, sample.bank_columns):
+        first = columns["balance_strength"]
+        assert columns["balance_strength"] is first
         assert not first.flags.writeable
-    np.testing.assert_array_equal(sample.bank_series("leverage"), [10.0, 10.1])
+    np.testing.assert_array_equal(sample.bank_columns["leverage"],
+                                  [10.0, 10.1])
 
 
 def test_sample_series_alignment():
     sample = make_sample([[1.0, 0.0], [2.0, 3.0]], s_bal=[10.0, 20.0])
-    np.testing.assert_allclose(sample.firm_series("balance_strength"),
+    np.testing.assert_allclose(sample.firm_columns["balance_strength"],
                                [10.0, 20.0])

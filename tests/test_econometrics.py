@@ -134,8 +134,8 @@ def test_uncorrected_design_holds_node_values(stage):
     k, h = derived_degrees(sample.network)
     s_net, t_net = derived_strengths(sample.network)
     node_values = (k[fi].astype(float), h[bi].astype(float), s_net[fi],
-                   t_net[bi], sample.firm_series("balance_strength")[fi],
-                   sample.bank_series("balance_strength")[bi])
+                   t_net[bi], sample.firm_columns["balance_strength"][fi],
+                   sample.bank_columns["balance_strength"][bi])
     columns, n_clamped = rest_of_world(sample, fi, bi, stage, herman=False)
     assert n_clamped == d.n_clamped == 0
     for quantity, want in zip(ROW_QUANTITIES, node_values):

@@ -87,11 +87,11 @@ def test_roundtrip_through_csv(tmp_path):
     np.testing.assert_array_equal(back.network.weights,
                                   sample.network.weights)
     for name in FIRM_FIELDS:
-        np.testing.assert_array_equal(back.firm_series(name),
-                                      sample.firm_series(name))
+        np.testing.assert_array_equal(back.firm_columns[name],
+                                      sample.firm_columns[name])
     for name in BANK_FIELDS:
-        np.testing.assert_array_equal(back.bank_series(name),
-                                      sample.bank_series(name))
+        np.testing.assert_array_equal(back.bank_columns[name],
+                                      sample.bank_columns[name])
     # one row per link, firm-major, floats by repr, lines ending in \n
     tiny = write_sample_csv(make_sample([[1.5, 4.0], [2.0, 0.0]]),
                             tmp_path / "tiny")
@@ -238,7 +238,7 @@ def test_filter_matches_loop_oracle(nf, nb, rnd):
     assert rep.kept_firms == len(kept)
     keep = [f in kept for f in sample.network.firm_ids]
     np.testing.assert_array_equal(filtered.network.weights, weights[keep])
-    np.testing.assert_array_equal(filtered.firm_series("balance_strength"),
+    np.testing.assert_array_equal(filtered.firm_columns["balance_strength"],
                                   np.array(s_bal)[keep])
     assert rep.isolated_banks == tuple(
         b for j, b in enumerate(sample.network.bank_ids)

@@ -195,7 +195,7 @@ def test_ensemble_reproducible_and_order_free(rng):
     spec = _fitness(rng, 10, 6, 1 / 3)
     a = sample_ensemble(spec, n_samples=50, seed=7)
     b = sample_ensemble(spec, n_samples=50, seed=7)
-    assert sorted(a.sums) == sorted(a.variances) == sorted(STATISTICS)
+    assert sorted(a.sums) == sorted(STATISTICS)
     for name in STATISTICS:
         np.testing.assert_array_equal(a.sums[name], b.sums[name])
     c = sample_ensemble(spec, n_samples=50, seed=8)
@@ -259,11 +259,12 @@ def test_ensemble_stderr_is_closed_form(rng):
     spec = _fitness(rng, 15, 8, 0.3)
     spec = FitnessSpec(s=np.r_[0.0, spec.s[1:]], t=spec.t, z=spec.z,
                        variant=spec.variant)  # firm 0 never links
-    acc = sample_ensemble(spec, 37, seed=2)
+    expected = expected_metrics(spec)
     want = ensemble_stderr(spec.probability_matrix(), spec.s, spec.t, 37)
     for name in STATISTICS:
-        np.testing.assert_allclose(acc.stderr(name), want[name], rtol=1e-12)
-    assert acc.stderr("firm_degrees")[0] == 0.0
+        np.testing.assert_allclose(expected.stderr(name, 37), want[name],
+                                   rtol=1e-12)
+    assert expected.stderr("firm_degrees", 37)[0] == 0.0
 
 
 def test_ensemble_max_abs_z_matches_oracle(rng):
@@ -298,7 +299,7 @@ def test_ensemble_large_samples_match_oracle(rng):
                         t=np.ones(1))
     acc = sample_ensemble(full, 10_000, seed=1)
     assert acc.sum_bank_degrees[0] == 10_000 * n
-    assert acc.stderr("bank_degrees")[0] == 0.0
+    assert expected_metrics(full).stderr("bank_degrees", 10_000)[0] == 0.0
 
 
 def test_ensemble_means_approach_expectations(rng):
@@ -308,7 +309,7 @@ def test_ensemble_means_approach_expectations(rng):
                        variant=Variant.NETWORK_DRIVEN)
     acc = sample_ensemble(spec, n_samples=4000, seed=11)
     metrics = expected_metrics(spec)
-    se = acc.stderr("firm_degrees")
+    se = metrics.stderr("firm_degrees", 4000)
     assert np.all(np.abs(acc.mean("firm_degrees") - metrics.firm_degrees)
                   <= 5 * np.maximum(se, 1e-3))
     assert acc.mean("links") == pytest.approx(30.0, rel=0.05)

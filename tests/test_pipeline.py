@@ -233,12 +233,13 @@ def test_run_seed_changes_ensembles(tmp_path):
     run(alt)
     j1 = json.loads((tmp_path / "a" / "nullmodel_network.json").read_text())
     j2 = json.loads((tmp_path / "c" / "nullmodel_network.json").read_text())
-    assert j1["ensemble"]["mean_firm_degrees"] != \
-        j2["ensemble"]["mean_firm_degrees"]
     assert j1["ensemble"]["max_abs_z"] != j2["ensemble"]["max_abs_z"]
-    # but closed-form expectations, and the comparisons built on them, are
+    # but closed-form moments, and the comparisons built on them, are
     # seed-free
     assert j1["expected_firm_degrees"] == j2["expected_firm_degrees"]
+    for name in ("firm_degrees", "bank_degrees", "firm_strengths",
+                 "bank_strengths"):
+        assert j1[f"sd_{name}"] == j2[f"sd_{name}"]
     for side in ("firms", "banks"):
         for ext in ("csv", "json", "svg"):
             name = f"comparison_network_{side}.{ext}"
@@ -295,7 +296,8 @@ def test_null_variant_names_skipped_comparisons(tmp_path):
     config = small_run_config(tmp_path)
     sample, _ = generate(config.synth)
     bundle = ReportBundle(str(tmp_path))
-    assert write_null_variant(bundle, config, sample, "random") is not None
+    assert write_null_variant(bundle, sample, "random", config.n_samples,
+                              config.seed) is not None
     assert bundle.failures == {}
     assert bundle.files == ["nullmodel_random.json"]
     written = json.loads((tmp_path / "nullmodel_random.json").read_text())
@@ -353,6 +355,25 @@ def test_config_validation(tmp_path):
                   null_variants=("bogus",))
 
 
+def test_config_rejects_csv_paths_beside_synth(tmp_path):
+    """A CSV path next to a generator config would be ignored; it is an
+    error, and without one all three paths are required."""
+    for field in ("edges_path", "firm_attrs_path", "bank_attrs_path"):
+        with pytest.raises(ValueError, match="together with a synthetic"):
+            RunConfig(out_dir=str(tmp_path), synth=GenConfig(),
+                      **{field: "x.csv"})
+    with pytest.raises(ValueError, match="three CSV paths"):
+        RunConfig(out_dir=str(tmp_path), edges_path="e", firm_attrs_path="f")
+
+
+def test_config_file_has_no_out_key(tmp_path):
+    """The output directory is the caller's, never the file's."""
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("synth_firms = 30\nout = elsewhere\n")
+    with pytest.raises(ValueError, match=r"cfg:2: unknown key 'out'"):
+        load_config_file(str(cfg_path), str(tmp_path / "o"))
+
+
 def test_config_file_defaults_are_run_config_defaults(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("synth_firms = 30\n")
@@ -379,11 +400,11 @@ def test_load_config_file(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("no equals sign here\n")
     with pytest.raises(ValueError):
-        load_config_file(str(bad))
+        load_config_file(str(bad), str(tmp_path / "o"))
     typo = tmp_path / "typo.cfg"
     typo.write_text("samples = 25\nsampels = 25\n")
     with pytest.raises(ValueError, match=r"cfg:2: unknown key 'sampels'"):
-        load_config_file(str(typo))
+        load_config_file(str(typo), str(tmp_path / "o"))
 
 
 # --------------------------------------------------------------------------
@@ -478,6 +499,29 @@ def test_cli_run_flags_override_config_file(tmp_path):
     main(["run", "--config", str(cfg_path), "--out", str(out)])
     manifest = json.loads((out / "manifest.json").read_text())
     assert (manifest["config"]["n_samples"], manifest["seed"]) == (7, 5)
+
+
+def test_cli_run_rejects_csv_path_beside_synth_config(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("synth_firms = 30\nsynth_banks = 10\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--edges",
+                 "/nonexistent/edges.csv", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "CSV path (edges) given together with a synthetic" in err
+    assert not out.exists()
+
+
+def test_cli_nullmodel_rejects_zero_samples(tmp_path, capsys):
+    data = os.path.join(os.path.dirname(__file__), "data", "consolidated_small")
+    out = tmp_path / "null"
+    assert main(["nullmodel", "--edges", os.path.join(data, "edges.csv"),
+                 "--firms", os.path.join(data, "firms.csv"),
+                 "--banks", os.path.join(data, "banks.csv"),
+                 "--out", str(out), "--samples", "0"]) == 1
+    assert "error: ValueError: n_samples must be >= 1" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_placebo_panel(tmp_path, capsys):

@@ -14,8 +14,8 @@ def test_generate_reproducible():
     s2, t2 = generate(cfg)
     np.testing.assert_array_equal(s1.network.weights, s2.network.weights)
     for name in s1.firm_columns:
-        np.testing.assert_array_equal(s1.firm_series(name),
-                                      s2.firm_series(name))
+        np.testing.assert_array_equal(s1.firm_columns[name],
+                                      s2.firm_columns[name])
     assert t1.z == t2.z
 
 
@@ -99,7 +99,7 @@ def test_fragmentation_penalty_shrinks_multibank_loans():
 def test_balance_strength_tracks_network_strength():
     sample, _ = generate(GenConfig(seed=6, balance_noise=0.01))
     s_net = sample.network.weights.sum(axis=1)
-    s_bal = sample.firm_series("balance_strength")
+    s_bal = sample.firm_columns["balance_strength"]
     linked = s_net > 0
     ratios = s_bal[linked] / s_net[linked]
     assert np.all((ratios > 0.9) & (ratios < 1.1))
