@@ -22,8 +22,8 @@ from .synthgen import GenConfig, write_synthetic
 
 STAGES = {"1": econ.Stage.LINK_FORMATION, "2": econ.Stage.LOAN_SIZING}
 # the RunConfig fields that `run` flags set; a flag left out is None
-RUN_FLAGS = ("edges_path", "firm_attrs_path", "bank_attrs_path", "n_samples",
-             "seed")
+PATH_FLAGS = ("edges_path", "firm_attrs_path", "bank_attrs_path")
+RUN_FLAGS = PATH_FLAGS + ("n_samples", "seed")
 
 
 def _add_input_args(parser):
@@ -88,7 +88,7 @@ def _cmd_regress(args) -> int:
     spec = econ.ModelSpec(STAGES[args.stage], econ.Model(args.model),
                           econ.DegreeVariant(args.variant), fixed_effects=fe)
     bundle = ReportBundle(args.out)
-    cell = pipeline.write_cell(bundle, filtered, spec, {}, subdir="")
+    cell = pipeline.write_cell(bundle, filtered, spec, None, subdir="")
     if cell is not None:
         print(cell[0].format_table(title=spec.name()), end="")
     return _finish(bundle)
@@ -96,11 +96,13 @@ def _cmd_regress(args) -> int:
 
 def _cmd_placebo(args) -> int:
     filtered, _ = _parse_filtered(args)
-    nulls = {source: pipeline.NULL_VARIANTS[name](filtered)
-             for source, name in pipeline.PLACEBO_NULLS.items()}
     bundle = ReportBundle(args.out)
+    # the closed forms of each null a placebo reads; its files are not written
+    closed = {name: pipeline.calibrate_null(bundle, filtered, name)[1]
+              for name in pipeline.PLACEBO_NULLS.values()}
     for spec in pipeline.placebo_panel(STAGES[args.stage]):
-        if pipeline.write_cell(bundle, filtered, spec, nulls, subdir=""):
+        null = closed.get(pipeline.PLACEBO_NULLS.get(spec.placebo))
+        if pipeline.write_cell(bundle, filtered, spec, null, subdir=""):
             print(f"{spec.name()}: ok")
     return _finish(bundle)
 
@@ -112,8 +114,8 @@ def _cmd_run(args) -> int:
         config = dataclasses.replace(
             load_config_file(args.config, args.out), **given)
     else:
-        synth = None
-        if args.edges_path is None:
+        synth = None  # a partial set of CSV paths is RunConfig's error
+        if given.keys().isdisjoint(PATH_FLAGS):
             synth = GenConfig(seed=given.get("seed", RunConfig.seed))
         config = RunConfig(out_dir=args.out, synth=synth, **given)
     bundle = run(config)

@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Sample, derived_degrees, derived_strengths
-from .nullmodel import expected_metrics
+# expected_metrics is not called here; it stays importable from this module
+# because the benchmark's tracer wraps econometrics.expected_metrics by name
+from .nullmodel import ExpectedMetrics, expected_metrics  # noqa: F401
 
 __all__ = [
     "EconError",
@@ -281,11 +283,12 @@ def rest_of_world(
 
 
 def build_design(sample: Sample, spec: ModelSpec,
-                 null_models: dict | None = None) -> DesignMatrix:
+                 null: ExpectedMetrics | None = None) -> DesignMatrix:
     """Assemble the design matrix and response for a model specification.
 
     Each column follows its ``COLUMNS`` entry; ``n_floored`` counts, per
-    floored column, the rows raised to its floor.
+    floored column, the rows raised to its floor. A null placebo reads its
+    expected degrees from ``null``, the closed forms of its null model.
     """
     net = sample.network
     nf, nb = net.n_firms, net.n_banks
@@ -299,12 +302,11 @@ def build_design(sample: Sample, spec: ModelSpec,
     nodes = {FIRM: dict(sample.firm_columns, exclusive=(k == 1).astype(float)),
              BANK: dict(sample.bank_columns)}
     if any(COLUMNS[c].source in ("k_null", "h_null") for c in columns):
-        if not null_models or spec.placebo not in null_models:
+        if null is None:
             raise MissingNullModel(
                 f"design requires a calibrated {spec.placebo.value} model")
-        expected = expected_metrics(null_models[spec.placebo])
-        nodes[FIRM]["k_null"] = expected.firm_degrees
-        nodes[BANK]["h_null"] = expected.bank_degrees
+        nodes[FIRM]["k_null"] = null.firm_degrees
+        nodes[BANK]["h_null"] = null.bank_degrees
 
     # pair scope and row filtering; rows run over firms, then banks
     n_dropped = 0

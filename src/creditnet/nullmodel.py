@@ -167,16 +167,15 @@ class BicmSpec(_SizedModel):
 
 @dataclass(frozen=True)
 class ConstantSpec(_SizedModel):
-    """Random baseline: constant link probability equal to the density."""
+    """Random baseline: constant link probability equal to the density,
+    over as many firms and banks as ``s`` and ``t`` have sizes."""
 
     density: float
-    n_firms: int
-    n_banks: int
     s: np.ndarray
     t: np.ndarray
 
     def probability_matrix(self) -> np.ndarray:
-        return np.full((self.n_firms, self.n_banks), self.density)
+        return np.full((self.s.size, self.t.size), self.density)
 
     def to_json(self) -> dict:
         return {"model": "random", "density": self.density}
@@ -328,8 +327,7 @@ def random_baseline(net: BipartiteNetwork) -> ConstantSpec:
     if net.n_links == 0:
         raise NullModelError("random baseline needs at least one link")
     s, t = derived_strengths(net)
-    return ConstantSpec(density=net.density, n_firms=net.n_firms,
-                        n_banks=net.n_banks, s=_as_fitness(s, "firm size"),
+    return ConstantSpec(density=net.density, s=_as_fitness(s, "firm size"),
                         t=_as_fitness(t, "bank size"))
 
 

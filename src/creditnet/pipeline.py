@@ -31,6 +31,7 @@ __all__ = [
     "placebo_panel",
     "NULL_VARIANTS",
     "write_stats",
+    "calibrate_null",
     "write_null_variant",
     "write_cell",
     "run",
@@ -93,7 +94,8 @@ class RunConfig:
             "null_variants": list(self.null_variants),
             "n_samples": self.n_samples,
             "seed": self.seed,
-            "grid": [spec.name() for spec in self.grid] if self.grid else None,
+            "grid": (None if self.grid is None  # an empty grid is not None
+                     else [spec.name() for spec in self.grid]),
         }
 
 
@@ -174,11 +176,9 @@ def _load_sample(config: RunConfig, bundle: ReportBundle):
                          for p in paths.values()]
         bundle.files.append(os.path.join("input", "ground_truth.json"))
         return sample, paths
-    sample = parse_sample(config.edges_path, config.firm_attrs_path,
-                          config.bank_attrs_path)
     paths = {"edges": config.edges_path, "firms": config.firm_attrs_path,
              "banks": config.bank_attrs_path}
-    return sample, paths
+    return parse_sample(*paths.values()), paths
 
 
 def _cause(exc: Exception) -> str:
@@ -203,6 +203,18 @@ def write_stats(bundle: ReportBundle,
     return stats
 
 
+def calibrate_null(bundle: ReportBundle, sample: Sample, name: str):
+    """Calibrate null variant ``name`` and compute its closed forms: returns
+    ``(spec, expected)``, the model and its ``ExpectedMetrics``, or
+    ``(None, None)`` after recording the failure as ``nullmodel_<name>``."""
+    try:
+        spec = NULL_VARIANTS[name](sample)
+        return spec, nullmodel.expected_metrics(spec)
+    except Exception as exc:  # recorded, never fatal for other stages
+        bundle.failures[f"nullmodel_{name}"] = _cause(exc)
+        return None, None
+
+
 def write_null_variant(bundle: ReportBundle, sample: Sample, name: str,
                        n_samples: int, seed: int):
     """Build one null variant; write its JSON and comparisons.
@@ -214,14 +226,15 @@ def write_null_variant(bundle: ReportBundle, sample: Sample, name: str,
     ``skipped_comparisons``, not as a failure. The ensemble block records
     the largest |z| of ``n_samples`` draws' means against the closed forms.
 
-    Returns the calibrated model, or None after recording the failure as
-    ``nullmodel_<name>``.
+    Returns the closed forms, or None after recording the failure, of the
+    calibration or of the draw, as ``nullmodel_<name>``.
     """
+    spec, expected = calibrate_null(bundle, sample, name)
+    if spec is None:
+        return None
     try:
-        spec = NULL_VARIANTS[name](sample)
         ensemble = sample_ensemble(spec, n_samples, seed)
-        expected = nullmodel.expected_metrics(spec)
-    except Exception as exc:  # recorded, never fatal for other stages
+    except Exception as exc:  # a failed draw fails the variant too
         bundle.failures[f"nullmodel_{name}"] = _cause(exc)
         return None
     k, h = derived_degrees(sample.network)
@@ -252,20 +265,20 @@ def write_null_variant(bundle: ReportBundle, sample: Sample, name: str,
                      "max_abs_z": ensemble.max_abs_z(expected)},
         "skipped_comparisons": skipped,
     })
-    return spec
+    return expected
 
 
 def write_cell(bundle: ReportBundle, sample: Sample, spec: econ.ModelSpec,
-               nulls: dict, subdir: str = "regress"):
+               null: nullmodel.ExpectedMetrics | None, subdir: str = "regress"):
     """Build, fit and write one grid cell into ``subdir`` of the bundle.
 
-    ``nulls`` maps null placebos to calibrated null models. Returns
-    ``(fit, design)``, or None after recording the failure under the cell's
-    name.
+    ``null`` is the closed forms a null placebo reads (see
+    ``PLACEBO_NULLS``). Returns ``(fit, design)``, or None after recording
+    the failure under the cell's name.
     """
     cell = spec.name()
     try:
-        design = econ.build_design(sample, spec, nulls)
+        design = econ.build_design(sample, spec, null)
         fit = econ.fit_design(design)
     except Exception as exc:  # recorded, never fatal for other cells
         bundle.failures[cell] = _cause(exc)
@@ -324,15 +337,14 @@ def run(config: RunConfig) -> ReportBundle:
     report.write_json(bundle.add("filter_report.json"),
                       filter_report.to_json())
     write_stats(bundle, filtered.network)
-    built = {name: write_null_variant(bundle, filtered, name,
-                                      config.n_samples, config.seed)
-             for name in config.null_variants}
-    nulls = {source: built[name] for source, name in PLACEBO_NULLS.items()
-             if built.get(name) is not None}
+    closed = {name: write_null_variant(bundle, filtered, name,
+                                       config.n_samples, config.seed)
+              for name in config.null_variants}
     grid = config.grid if config.grid is not None else default_grid()
     diagnosed = None  # only this cell's fit and design outlive its write
     for spec in grid:
-        cell = write_cell(bundle, filtered, spec, nulls)
+        null = closed.get(PLACEBO_NULLS.get(spec.placebo))
+        cell = write_cell(bundle, filtered, spec, null)
         if spec.name() == "loan_sizing_m3_a":
             diagnosed = cell
     if diagnosed:

@@ -299,14 +299,13 @@ def test_acceptance_sign_patterns():
 def _placebo_pair(cfg):
     """Degree coefficients of the matched empirical and placebo designs."""
     sample, _ = generate(cfg)
-    nulls = {Placebo.NULL_NET:
-             fitness_spec_from_sample(sample, Variant.NETWORK_DRIVEN)}
     emp = fit_logit(build_design(sample, ModelSpec(
         Stage.LINK_FORMATION, Model.M3_FULL,
-        placebo=Placebo.NO_STRENGTH, herman=False), nulls))
+        placebo=Placebo.NO_STRENGTH, herman=False)))
     null = fit_logit(build_design(sample, ModelSpec(
         Stage.LINK_FORMATION, Model.M3_FULL,
-        placebo=Placebo.NULL_NET), nulls))
+        placebo=Placebo.NULL_NET), expected_metrics(
+            fitness_spec_from_sample(sample, Variant.NETWORK_DRIVEN))))
     return emp.coefficients["ln_k"], null.coefficients["ln_k_null"]
 
 

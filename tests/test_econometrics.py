@@ -18,7 +18,8 @@ from creditnet.econometrics import (AbsorbedColumns, AllRowsDropped,
                                     Stage, build_design, fit_design, fit_logit,
                                     fit_ols, fit_ols_fixed_effects,
                                     rest_of_world, vif)
-from creditnet.nullmodel import Variant, fitness_spec_from_sample
+from creditnet.nullmodel import (Variant, expected_metrics,
+                                 fitness_spec_from_sample)
 from creditnet.report import canonical_json
 from conftest import make_network, make_sample
 from oracles import (fit_logit_allocating, logit_loglik, logit_newton,
@@ -186,18 +187,14 @@ def test_design_placebo_requires_full_model():
 
 def test_design_placebo_cross_controls():
     sample = random_sample(np.random.default_rng(2))
-    nets = {
-        Placebo.NULL_NET: fitness_spec_from_sample(
-            sample, Variant.NETWORK_DRIVEN),
-        Placebo.NULL_BAL: fitness_spec_from_sample(
-            sample, Variant.BALANCE_DRIVEN),
-    }
     d_net = build_design(sample, ModelSpec(
         Stage.LINK_FORMATION, Model.M3_FULL,
-        placebo=Placebo.NULL_NET), nets)
+        placebo=Placebo.NULL_NET), expected_metrics(
+            fitness_spec_from_sample(sample, Variant.NETWORK_DRIVEN)))
     d_bal = build_design(sample, ModelSpec(
         Stage.LINK_FORMATION, Model.M3_FULL,
-        placebo=Placebo.NULL_BAL), nets)
+        placebo=Placebo.NULL_BAL), expected_metrics(
+            fitness_spec_from_sample(sample, Variant.BALANCE_DRIVEN)))
     # volume-driven null is controlled by accounting size, and vice versa
     assert "ln_s_bal" in d_net.column_names
     assert "ln_s_net" not in d_net.column_names
@@ -207,7 +204,7 @@ def test_design_placebo_cross_controls():
     with pytest.raises(MissingNullModel):
         build_design(sample, ModelSpec(
             Stage.LINK_FORMATION, Model.M3_FULL,
-            placebo=Placebo.NULL_NET), {})
+            placebo=Placebo.NULL_NET))
 
 
 def test_design_row_scopes():
@@ -220,21 +217,6 @@ def test_design_row_scopes():
     assert np.all(d2.y == np.log(net.weights[d2.firm_index, d2.bank_index]))
     # rows run over firms, then banks
     assert np.all(np.diff(d2.firm_index * net.n_banks + d2.bank_index) > 0)
-
-
-def test_design_computes_expected_metrics_once(monkeypatch):
-    sample = random_sample(np.random.default_rng(2))
-    nulls = {Placebo.NULL_NET: fitness_spec_from_sample(
-        sample, Variant.NETWORK_DRIVEN)}
-    calls = []
-    expected_metrics = econometrics.expected_metrics
-    monkeypatch.setattr(econometrics, "expected_metrics",
-                        lambda spec: calls.append(spec) or expected_metrics(spec))
-    d = build_design(sample, ModelSpec(
-        Stage.LOAN_SIZING, Model.M3_FULL,
-        placebo=Placebo.NULL_NET), nulls)
-    assert {"ln_k_null", "ln_h_null"} <= set(d.column_names)
-    assert calls == [nulls[Placebo.NULL_NET]]
 
 
 def test_design_computes_degrees_once(monkeypatch):
@@ -712,14 +694,14 @@ def test_model_spec_name_identifies_its_design():
     # without bank fixed effects
     assert len(by_name) == 48
     sample = make_sample(**TWO_BY_TWO)  # the correction clamps a balance
-    nulls = {Placebo.NULL_NET: fitness_spec_from_sample(
-                 sample, Variant.NETWORK_DRIVEN),
-             Placebo.NULL_BAL: fitness_spec_from_sample(
-                 sample, Variant.BALANCE_DRIVEN)}
+    nulls = {Placebo.NULL_NET: expected_metrics(fitness_spec_from_sample(
+                 sample, Variant.NETWORK_DRIVEN)),
+             Placebo.NULL_BAL: expected_metrics(fitness_spec_from_sample(
+                 sample, Variant.BALANCE_DRIVEN))}
     for name, specs in by_name.items():
-        first = build_design(sample, specs[0], nulls)
+        first = build_design(sample, specs[0], nulls.get(specs[0].placebo))
         for spec in specs[1:]:
-            d = build_design(sample, spec, nulls)
+            d = build_design(sample, spec, nulls.get(spec.placebo))
             assert d.column_names == first.column_names, name
             assert np.array_equal(d.augmented, first.augmented), name
             assert d.n_clamped == first.n_clamped, name

@@ -295,8 +295,7 @@ def test_ensemble_large_samples_match_oracle(rng):
                                        rtol=1e-13)
     # a bank linked to all 2**16 firms: its count exceeds 16-bit integers
     n = 2**16
-    full = ConstantSpec(density=1.0, n_firms=n, n_banks=1, s=np.ones(n),
-                        t=np.ones(1))
+    full = ConstantSpec(density=1.0, s=np.ones(n), t=np.ones(1))
     acc = sample_ensemble(full, 10_000, seed=1)
     assert acc.sum_bank_degrees[0] == 10_000 * n
     assert expected_metrics(full).stderr("bank_degrees", 10_000)[0] == 0.0

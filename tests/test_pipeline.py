@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -10,13 +11,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from creditnet import econometrics, nullmodel
 from creditnet.cli import main
+from creditnet.core import Sample
 from creditnet.ingest import write_sample_csv
 from creditnet.pipeline import (NULL_VARIANTS, ReportBundle, RunConfig,
                                 default_grid, load_config_file,
                                 residual_diagnostics, run, write_null_variant)
-from creditnet.report import (canonical_json, sha256_file, svg_histogram,
-                              svg_scatter, write_csv)
+from creditnet.report import (canonical_json, sha256_file, sha256_text,
+                              svg_histogram, svg_scatter, write_csv)
 from creditnet.synthgen import GenConfig, generate
 from conftest import make_sample
 from oracles import canonical_json_dumps, csv_rows_text
@@ -280,6 +283,30 @@ def test_run_survives_a_failing_null_variant(tmp_path):
         assert (out / f"nullmodel_{name}.json").exists()
 
 
+def test_run_computes_each_closed_form_once(tmp_path, monkeypatch):
+    """The null placebo cells read the closed forms their null variant's
+    stage computed: one ``expected_metrics`` call per requested variant."""
+    calls = []
+    original = nullmodel.expected_metrics
+
+    def counted(spec):
+        calls.append(spec)
+        return original(spec)
+
+    # econometrics imports the name too: count calls made through either
+    monkeypatch.setattr(nullmodel, "expected_metrics", counted)
+    monkeypatch.setattr(econometrics, "expected_metrics", counted)
+    config = dataclasses.replace(small_run_config(tmp_path),
+                                 null_variants=tuple(NULL_VARIANTS))
+    bundle = run(config)
+    assert len(calls) == len(NULL_VARIANTS)
+    # every null placebo cell got its closed forms (a stage-1 one may
+    # still fail its fit)
+    assert not [name for name, err in bundle.failures.items()
+                if name.startswith("nullmodel_") or "MissingNullModel" in err]
+    assert "regress/loan_sizing_m3_a_null_bal.json" in bundle.files
+
+
 def test_null_variant_json_writes_each_number_once(completed_run):
     out, _ = completed_run
     written = json.loads((out / "nullmodel_network.json").read_text())
@@ -353,6 +380,17 @@ def test_config_validation(tmp_path):
     with pytest.raises(ValueError):
         RunConfig(out_dir=str(tmp_path), synth=GenConfig(),
                   null_variants=("bogus",))
+
+
+def test_config_hash_tells_an_empty_grid_from_the_default(tmp_path):
+    # grid=None runs the default grid, grid=() runs no cell
+    default = small_run_config(tmp_path)
+    empty = dataclasses.replace(default, grid=())
+    assert default.to_json()["grid"] is None
+    assert empty.to_json()["grid"] == []
+    hashes = {sha256_text(canonical_json(config.to_json()))
+              for config in (default, empty)}
+    assert len(hashes) == 2
 
 
 def test_config_rejects_csv_paths_beside_synth(tmp_path):
@@ -461,7 +499,9 @@ def test_cli_stages_write_what_run_writes(tmp_path):
             ("nullmodel", ["--variant", "network", "--samples", "50",
                            "--seed", "11"], "", "nullmodel_network.json"),
             ("regress", ["--stage", "2", "--model", "m3"], "regress",
-             "loan_sizing_m3_a.json")):
+             "loan_sizing_m3_a.json"),
+            ("placebo", ["--stage", "2"], "regress",
+             "loan_sizing_m3_a_null_net.json")):
         out = tmp_path / command
         assert main([command, *inputs, "--out", str(out), *args]) == 0
         written = sorted(p.name for p in out.iterdir())
@@ -512,6 +552,20 @@ def test_cli_run_rejects_csv_path_beside_synth_config(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--edges", "--firms", "--banks"])
+def test_cli_run_with_one_csv_path_asks_for_all_three(tmp_path, capsys,
+                                                      flag):
+    # one path is an incomplete CSV input, not a synthetic config
+    out = tmp_path / "out"
+    assert main(["run", "--out", str(out), flag,
+                 str(tmp_path / "input.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "provide the three CSV paths" in err
+    assert "synthetic generator config" in err  # the error's other option
+    assert "given together" not in err
+    assert not out.exists()
+
+
 def test_cli_nullmodel_rejects_zero_samples(tmp_path, capsys):
     data = os.path.join(os.path.dirname(__file__), "data", "consolidated_small")
     out = tmp_path / "null"
@@ -537,6 +591,35 @@ def test_cli_placebo_panel(tmp_path, capsys):
     assert (out / "loan_sizing_m3_a.json").exists()
     captured = capsys.readouterr()
     assert "loan_sizing_m3_a" in captured.out + captured.err
+
+
+def test_cli_placebo_records_a_failing_null(tmp_path, capsys):
+    """A null that cannot calibrate fails, by name, the cell that reads it;
+    the other cells are written as `run` writes them."""
+    sample, _ = generate(GenConfig(n_firms=50, n_banks=15, seed=8,
+                                   target_density=0.2))
+    t_bal = np.array(sample.bank_columns["balance_strength"])
+    t_bal[3:] = 0.0  # three banks cannot carry the network's link count
+    paths = write_sample_csv(Sample(sample.network, sample.firm_columns, dict(
+        sample.bank_columns, balance_strength=t_bal)), str(tmp_path / "in"))
+    full = tmp_path / "full"
+    run(RunConfig(out_dir=str(full), edges_path=paths["edges"],
+                  firm_attrs_path=paths["firms"],
+                  bank_attrs_path=paths["banks"], n_samples=20, seed=1))
+    out = tmp_path / "placebo"
+    assert main(["placebo", "--edges", paths["edges"], "--firms",
+                 paths["firms"], "--banks", paths["banks"], "--out",
+                 str(out), "--stage", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "nullmodel_balance: FAILED (TargetOutOfRange: " in err
+    assert "loan_sizing_m3_a_null_bal: FAILED (MissingNullModel: " in err
+    written = sorted(p.name for p in out.iterdir())
+    assert written == sorted(f"loan_sizing_m3_a{cell}.{ext}"
+                             for cell in ("", "_nostrength", "_null_net")
+                             for ext in ("json", "txt"))
+    for name in written:
+        assert (out / name).read_bytes() == \
+            (full / "regress" / name).read_bytes(), name
 
 
 def test_cli_run_subcommand(tmp_path):
