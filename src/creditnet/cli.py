@@ -3,13 +3,13 @@
 The single-stage subcommands (stats, nullmodel, regress, placebo) call the
 stage functions of :mod:`creditnet.pipeline` and write the same files that
 ``run`` writes for that stage. Exit codes: 0 on success, 2 when a grid cell
-or null variant failed (each is named on stderr), 1 on an error.
+or null variant failed (each is named on stderr), 1 on an error, a usage
+error included.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -22,8 +22,8 @@ from .synthgen import GenConfig, write_synthetic
 
 STAGES = {"1": econ.Stage.LINK_FORMATION, "2": econ.Stage.LOAN_SIZING}
 # the RunConfig fields that `run` flags set; a flag left out is None
-PATH_FLAGS = ("edges_path", "firm_attrs_path", "bank_attrs_path")
-RUN_FLAGS = PATH_FLAGS + ("n_samples", "seed")
+RUN_FLAGS = ("edges_path", "firm_attrs_path", "bank_attrs_path", "n_samples",
+             "seed")
 
 
 def _add_input_args(parser):
@@ -88,7 +88,7 @@ def _cmd_regress(args) -> int:
     spec = econ.ModelSpec(STAGES[args.stage], econ.Model(args.model),
                           econ.DegreeVariant(args.variant), fixed_effects=fe)
     bundle = ReportBundle(args.out)
-    cell = pipeline.write_cell(bundle, filtered, spec, None, subdir="")
+    cell = pipeline.write_cell(bundle, filtered, spec, {}, subdir="")
     if cell is not None:
         print(cell[0].format_table(title=spec.name()), end="")
     return _finish(bundle)
@@ -101,8 +101,7 @@ def _cmd_placebo(args) -> int:
     closed = {name: pipeline.calibrate_null(bundle, filtered, name)[1]
               for name in pipeline.PLACEBO_NULLS.values()}
     for spec in pipeline.placebo_panel(STAGES[args.stage]):
-        null = closed.get(pipeline.PLACEBO_NULLS.get(spec.placebo))
-        if pipeline.write_cell(bundle, filtered, spec, null, subdir=""):
+        if pipeline.write_cell(bundle, filtered, spec, closed, subdir=""):
             print(f"{spec.name()}: ok")
     return _finish(bundle)
 
@@ -110,15 +109,8 @@ def _cmd_placebo(args) -> int:
 def _cmd_run(args) -> int:
     given = {name: getattr(args, name) for name in RUN_FLAGS
              if getattr(args, name) is not None}
-    if args.config:
-        config = dataclasses.replace(
-            load_config_file(args.config, args.out), **given)
-    else:
-        synth = None  # a partial set of CSV paths is RunConfig's error
-        if given.keys().isdisjoint(PATH_FLAGS):
-            synth = GenConfig(seed=given.get("seed", RunConfig.seed))
-        config = RunConfig(out_dir=args.out, synth=synth, **given)
-    bundle = run(config)
+    bundle = run(load_config_file(args.config, args.out, **given)
+                 if args.config else RunConfig(out_dir=args.out, **given))
     if bundle.ok:
         print(f"wrote {len(bundle.files)} files to {bundle.out_dir}")
     return _finish(bundle)
@@ -187,7 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error is an error; --help exits 0
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except Exception as exc:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -47,16 +47,7 @@ class SummaryStats:
     cv_bank_degree: float
 
     def to_json(self) -> dict:
-        return {
-            "n_firms": self.n_firms,
-            "n_banks": self.n_banks,
-            "n_links": self.n_links,
-            "density": self.density,
-            "mean_firm_degree": self.mean_firm_degree,
-            "mean_bank_degree": self.mean_bank_degree,
-            "cv_firm_degree": self.cv_firm_degree,
-            "cv_bank_degree": self.cv_bank_degree,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,7 @@ class RunConfig:
     edges_path: str | None = None
     firm_attrs_path: str | None = None
     bank_attrs_path: str | None = None
-    synth: GenConfig | None = None
+    synth: GenConfig | None = None  # None without paths -> GenConfig(seed)
     null_variants: tuple[str, ...] = ("network", "balance")
     n_samples: int = 10_000
     seed: int = 42
@@ -73,6 +73,8 @@ class RunConfig:
         paths = {"edges": self.edges_path, "firms": self.firm_attrs_path,
                  "banks": self.bank_attrs_path}
         given = [name for name, path in paths.items() if path]
+        if self.synth is None and not given:  # no input: the default sample
+            object.__setattr__(self, "synth", GenConfig(seed=self.seed))
         if self.synth is not None and given:
             raise ValueError(f"CSV path ({', '.join(given)}) given together "
                              "with a synthetic generator config")
@@ -269,15 +271,17 @@ def write_null_variant(bundle: ReportBundle, sample: Sample, name: str,
 
 
 def write_cell(bundle: ReportBundle, sample: Sample, spec: econ.ModelSpec,
-               null: nullmodel.ExpectedMetrics | None, subdir: str = "regress"):
+               closed: dict[str, nullmodel.ExpectedMetrics | None],
+               subdir: str = "regress"):
     """Build, fit and write one grid cell into ``subdir`` of the bundle.
 
-    ``null`` is the closed forms a null placebo reads (see
-    ``PLACEBO_NULLS``). Returns ``(fit, design)``, or None after recording
-    the failure under the cell's name.
+    ``closed`` maps null variant names to their closed forms (or None); a
+    null placebo reads the one ``PLACEBO_NULLS`` names. Returns ``(fit,
+    design)``, or None after recording the failure under the cell's name.
     """
     cell = spec.name()
     try:
+        null = closed.get(PLACEBO_NULLS.get(spec.placebo))
         design = econ.build_design(sample, spec, null)
         fit = econ.fit_design(design)
     except Exception as exc:  # recorded, never fatal for other cells
@@ -343,8 +347,7 @@ def run(config: RunConfig) -> ReportBundle:
     grid = config.grid if config.grid is not None else default_grid()
     diagnosed = None  # only this cell's fit and design outlive its write
     for spec in grid:
-        null = closed.get(PLACEBO_NULLS.get(spec.placebo))
-        cell = write_cell(bundle, filtered, spec, null)
+        cell = write_cell(bundle, filtered, spec, closed)
         if spec.name() == "loan_sizing_m3_a":
             diagnosed = cell
     if diagnosed:
@@ -353,7 +356,18 @@ def run(config: RunConfig) -> ReportBundle:
     return bundle
 
 
-# config-file key -> GenConfig field and type
+# config-file key -> RunConfig field and the type its value converts to
+_RUN_KEYS = {
+    "edges": ("edges_path", str),
+    "firms": ("firm_attrs_path", str),
+    "banks": ("bank_attrs_path", str),
+    "variants": ("null_variants", lambda text: tuple(
+        v.strip() for v in text.split(",") if v.strip())),
+    "samples": ("n_samples", int),
+    "seed": ("seed", int),
+}
+# config-file key -> GenConfig field and type; any of them makes a run
+# synthetic, and a key left out keeps its GenConfig default
 SYNTH_KEYS = {
     "synth_firms": ("n_firms", int),
     "synth_banks": ("n_banks", int),
@@ -364,13 +378,12 @@ SYNTH_KEYS = {
     "synth_noise_sd": ("noise_sd", float),
     "synth_balance_noise": ("balance_noise", float),
 }
-_CONFIG_KEYS = frozenset(SYNTH_KEYS) | {
-    "edges", "firms", "banks", "variants", "samples", "seed"}
 
 
-def load_config_file(path: str, out_dir: str) -> RunConfig:
-    """Parse the flat key=value run configuration format."""
-    values: dict[str, str] = {}
+def load_config_file(path: str, out_dir: str, **given) -> RunConfig:
+    """Parse the flat key=value run configuration format; the ``given``
+    ``RunConfig`` fields override the file's before the config is built."""
+    fields, synth = {}, {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
@@ -380,24 +393,15 @@ def load_config_file(path: str, out_dir: str) -> RunConfig:
                 raise ValueError(f"{path}:{line_no}: expected key=value")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_KEYS:
+            target, keys = ((synth, SYNTH_KEYS) if key.startswith("synth_")
+                            else (fields, _RUN_KEYS))
+            if key not in keys:
                 raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
-            values[key] = value.strip()
-
-    synth = None
-    if "synth_firms" in values:
-        synth = GenConfig(**{name: kind(values[key])
-                             for key, (name, kind) in SYNTH_KEYS.items()
-                             if key in values})
-    variants = tuple(v.strip() for v in values.get(
-        "variants", ",".join(RunConfig.null_variants)).split(",") if v.strip())
-    return RunConfig(
-        out_dir=out_dir,
-        edges_path=values.get("edges"),
-        firm_attrs_path=values.get("firms"),
-        bank_attrs_path=values.get("banks"),
-        synth=synth,
-        null_variants=variants,
-        n_samples=int(values.get("samples", RunConfig.n_samples)),
-        seed=int(values.get("seed", RunConfig.seed)),
-    )
+            name, kind = keys[key]
+            try:
+                target[name] = kind(value.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {key}: {exc}") from None
+    if synth:
+        fields["synth"] = GenConfig(**synth)
+    return RunConfig(out_dir=out_dir, **{**fields, **given})

@@ -43,6 +43,9 @@ class GenConfig:
     balance_noise: float = 0.05       # log-normal noise linking s_bal to s_net
 
     def __post_init__(self):
+        if min(self.n_firms, self.n_banks) < 1:
+            raise ValueError(f"n_firms ({self.n_firms}) and n_banks "
+                             f"({self.n_banks}) must be >= 1")
         if not 0 < self.target_density < 1:
             raise ValueError("target_density must lie in (0, 1)")
         if self.firm_size_sigma <= 0 or self.bank_size_sigma <= 0:
@@ -61,12 +64,7 @@ class GroundTruth:
     realized_links: int
 
     def to_json(self) -> dict:
-        return {
-            "config": asdict(self.config),
-            "z": self.z,
-            "realized_density": self.realized_density,
-            "realized_links": self.realized_links,
-        }
+        return asdict(self)
 
     def save(self, path) -> None:
         report.write_json(path, self.to_json())

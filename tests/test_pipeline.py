@@ -372,8 +372,9 @@ def test_residual_diagnostics_requires_residuals():
 
 
 def test_config_validation(tmp_path):
-    with pytest.raises(ValueError):
-        RunConfig(out_dir=str(tmp_path))  # neither files nor synth
+    # neither files nor synth: the default sample, drawn with the run's seed
+    assert RunConfig(out_dir=str(tmp_path)).synth == GenConfig(seed=42)
+    assert RunConfig(out_dir=str(tmp_path), seed=7).synth.seed == 7
     with pytest.raises(ValueError):
         RunConfig(out_dir=str(tmp_path), synth=GenConfig(),
                   edges_path="e", firm_attrs_path="f", bank_attrs_path="b")
@@ -443,6 +444,24 @@ def test_load_config_file(tmp_path):
     typo.write_text("samples = 25\nsampels = 25\n")
     with pytest.raises(ValueError, match=r"cfg:2: unknown key 'sampels'"):
         load_config_file(str(typo), str(tmp_path / "o"))
+
+
+@pytest.mark.parametrize("line", ["samples = 1e4", "synth_firms = thirty",
+                                  "seed = "])
+def test_config_file_bad_value_names_its_line_and_key(tmp_path, line):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"variants = network\n{line}\n")
+    key = line.partition("=")[0].strip()
+    with pytest.raises(ValueError, match=rf"cfg:2: {key}: invalid literal"):
+        load_config_file(str(cfg_path), str(tmp_path / "o"))
+
+
+def test_config_file_any_synth_key_makes_it_synthetic(tmp_path):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("synth_banks = 15\nseed = 5\n")
+    config = load_config_file(str(cfg_path), str(tmp_path / "o"))
+    assert config.synth == GenConfig(n_banks=15)  # synth_seed keeps its 0
+    assert config.seed == 5
 
 
 # --------------------------------------------------------------------------
@@ -541,6 +560,40 @@ def test_cli_run_flags_override_config_file(tmp_path):
     assert (manifest["config"]["n_samples"], manifest["seed"]) == (7, 5)
 
 
+@pytest.mark.parametrize("lines, with_paths, expected", [
+    ("samples = 5\nvariants = network\n", True, {"n_samples": 5}),
+    ("synth_seed = 3\nsynth_banks = 15\n", False,
+     {"synth.n_banks": 15, "synth.seed": 3}),
+    ("samples = 5\n", False, {"synth.seed": 42}),
+], ids=["paths-from-flags", "synth-keys", "no-input"])
+def test_cli_run_merges_flags_into_config_file(tmp_path, lines, with_paths,
+                                                expected):
+    """The flags and the file merge before the config is validated: the
+    flags may supply the paths the file leaves out, any synth_* key makes
+    the run synthetic, and no input at all is the default sample."""
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(lines)
+    flags = []
+    if with_paths:
+        data = tmp_path / "data"
+        main(["synth", "--out", str(data), "--firms", "40", "--banks", "12",
+              "--seed", "3", "--density", "0.25"])
+        flags = [f"--{name}={data / name}.csv"
+                 for name in ("edges", "firms", "banks")]
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), *flags,
+                 "--out", str(out)]) in (0, 2)
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    if with_paths:
+        assert config["edges_path"] == str(data / "edges.csv")
+        assert config["synth"] is None
+    for key, value in expected.items():
+        got = config
+        for part in key.split("."):
+            got = got[part]
+        assert got == value, key
+
+
 def test_cli_run_rejects_csv_path_beside_synth_config(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("synth_firms = 30\nsynth_banks = 10\n")
@@ -627,6 +680,23 @@ def test_cli_run_subcommand(tmp_path):
     code = main(["run", "--out", str(out), "--samples", "20", "--seed", "5"])
     assert code in (0, 2)
     assert (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--out", "o", "--bogus"],
+    ["regress", "--edges", "e", "--firms", "f", "--banks", "b", "--out", "o",
+     "--model", "m3"],
+    ["run", "--out", "o", "--samples", "ten"],
+])
+def test_cli_usage_error_exits_1(argv, capsys):
+    """Exit 2 is a failed cell or null variant; a usage error is an error."""
+    assert main(argv) == 1
+    assert "usage: creditnet" in capsys.readouterr().err
+
+
+def test_cli_help_exits_0(capsys):
+    assert main(["run", "--help"]) == 0
+    assert "--config" in capsys.readouterr().out
 
 
 def test_cli_error_exit_code(tmp_path, capsys):

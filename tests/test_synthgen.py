@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from creditnet.cli import main
 from creditnet.core import derived_degrees
 from creditnet.synthgen import DegenerateDensity, GenConfig, generate
 from oracles import sequential_links
@@ -112,6 +113,17 @@ def test_config_validation():
         GenConfig(firm_size_sigma=-1.0)
     with pytest.raises(ValueError):
         GenConfig(noise_sd=-0.1)
+
+
+@pytest.mark.parametrize("side, size", [("firms", 0), ("firms", -3),
+                                        ("banks", 0)])
+def test_config_rejects_an_empty_side(tmp_path, capsys, side, size):
+    with pytest.raises(ValueError, match=rf"n_{side} \({size}\)"):
+        GenConfig(**{f"n_{side}": size})
+    out = tmp_path / "s"
+    assert main(["synth", "--out", str(out), f"--{side}", str(size)]) == 1
+    assert "error: ValueError: n_firms (" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_is_frozen():
