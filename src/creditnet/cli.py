@@ -88,7 +88,7 @@ def _cmd_regress(args) -> int:
     spec = econ.ModelSpec(STAGES[args.stage], econ.Model(args.model),
                           econ.DegreeVariant(args.variant), fixed_effects=fe)
     bundle = ReportBundle(args.out)
-    cell = pipeline.write_cell(bundle, filtered, spec, {}, subdir="")
+    cell = pipeline.write_cell(bundle, filtered, spec, subdir="")
     if cell is not None:
         print(cell[0].format_table(title=spec.name()), end="")
     return _finish(bundle)
@@ -97,11 +97,8 @@ def _cmd_regress(args) -> int:
 def _cmd_placebo(args) -> int:
     filtered, _ = _parse_filtered(args)
     bundle = ReportBundle(args.out)
-    # the closed forms of each null a placebo reads; its files are not written
-    closed = {name: pipeline.calibrate_null(bundle, filtered, name)[1]
-              for name in pipeline.PLACEBO_NULLS.values()}
     for spec in pipeline.placebo_panel(STAGES[args.stage]):
-        if pipeline.write_cell(bundle, filtered, spec, closed, subdir=""):
+        if pipeline.write_cell(bundle, filtered, spec, subdir=""):
             print(f"{spec.name()}: ok")
     return _finish(bundle)
 

@@ -49,6 +49,7 @@ __all__ = [
     "conditional_weights",
     "expected_metrics",
     "sample_ensemble",
+    "philox",
 ]
 
 
@@ -181,12 +182,12 @@ class ConstantSpec(_SizedModel):
         return {"model": "random", "density": self.density}
 
 
-def calibrate_z(s, t, l_target: float, rel_tol: float = 1e-10) -> float:
+def calibrate_z(s, t, l_target: float) -> float:
     """Solve sum_ij p_ij(z) = l_target for the unique positive root.
 
-    The expected link count is strictly increasing in ``z``, so a doubling
-    bracket plus bisection always converges; a Newton polish then drives
-    the relative residual below ``rel_tol``.
+    The expected link count is strictly increasing in ``z``, with ln z
+    elasticity at most 1, so a doubling bracket plus geometric bisection to
+    a relative width of 1e-12 leaves a relative residual of that order.
     """
     s = _as_fitness(s, "firm fitness")
     t = _as_fitness(t, "bank fitness")
@@ -222,22 +223,7 @@ def calibrate_z(s, t, l_target: float, rel_tol: float = 1e-10) -> float:
             hi = mid
         if hi / lo < 1 + 1e-12:
             break
-
-    z = np.sqrt(lo * hi)
-    for _ in range(50):
-        resid = expected_links(z) - l_target
-        if abs(resid) <= rel_tol * l_target:
-            return float(z)
-        # p(1 - p) of this z, in the z st buffer
-        np.subtract(1.0, p, out=zst)
-        np.multiply(p, zst, out=zst)
-        slope = float(zst.sum()) / z
-        step = resid / slope
-        z_new = z - step
-        if z_new <= 0:
-            z_new = z / 2.0
-        z = z_new
-    raise NoConvergence(50, abs(resid) / l_target)
+    return float(np.sqrt(lo * hi))
 
 
 def fitness_spec_from_sample(sample: Sample, variant: Variant) -> FitnessSpec:
@@ -384,7 +370,9 @@ def expected_metrics(spec) -> ExpectedMetrics:
                            **_margins(w, "strengths"), variances=variances)
 
 
-_U64 = 0xFFFFFFFFFFFFFFFF
+def philox(seed: int) -> np.random.Generator:
+    """Philox keyed by ``seed`` mod 2**64: each integer names a stream."""
+    return np.random.Generator(np.random.Philox(key=int(seed) % 2**64))
 
 
 @dataclass
@@ -419,15 +407,14 @@ class Ensemble:
 def sample_ensemble(spec, n_samples: int, seed: int) -> Ensemble:
     """Draw ``n_samples`` configurations as one matrix of link counts.
 
-    The counts are one ``binomial(n_samples, P)`` draw of a Philox generator
-    keyed by ``seed`` mod 2**64, so the result depends on the seed and N alone.
+    The counts are one ``binomial(n_samples, P)`` draw of ``philox(seed)``,
+    so the result depends on the seed and N alone.
     """
     if n_samples < 1:
         raise NullModelError("n_samples must be >= 1")
     p = spec.probability_matrix()
     w = conditional_weights(spec, p)
-    gen = np.random.Generator(np.random.Philox(key=int(seed) & _U64))
-    counts = gen.binomial(n_samples, p)
+    counts = philox(seed).binomial(n_samples, p)
     sums = _margins(counts, "degrees")
     sums["links"] = sums["firm_degrees"].sum()
     w *= counts  # the weight each link carries over all configurations

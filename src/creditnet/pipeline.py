@@ -103,11 +103,14 @@ class RunConfig:
 
 @dataclass
 class ReportBundle:
-    """Paths and statuses of everything a run emitted."""
+    """Paths and statuses of everything a command emitted."""
 
     out_dir: str
     files: list[str] = field(default_factory=list)
     failures: dict[str, str] = field(default_factory=dict)
+    # null variant name -> (spec, ExpectedMetrics), or (None, None) after
+    # its recorded failure; filled on first use by calibrate_null
+    nulls: dict[str, tuple] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -206,15 +209,18 @@ def write_stats(bundle: ReportBundle,
 
 
 def calibrate_null(bundle: ReportBundle, sample: Sample, name: str):
-    """Calibrate null variant ``name`` and compute its closed forms: returns
-    ``(spec, expected)``, the model and its ``ExpectedMetrics``, or
-    ``(None, None)`` after recording the failure as ``nullmodel_<name>``."""
-    try:
-        spec = NULL_VARIANTS[name](sample)
-        return spec, nullmodel.expected_metrics(spec)
-    except Exception as exc:  # recorded, never fatal for other stages
-        bundle.failures[f"nullmodel_{name}"] = _cause(exc)
-        return None, None
+    """Null variant ``name`` and its ``ExpectedMetrics`` as ``(spec,
+    expected)``, or ``(None, None)`` after recording the failure as
+    ``nullmodel_<name>``. The first call calibrates, later calls read
+    ``bundle.nulls``: a bundle serves one command on one sample."""
+    if name not in bundle.nulls:
+        try:
+            spec = NULL_VARIANTS[name](sample)
+            bundle.nulls[name] = spec, nullmodel.expected_metrics(spec)
+        except Exception as exc:  # recorded, never fatal for other stages
+            bundle.failures[f"nullmodel_{name}"] = _cause(exc)
+            bundle.nulls[name] = None, None
+    return bundle.nulls[name]
 
 
 def write_null_variant(bundle: ReportBundle, sample: Sample, name: str,
@@ -236,7 +242,7 @@ def write_null_variant(bundle: ReportBundle, sample: Sample, name: str,
         return None
     try:
         ensemble = sample_ensemble(spec, n_samples, seed)
-    except Exception as exc:  # a failed draw fails the variant too
+    except Exception as exc:  # fails the variant, not its closed forms
         bundle.failures[f"nullmodel_{name}"] = _cause(exc)
         return None
     k, h = derived_degrees(sample.network)
@@ -271,17 +277,17 @@ def write_null_variant(bundle: ReportBundle, sample: Sample, name: str,
 
 
 def write_cell(bundle: ReportBundle, sample: Sample, spec: econ.ModelSpec,
-               closed: dict[str, nullmodel.ExpectedMetrics | None],
                subdir: str = "regress"):
     """Build, fit and write one grid cell into ``subdir`` of the bundle.
 
-    ``closed`` maps null variant names to their closed forms (or None); a
-    null placebo reads the one ``PLACEBO_NULLS`` names. Returns ``(fit,
-    design)``, or None after recording the failure under the cell's name.
+    A null placebo reads the closed forms of the null ``PLACEBO_NULLS``
+    names (:func:`calibrate_null`). Returns ``(fit, design)``, or None after
+    recording the failure under the cell's name.
     """
     cell = spec.name()
+    null = (calibrate_null(bundle, sample, PLACEBO_NULLS[spec.placebo])[1]
+            if spec.placebo in PLACEBO_NULLS else None)
     try:
-        null = closed.get(PLACEBO_NULLS.get(spec.placebo))
         design = econ.build_design(sample, spec, null)
         fit = econ.fit_design(design)
     except Exception as exc:  # recorded, never fatal for other cells
@@ -341,13 +347,13 @@ def run(config: RunConfig) -> ReportBundle:
     report.write_json(bundle.add("filter_report.json"),
                       filter_report.to_json())
     write_stats(bundle, filtered.network)
-    closed = {name: write_null_variant(bundle, filtered, name,
-                                       config.n_samples, config.seed)
-              for name in config.null_variants}
+    for name in config.null_variants:
+        write_null_variant(bundle, filtered, name, config.n_samples,
+                           config.seed)
     grid = config.grid if config.grid is not None else default_grid()
     diagnosed = None  # only this cell's fit and design outlive its write
     for spec in grid:
-        cell = write_cell(bundle, filtered, spec, closed)
+        cell = write_cell(bundle, filtered, spec)
         if spec.name() == "loan_sizing_m3_a":
             diagnosed = cell
     if diagnosed:
@@ -400,6 +406,11 @@ def load_config_file(path: str, out_dir: str, **given) -> RunConfig:
             name, kind = keys[key]
             try:
                 target[name] = kind(value.strip())
+                # each value passes its own rule here, the three paths below
+                if keys is SYNTH_KEYS:
+                    GenConfig(**{name: target[name]})
+                elif not name.endswith("_path"):
+                    RunConfig(out_dir=out_dir, **{name: target[name]})
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {key}: {exc}") from None
     if synth:

@@ -17,7 +17,8 @@ import numpy as np
 from . import report
 from .core import BipartiteNetwork, Sample
 from .ingest import write_sample_csv
-from .nullmodel import FitnessSpec, Variant, calibrate_z, conditional_weights
+from .nullmodel import (FitnessSpec, Variant, calibrate_z,
+                        conditional_weights, philox)
 
 __all__ = ["GenConfig", "GroundTruth", "DegenerateDensity", "generate",
            "write_synthetic"]
@@ -76,7 +77,7 @@ def _logit(p):
 
 def generate(config: GenConfig) -> tuple[Sample, GroundTruth]:
     """Draw a synthetic sample; fully reproducible from (config, seed)."""
-    rng = np.random.Generator(np.random.Philox(key=int(config.seed)))
+    rng = philox(config.seed)
     nf, nb = config.n_firms, config.n_banks
 
     s_fit = rng.lognormal(config.firm_size_mu, config.firm_size_sigma, nf)

@@ -80,8 +80,8 @@ def calibrate_z_bisection(s, t, l_target, tol=1e-12):
     return (lo + hi) / 2
 
 
-def calibrate_z_allocating(s, t, l_target, rel_tol=1e-10):
-    """Bracket, geometric bisection and Newton polish on fresh arrays.
+def calibrate_z_allocating(s, t, l_target):
+    """Bracket and geometric bisection on fresh arrays.
 
     Every evaluation of the expected link count forms z s t', 1 + z s t'
     and p anew; the solver's sequence of steps is the package's.
@@ -90,31 +90,22 @@ def calibrate_z_allocating(s, t, l_target, rel_tol=1e-10):
 
     def expected_links(z):
         st = z * np.outer(s, t)
-        p = st / (1.0 + st)
-        return float(p.sum()), p
+        return float((st / (1.0 + st)).sum())
 
     lo, hi = 1e-18, 1.0
-    while expected_links(hi)[0] <= l_target:
+    while expected_links(hi) <= l_target:
         hi *= 2.0
-    while expected_links(lo)[0] >= l_target:
+    while expected_links(lo) >= l_target:
         lo /= 2.0
     for _ in range(200):
         mid = np.sqrt(lo * hi)
-        if expected_links(mid)[0] < l_target:
+        if expected_links(mid) < l_target:
             lo = mid
         else:
             hi = mid
         if hi / lo < 1 + 1e-12:
             break
-    z = np.sqrt(lo * hi)
-    for _ in range(50):
-        total, p = expected_links(z)
-        resid = total - l_target
-        if abs(resid) <= rel_tol * l_target:
-            return float(z)
-        z_new = z - resid / (float((p * (1.0 - p)).sum()) / z)
-        z = z_new if z_new > 0 else z / 2.0
-    raise RuntimeError("oracle Newton polish did not converge")
+    return float(np.sqrt(lo * hi))
 
 
 def bicm_fixed_point(k, h, tol=1e-12, max_iters=200_000, damping=0.5):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from creditnet import nullmodel
 from creditnet.core import derived_degrees, derived_strengths
 from creditnet.nullmodel import (STATISTICS, ConstantSpec,
                                  FitnessSpec, NonGraphicalTargets,
@@ -50,17 +49,13 @@ def test_calibrate_z_matches_bisection_oracle(rng):
 
 
 @given(st.integers(1, 600), st.integers(1, 60), st.floats(0.1, 2.5),
-       st.floats(0.01, 0.9), st.booleans(),
-       st.sampled_from([1e-10, 1e-14, 1e-15]), st.integers(0, 2**32 - 1))
+       st.floats(0.01, 0.9), st.booleans(), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
-@example(300, 40, 1.5, 0.3, False, 1e-15, 0)
+@example(300, 40, 1.5, 0.3, False, 0)
 def test_calibrate_z_equals_allocating_oracle(nf, nb, sigma, density, zeros,
-                                              rel_tol, seed):
-    """Bit for bit the z of the same solver on freshly allocated arrays.
-
-    The bisection alone meets the default tolerance; the tighter ones make
-    the Newton polish take steps.
-    """
+                                              seed):
+    """Bit for bit the z of the same solver on freshly allocated arrays, and
+    the bisection alone leaves a relative residual far below 1e-10."""
     rng = np.random.default_rng(seed)
     s = rng.lognormal(0.0, sigma, nf)
     t = rng.lognormal(0.0, sigma, nb)
@@ -68,13 +63,10 @@ def test_calibrate_z_equals_allocating_oracle(nf, nb, sigma, density, zeros,
         s[rng.random(nf) < 0.2] = 0.0
         s[0] = max(s[0], 1.0)
     target = density * np.count_nonzero(s) * nb
-    try:
-        z = calibrate_z(s, t, target, rel_tol)
-    except nullmodel.NoConvergence:
-        with pytest.raises(RuntimeError):
-            calibrate_z_allocating(s, t, target, rel_tol)
-        return
-    assert z == calibrate_z_allocating(s, t, target, rel_tol)
+    z = calibrate_z(s, t, target)
+    assert z == calibrate_z_allocating(s, t, target)
+    zst = z * np.outer(s, t)
+    assert abs((zst / (1 + zst)).sum() - target) <= 1e-11 * target
 
 
 def test_calibrate_z_target_bounds(rng):

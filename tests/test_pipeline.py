@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -11,12 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from creditnet import econometrics, nullmodel
+from creditnet import econometrics, nullmodel, pipeline
 from creditnet.cli import main
 from creditnet.core import Sample
 from creditnet.ingest import write_sample_csv
-from creditnet.pipeline import (NULL_VARIANTS, ReportBundle, RunConfig,
-                                default_grid, load_config_file,
+from creditnet.pipeline import (NULL_VARIANTS, PLACEBO_NULLS, ReportBundle,
+                                RunConfig, default_grid, load_config_file,
                                 residual_diagnostics, run, write_null_variant)
 from creditnet.report import (canonical_json, sha256_file, sha256_text,
                               svg_histogram, svg_scatter, write_csv)
@@ -283,9 +284,11 @@ def test_run_survives_a_failing_null_variant(tmp_path):
         assert (out / f"nullmodel_{name}.json").exists()
 
 
-def test_run_computes_each_closed_form_once(tmp_path, monkeypatch):
-    """The null placebo cells read the closed forms their null variant's
-    stage computed: one ``expected_metrics`` call per requested variant."""
+@pytest.mark.parametrize("variants", [tuple(NULL_VARIANTS), ("network",), ()],
+                         ids=["all", "network", "none"])
+def test_run_computes_each_closed_form_once(tmp_path, monkeypatch, variants):
+    """A null's closed forms are computed once, by whichever stage first
+    asks: one ``expected_metrics`` call per null written or read."""
     calls = []
     original = nullmodel.expected_metrics
 
@@ -297,14 +300,59 @@ def test_run_computes_each_closed_form_once(tmp_path, monkeypatch):
     monkeypatch.setattr(nullmodel, "expected_metrics", counted)
     monkeypatch.setattr(econometrics, "expected_metrics", counted)
     config = dataclasses.replace(small_run_config(tmp_path),
-                                 null_variants=tuple(NULL_VARIANTS))
+                                 null_variants=variants)
     bundle = run(config)
-    assert len(calls) == len(NULL_VARIANTS)
+    assert len(calls) == len(set(variants) | set(PLACEBO_NULLS.values()))
     # every null placebo cell got its closed forms (a stage-1 one may
     # still fail its fit)
     assert not [name for name, err in bundle.failures.items()
                 if name.startswith("nullmodel_") or "MissingNullModel" in err]
     assert "regress/loan_sizing_m3_a_null_bal.json" in bundle.files
+
+
+def _null_placebo_cells(out, bundle):
+    """Each null placebo cell's files, or its recorded failure."""
+    cells = {}
+    for stage in econometrics.Stage:
+        for placebo in PLACEBO_NULLS:
+            cell = econometrics.ModelSpec(stage, econometrics.Model.M3_FULL,
+                                          placebo=placebo).name()
+            cells[cell] = bundle.failures.get(cell) or [
+                (out / "regress" / f"{cell}.{ext}").read_bytes()
+                for ext in ("json", "txt")]
+    return cells
+
+
+def test_run_reads_a_placebo_null_it_does_not_write(tmp_path,
+                                                    completed_run):
+    """A null left out of ``null_variants`` is calibrated for the placebo
+    cells that read it, which come out as in a run that writes it; its
+    files are not written."""
+    out = tmp_path / "network"
+    bundle = run(dataclasses.replace(small_run_config(out),
+                                     null_variants=("network",)))
+    assert _null_placebo_cells(out, bundle) == \
+        _null_placebo_cells(*completed_run)
+    assert (out / "nullmodel_network.json").exists()
+    assert not (out / "nullmodel_balance.json").exists()
+    assert not [f for f in bundle.files if "comparison_balance" in f]
+
+
+def test_run_failed_draw_fails_only_its_variant(tmp_path, monkeypatch,
+                                                completed_run):
+    """The placebo cells read the closed forms, which a draw cannot fail."""
+    def fail(*args):
+        raise nullmodel.NullModelError("no draw")
+
+    monkeypatch.setattr(pipeline, "sample_ensemble", fail)
+    out = tmp_path / "out"
+    bundle = run(small_run_config(out))
+    for name in small_run_config(out).null_variants:
+        assert bundle.failures[f"nullmodel_{name}"] == \
+            "NullModelError: no draw"
+        assert not (out / f"nullmodel_{name}.json").exists()
+    assert _null_placebo_cells(out, bundle) == \
+        _null_placebo_cells(*completed_run)
 
 
 def test_null_variant_json_writes_each_number_once(completed_run):
@@ -446,13 +494,26 @@ def test_load_config_file(tmp_path):
         load_config_file(str(typo), str(tmp_path / "o"))
 
 
-@pytest.mark.parametrize("line", ["samples = 1e4", "synth_firms = thirty",
-                                  "seed = "])
+# a config-file line with a bad value -> the cause its error names
+BAD_VALUES = {
+    "samples = 1e4": "invalid literal",
+    "synth_firms = thirty": "invalid literal",
+    "seed = ": "invalid literal",
+    "synth_density = 2": "target_density must lie in (0, 1)",
+    "synth_banks = 0": "n_firms (60) and n_banks (0) must be >= 1",
+    "samples = 0": "n_samples must be >= 1",
+    "variants = netwrk": "unknown null variant 'netwrk'",
+}
+
+
+@pytest.mark.parametrize("line", list(BAD_VALUES))
 def test_config_file_bad_value_names_its_line_and_key(tmp_path, line):
+    """A value that does not convert, or that its config's rule rejects."""
     cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(f"variants = network\n{line}\n")
+    cfg_path.write_text(f"seed = 3\n{line}\n")
     key = line.partition("=")[0].strip()
-    with pytest.raises(ValueError, match=rf"cfg:2: {key}: invalid literal"):
+    with pytest.raises(ValueError,
+                       match=rf"cfg:2: {key}: {re.escape(BAD_VALUES[line])}"):
         load_config_file(str(cfg_path), str(tmp_path / "o"))
 
 

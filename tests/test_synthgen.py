@@ -26,6 +26,19 @@ def test_generate_seed_changes_output():
     assert not np.array_equal(s1.network.weights, s2.network.weights)
 
 
+def test_generate_keys_seed_mod_2_64():
+    """A negative seed names the stream of its residue mod 2**64, as the
+    null-model ensemble's seed does."""
+    s1, t1 = generate(GenConfig(seed=-1))
+    s2, t2 = generate(GenConfig(seed=2**64 - 1))
+    np.testing.assert_array_equal(s1.network.weights, s2.network.weights)
+    for cols1, cols2 in ((s1.firm_columns, s2.firm_columns),
+                         (s1.bank_columns, s2.bank_columns)):
+        for name in cols1:
+            np.testing.assert_array_equal(cols1[name], cols2[name])
+    assert t1.z == t2.z
+
+
 def test_generate_density_near_target():
     densities = [generate(GenConfig(seed=s, target_density=0.15))[0]
                  .network.density for s in range(10)]
