@@ -182,12 +182,31 @@ class ConstantSpec(_SizedModel):
         return {"model": "random", "density": self.density}
 
 
+Z_MAX = 1e30  # calibrate_z gives up on a root above this
+NEWTON_ITERS = 20
+NEWTON_TOL = 1e-13  # |sum p - l_target| / l_target that ends the estimate
+ESTIMATE_MARGIN = 1e-10  # in ln z; nearer bisection points are evaluated
+# relative rounding error bound of sum p: numpy sums a contiguous array
+# pairwise, to within about (log2 n + 16) eps / 2 of the sum for n terms
+# (the terms' own rounding included), far below this for any n that fits
+SUM_ROUNDING = 64 * np.finfo(float).eps
+MARGIN_SAFETY = 10.0
+
+
 def calibrate_z(s, t, l_target: float) -> float:
     """Solve sum_ij p_ij(z) = l_target for the unique positive root.
 
     The expected link count is strictly increasing in ``z``, with ln z
     elasticity at most 1, so a doubling bracket plus geometric bisection to
     a relative width of 1e-12 leaves a relative residual of that order.
+
+    Safeguarded Newton in ln z first estimates the root. A point of the
+    bracket or the bisection farther than ``ESTIMATE_MARGIN`` from the
+    estimate takes its side of the root from it; nearer points are
+    evaluated. The margin is used only when it exceeds, ``MARGIN_SAFETY``
+    times over, the estimate's error plus the rounding error of sum p, so
+    every step goes the way an evaluation would and z is the bisection's z
+    bit for bit. Without such an estimate every point is evaluated.
     """
     s = _as_fitness(s, "firm fitness")
     t = _as_fitness(t, "bank fitness")
@@ -207,17 +226,59 @@ def calibrate_z(s, t, l_target: float) -> float:
         np.divide(zst, p, out=p)
         return float(p.sum())
 
+    def slope() -> float:
+        """d sum p / d ln z = sum p (1 - p) at the last evaluated z."""
+        np.add(zst, 1.0, out=zst)
+        np.divide(p, zst, out=zst)
+        return float(zst.sum())
+
+    # Newton from z = l_target / (S T), where sum p <= sum z s t = l_target;
+    # a step leaving the bracket of evaluated sides is a bisection instead.
+    # Near the root the slope is at most max_links - l_target, so closer to
+    # saturation than this no estimate can meet the margin: skip it.
+    known_below, known_above = 0.0, np.inf  # sides known outside these
+    u = np.log(l_target) - np.log(s.sum()) - np.log(t.sum())
+    u_lo, u_hi = -np.inf, np.log(Z_MAX)
+    saturated = (MARGIN_SAFETY * SUM_ROUNDING * l_target
+                 > ESTIMATE_MARGIN * (max_links - l_target))
+    for _ in range(0 if saturated else NEWTON_ITERS):
+        gap = expected_links(np.exp(u)) - l_target
+        d = slope()
+        if not d > 0:
+            break
+        if abs(gap) <= NEWTON_TOL * l_target:
+            error = (abs(gap) + SUM_ROUNDING * l_target) / d
+            if MARGIN_SAFETY * error <= ESTIMATE_MARGIN:
+                known_below = np.exp(u - ESTIMATE_MARGIN)
+                known_above = np.exp(u + ESTIMATE_MARGIN)
+            break
+        if gap < 0:
+            u_lo = u
+        else:
+            u_hi = u
+        u_next = u - gap / d
+        u = u_next if u_lo < u_next < u_hi else 0.5 * (u_lo + u_hi)
+
+    def links(z) -> float:
+        """sum p at z, or -inf / inf where the estimate puts z below or
+        above the root."""
+        if z < known_below:
+            return -np.inf
+        if z > known_above:
+            return np.inf
+        return expected_links(z)
+
     lo, hi = 1e-18, 1.0
-    while expected_links(hi) <= l_target:
+    while links(hi) <= l_target:
         hi *= 2.0
-        if hi > 1e30:
+        if hi > Z_MAX:
             raise NoConvergence(0, float("inf"))
-    while expected_links(lo) >= l_target:
+    while links(lo) >= l_target:
         lo /= 2.0
 
     for _ in range(200):
         mid = np.sqrt(lo * hi)  # geometric bisection: z spans many decades
-        if expected_links(mid) < l_target:
+        if links(mid) < l_target:
             lo = mid
         else:
             hi = mid

@@ -339,7 +339,12 @@ def _write_manifest(bundle: ReportBundle, config: RunConfig,
 
 
 def run(config: RunConfig) -> ReportBundle:
-    """Execute the full pipeline; failing variants and cells do not abort it."""
+    """Execute the full pipeline; failing variants and cells do not abort it.
+
+    The grid holds one cell's design and fit at a time: the loan-sizing
+    diagnostics are written from ``loan_sizing_m3_a`` right after its cell,
+    and each cell's design is released before the next one is built.
+    """
     os.makedirs(config.out_dir, exist_ok=True)
     bundle = ReportBundle(out_dir=config.out_dir)
     sample, input_paths = _load_sample(config, bundle)
@@ -351,13 +356,11 @@ def run(config: RunConfig) -> ReportBundle:
         write_null_variant(bundle, filtered, name, config.n_samples,
                            config.seed)
     grid = config.grid if config.grid is not None else default_grid()
-    diagnosed = None  # only this cell's fit and design outlive its write
     for spec in grid:
         cell = write_cell(bundle, filtered, spec)
-        if spec.name() == "loan_sizing_m3_a":
-            diagnosed = cell
-    if diagnosed:
-        _write_diagnostics(bundle, *diagnosed)
+        if cell and spec.name() == "loan_sizing_m3_a":
+            _write_diagnostics(bundle, *cell)
+        del cell  # the next cell builds its design without this one's
     _write_manifest(bundle, config, input_paths)
     return bundle
 

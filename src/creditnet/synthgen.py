@@ -44,9 +44,11 @@ class GenConfig:
     balance_noise: float = 0.05       # log-normal noise linking s_bal to s_net
 
     def __post_init__(self):
-        if min(self.n_firms, self.n_banks) < 1:
-            raise ValueError(f"n_firms ({self.n_firms}) and n_banks "
-                             f"({self.n_banks}) must be >= 1")
+        empty = [f"{side} ({n})" for side, n in (("n_firms", self.n_firms),
+                                                  ("n_banks", self.n_banks))
+                 if n < 1]
+        if empty:
+            raise ValueError(f"{' and '.join(empty)} must be >= 1")
         if not 0 < self.target_density < 1:
             raise ValueError("target_density must lie in (0, 1)")
         if self.firm_size_sigma <= 0 or self.bank_size_sigma <= 0:

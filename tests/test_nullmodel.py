@@ -52,6 +52,8 @@ def test_calibrate_z_matches_bisection_oracle(rng):
        st.floats(0.01, 0.9), st.booleans(), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 @example(300, 40, 1.5, 0.3, False, 0)
+@example(300, 40, 1.5, 1 - 0.5 / 12_000, False, 0)  # l_target near max_links
+@example(1, 1, 1.0, 0.5, False, 0)
 def test_calibrate_z_equals_allocating_oracle(nf, nb, sigma, density, zeros,
                                               seed):
     """Bit for bit the z of the same solver on freshly allocated arrays, and
@@ -67,6 +69,26 @@ def test_calibrate_z_equals_allocating_oracle(nf, nb, sigma, density, zeros,
     assert z == calibrate_z_allocating(s, t, target)
     zst = z * np.outer(s, t)
     assert abs((zst / (1 + zst)).sum() - target) <= 1e-11 * target
+
+
+@pytest.mark.parametrize("nf, nb, log_scale, density", [
+    (300, 40, 0.0, 1 - 0.9 / 12_000),  # within 1 of max_links: no Newton
+    (300, 40, 0.0, 1 - 18 / 12_000),   # Newton runs, its margin is too wide
+    (1, 1, 15.0, 0.01),
+    (1, 1, -15.0, 0.5),
+    (200, 30, 15.0, 0.1),   # z near e^-30
+    (200, 30, -15.0, 0.1),  # z near e^30
+    (200, 30, -15.0, 0.9),
+])
+def test_calibrate_z_edge_cases_equal_allocating_oracle(nf, nb, log_scale,
+                                                        density):
+    """Where the Newton estimate is rejected or skipped, as where it is
+    used, z is the allocating bisection's z bit for bit."""
+    rng = np.random.default_rng(3)
+    s = np.exp(log_scale) * rng.lognormal(0.0, 1.0, nf)
+    t = np.exp(log_scale) * rng.lognormal(0.0, 1.0, nb)
+    target = density * nf * nb
+    assert calibrate_z(s, t, target) == calibrate_z_allocating(s, t, target)
 
 
 def test_calibrate_z_target_bounds(rng):

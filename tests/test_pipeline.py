@@ -5,6 +5,7 @@ import json
 import os
 import re
 import tempfile
+import weakref
 
 import numpy as np
 import pytest
@@ -226,6 +227,26 @@ def test_run_is_byte_identical(tmp_path):
     assert m1["outputs"] == m2["outputs"]
     assert m1["config_hash"] == m2["config_hash"]
     assert sorted(b1.files) == sorted(b2.files)
+
+
+def test_run_holds_one_design_at_a_time(tmp_path, monkeypatch):
+    """Each grid cell's design is released before the next one is built."""
+    designs, alive = [], []
+    original = econometrics.build_design
+
+    def tracked(*args, **kwargs):
+        # recorded, not asserted: write_cell would record the error as a
+        # failing cell
+        alive.append(sum(ref() is not None for ref in designs))
+        design = original(*args, **kwargs)
+        designs.append(weakref.ref(design))
+        return design
+
+    monkeypatch.setattr(econometrics, "build_design", tracked)
+    bundle = run(small_run_config(tmp_path))
+    assert len(alive) == len(default_grid())
+    assert "residual_diagnostics.json" in bundle.files
+    assert alive == [0] * len(alive)
 
 
 def test_run_seed_changes_ensembles(tmp_path):
@@ -500,7 +521,7 @@ BAD_VALUES = {
     "synth_firms = thirty": "invalid literal",
     "seed = ": "invalid literal",
     "synth_density = 2": "target_density must lie in (0, 1)",
-    "synth_banks = 0": "n_firms (60) and n_banks (0) must be >= 1",
+    "synth_banks = 0": "n_banks (0) must be >= 1",
     "samples = 0": "n_samples must be >= 1",
     "variants = netwrk": "unknown null variant 'netwrk'",
 }

@@ -135,7 +135,8 @@ def test_config_rejects_an_empty_side(tmp_path, capsys, side, size):
         GenConfig(**{f"n_{side}": size})
     out = tmp_path / "s"
     assert main(["synth", "--out", str(out), f"--{side}", str(size)]) == 1
-    assert "error: ValueError: n_firms (" in capsys.readouterr().err
+    assert f"error: ValueError: n_{side} ({size}) must be >= 1\n" == \
+        capsys.readouterr().err
     assert not out.exists()
 
 
