@@ -2,8 +2,9 @@
 
 Design matrices follow three nested specifications: a gravity model on
 balance-sheet fundamentals, a network model on degrees and strengths, and
-a full model combining both. Topological predictors receive rest-of-the-
-world corrections so a pair's own link never enters its predictors.
+a full model combining both. A pair's own loan never enters its
+predictors: the ``COLUMNS`` table names what each node quantity loses on
+the rows of a linked pair, and ``build_design`` applies that one rule.
 Placebo designs replace empirical degrees with null-model expected degrees
 under a cross-controlling convention.
 """
@@ -41,7 +42,6 @@ __all__ = [
     "DesignMatrix",
     "CoefficientStat",
     "FitResult",
-    "rest_of_world",
     "build_design",
     "fit_design",
     "fit_logit",
@@ -127,14 +127,13 @@ class FixedEffects(enum.Enum):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A regression design: stage, variable set, corrections, fixed effects."""
+    """A regression design: stage, variable set, placebo, fixed effects."""
 
     stage: Stage
     model: Model
     variant: DegreeVariant = DegreeVariant.A_WITH_DEGREE
     placebo: Placebo = Placebo.NONE
     fixed_effects: FixedEffects = FixedEffects.NONE
-    herman: bool = True  # the rest-of-the-world correction
 
     def __post_init__(self):
         if self.placebo is not Placebo.NONE and (
@@ -155,37 +154,46 @@ class ModelSpec:
             parts.append(self.placebo.value)
         if self.fixed_effects is not FixedEffects.NONE:
             parts.append("fe")
-        if not self.herman:
-            parts.append("uncorrected")
         return "_".join(parts)
 
 
 FIRM, BANK = "firm", "bank"
-Column = namedtuple("Column", "side source floor")
+# the share of a node quantity that a linked pair's own loan contributes
+LINK, LOAN, LOAN_AT_STAGE_2 = "link", "loan", "loan at stage 2"
+Column = namedtuple("Column", "side source floor own")
 
-# design column -> its node side, source quantity and log floor. A source is
-# a rest-of-world quantity (k, h, s_net, t_net, s_bal or t_bal), a placebo
-# null's expected degree (k_null or h_null), "exclusive" (single-banked on
-# the uncorrected network) or a node attribute. A positive floor raises the
-# values below it to it, and counts them, before the log; PLAIN_LOG takes
-# the log alone, and None keeps the values.
+# design column -> its node side, source quantity, log floor and own share.
+# A source is a node quantity: a degree (k, h), a network strength (s_net,
+# t_net), a placebo null's expected degree (k_null, h_null), "exclusive"
+# (single-banked on the network as observed) or a node attribute. A
+# positive floor raises the values below it to it, and counts them, before
+# the log; PLAIN_LOG takes the log alone, and None keeps the values.
+#
+# The rest-of-world rule: a pair's own loan never enters its predictors. On
+# the row of a linked pair, a column with an own share takes the node
+# quantity less that share before its floor: degrees lose the link (1) and
+# network strengths the loan, at both stages; balance strengths lose the
+# loan at stage 2 only. Every other row, and every other column, holds the
+# node's value.
 COLUMNS = {
-    "ln_k": Column(FIRM, "k", DEGREE_FLOOR),
-    "ln_h": Column(BANK, "h", DEGREE_FLOOR),
-    "ln_s_net": Column(FIRM, "s_net", STRENGTH_FLOOR),
-    "ln_t_net": Column(BANK, "t_net", STRENGTH_FLOOR),
-    "ln_s_bal": Column(FIRM, "s_bal", STRENGTH_FLOOR),
-    "ln_t_bal": Column(BANK, "t_bal", STRENGTH_FLOOR),
-    "ln_k_null": Column(FIRM, "k_null", EXPECTED_DEGREE_FLOOR),
-    "ln_h_null": Column(BANK, "h_null", EXPECTED_DEGREE_FLOOR),
-    "is_exclusive": Column(FIRM, "exclusive", None),
-    "ln_assets_firm": Column(FIRM, "total_assets", PLAIN_LOG),
-    "lev_firm": Column(FIRM, "leverage", None),
-    "roa_firm": Column(FIRM, "roa", None),
-    "tang": Column(FIRM, "tangibility", None),
-    "ln_assets_bank": Column(BANK, "total_assets", PLAIN_LOG),
-    "lev_bank": Column(BANK, "leverage", None),
-    "roa_bank": Column(BANK, "roa", None),
+    "ln_k": Column(FIRM, "k", DEGREE_FLOOR, LINK),
+    "ln_h": Column(BANK, "h", DEGREE_FLOOR, LINK),
+    "ln_s_net": Column(FIRM, "s_net", STRENGTH_FLOOR, LOAN),
+    "ln_t_net": Column(BANK, "t_net", STRENGTH_FLOOR, LOAN),
+    "ln_s_bal": Column(FIRM, "balance_strength", STRENGTH_FLOOR,
+                       LOAN_AT_STAGE_2),
+    "ln_t_bal": Column(BANK, "balance_strength", STRENGTH_FLOOR,
+                       LOAN_AT_STAGE_2),
+    "ln_k_null": Column(FIRM, "k_null", EXPECTED_DEGREE_FLOOR, None),
+    "ln_h_null": Column(BANK, "h_null", EXPECTED_DEGREE_FLOOR, None),
+    "is_exclusive": Column(FIRM, "exclusive", None, None),
+    "ln_assets_firm": Column(FIRM, "total_assets", PLAIN_LOG, None),
+    "lev_firm": Column(FIRM, "leverage", None, None),
+    "roa_firm": Column(FIRM, "roa", None, None),
+    "tang": Column(FIRM, "tangibility", None, None),
+    "ln_assets_bank": Column(BANK, "total_assets", PLAIN_LOG, None),
+    "lev_bank": Column(BANK, "leverage", None, None),
+    "roa_bank": Column(BANK, "roa", None, None),
 }
 
 
@@ -196,6 +204,12 @@ class DesignMatrix:
     ``augmented`` is the float64 (n, 1 + p) array the estimators fit, in C
     order: column 0 is the intercept and column ``1 + j`` holds
     ``column_names[j]``. ``X`` is its regressor view ``augmented[:, 1:]``.
+
+    ``n_clamped`` counts the corrected balance strengths below 0 at stage
+    2. It counts both balance strengths of every stage-2 row, whatever the
+    design's columns, so it is not 0 in designs with no balance column
+    (``loan_sizing_m2_a``, ``m2_b`` and ``m3_a_null_bal``) and keeps the
+    bank side under bank fixed effects (``m3_a_fe``).
     """
 
     spec: ModelSpec
@@ -208,7 +222,7 @@ class DesignMatrix:
     bank_columns: frozenset[str]
     n_floored: dict[str, int]
     n_dropped: int
-    n_clamped: int = 0  # negative corrected balance strengths set to 0
+    n_clamped: int = 0
 
     @property
     def X(self) -> np.ndarray:
@@ -250,38 +264,6 @@ def _columns_for(spec: ModelSpec) -> list[str]:
     return net_firm + firm + net_bank + bank
 
 
-def rest_of_world(
-        sample: Sample, fi: np.ndarray, bi: np.ndarray, stage: Stage,
-        herman: bool = True,
-        degrees: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[dict[str, np.ndarray], int]:
-    """Predictors of the pairs (fi[r], bi[r]) without the pair's own loan.
-
-    Returns ``(quantities, n_clamped)``: ``quantities`` maps ``k``, ``h``,
-    ``s_net``, ``t_net``, ``s_bal`` and ``t_bal`` to one value per pair.
-    With ``w`` the pair's loan and ``a = (w > 0)`` its link, degrees lose
-    ``a`` and network strengths lose ``w`` at both stages. Stage 2 also
-    subtracts ``w`` from both balance-sheet strengths and clamps them at 0;
-    ``n_clamped`` counts those that were negative. With ``herman`` false,
-    ``w`` is 0: every predictor is its node's value. ``degrees`` are the
-    network's ``derived_degrees``, when the caller already has them.
-    """
-    net = sample.network
-    k, h = derived_degrees(net) if degrees is None else degrees
-    s_net, t_net = derived_strengths(net)
-    s_bal = sample.firm_columns["balance_strength"][fi]
-    t_bal = sample.bank_columns["balance_strength"][bi]
-    w = net.weights[fi, bi] if herman else np.zeros(fi.size)
-    a = (w > 0).astype(float)
-    n_clamped = 0
-    if stage is Stage.LOAN_SIZING:
-        s_bal, t_bal = s_bal - w, t_bal - w
-        n_clamped = int((s_bal < 0).sum() + (t_bal < 0).sum())
-        s_bal, t_bal = np.maximum(s_bal, 0.0), np.maximum(t_bal, 0.0)
-    return {"k": k[fi] - a, "h": h[bi] - a, "s_net": s_net[fi] - w,
-            "t_net": t_net[bi] - w, "s_bal": s_bal, "t_bal": t_bal}, n_clamped
-
-
 def build_design(sample: Sample, spec: ModelSpec,
                  null: ExpectedMetrics | None = None) -> DesignMatrix:
     """Assemble the design matrix and response for a model specification.
@@ -293,14 +275,17 @@ def build_design(sample: Sample, spec: ModelSpec,
     net = sample.network
     nf, nb = net.n_firms, net.n_banks
     k, h = derived_degrees(net)
+    s_net, t_net = derived_strengths(net)
+    loan_sizing = spec.stage is Stage.LOAN_SIZING
 
     columns = _columns_for(spec)
     if spec.fixed_effects is FixedEffects.BANK_DUMMIES:
         columns = [c for c in columns if COLUMNS[c].side != BANK]
 
     # node quantities, transformed per node and then gathered into rows
-    nodes = {FIRM: dict(sample.firm_columns, exclusive=(k == 1).astype(float)),
-             BANK: dict(sample.bank_columns)}
+    nodes = {FIRM: dict(sample.firm_columns, k=k, s_net=s_net,
+                        exclusive=(k == 1).astype(float)),
+             BANK: dict(sample.bank_columns, h=h, t_net=t_net)}
     if any(COLUMNS[c].source in ("k_null", "h_null") for c in columns):
         if null is None:
             raise MissingNullModel(
@@ -310,7 +295,7 @@ def build_design(sample: Sample, spec: ModelSpec,
 
     # pair scope and row filtering; rows run over firms, then banks
     n_dropped = 0
-    if spec.stage is Stage.LOAN_SIZING:
+    if loan_sizing:
         fi, bi = np.nonzero(net.weights > 0)
     else:
         fi, bi = np.meshgrid(np.arange(nf), np.arange(nb), indexing="ij")
@@ -324,32 +309,45 @@ def build_design(sample: Sample, spec: ModelSpec,
     if fi.size == 0:
         raise AllRowsDropped("no rows left for this specification")
 
-    per_row, n_clamped = rest_of_world(sample, fi, bi, spec.stage,
-                                       spec.herman, (k, h))
+    rows = {FIRM: fi, BANK: bi}
+    w_row = net.weights[fi, bi]
+    # the rows of linked pairs, and what each own share takes off them
+    linked = slice(None) if loan_sizing else np.flatnonzero(w_row > 0)
+    own_share = {LINK: 1.0, LOAN: w_row[linked]}
+    n_clamped = 0
+    if loan_sizing:
+        own_share[LOAN_AT_STAGE_2] = own_share[LOAN]
+        # corrected balance strengths below 0: the floor of 1 covers the
+        # clamp at 0, so only the count is kept; it covers both balance
+        # strengths of every row, whatever the design's columns
+        n_clamped = int(sum(
+            np.count_nonzero(nodes[c.side][c.source][rows[c.side]] - w_row < 0)
+            for c in COLUMNS.values() if c.own is LOAN_AT_STAGE_2))
+
     floored: dict[str, int] = {}
-    # each column is computed contiguous, then copied into its place
+    # each column is transformed per node and gathered into its place; the
+    # linked rows of a column with an own share are then overwritten
     augmented = np.empty((fi.size, 1 + len(columns)))
     augmented[:, 0] = 1.0
-    rows = {FIRM: fi, BANK: bi}
     for j, name in enumerate(columns, start=1):
-        side, source, floor = COLUMNS[name]
-        if source in per_row:  # already one value per row
-            values, take = per_row[source], slice(None)
-        else:
-            values, take = nodes[side][source], rows[side]
+        side, source, floor, own = COLUMNS[name]
+        node, take = nodes[side][source], rows[side]
         if floor:
-            floored[name] = np.count_nonzero((values < floor)[take])
-            values = np.log(np.maximum(values, floor))
-        elif floor == PLAIN_LOG:
-            values = np.log(values)
+            below = node < floor
+            floored[name] = np.count_nonzero(below[take])
+            values = np.log(np.maximum(node, floor))
+        else:
+            values = np.log(node) if floor == PLAIN_LOG else node
         augmented[:, j] = values[take]
+        if own in own_share:
+            own_rows = take[linked]
+            rest = node[own_rows] - own_share[own]
+            floored[name] += (np.count_nonzero(rest < floor)
+                              - np.count_nonzero(below[own_rows]))
+            augmented[linked, j] = np.log(np.maximum(rest, floor))
     if not np.all(np.isfinite(augmented)):
         raise EconError("non-finite entries in the design matrix")
-    w_row = net.weights[fi, bi]
-    if spec.stage is Stage.LINK_FORMATION:
-        y = (w_row > 0).astype(float)
-    else:
-        y = np.log(w_row)
+    y = np.log(w_row) if loan_sizing else (w_row > 0).astype(float)
 
     return DesignMatrix(
         spec=spec,

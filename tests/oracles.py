@@ -357,6 +357,37 @@ def herman_correct(weights, i, j, stage, s_bal, t_bal):
                            max(float(t_bal) - w, 0.0))
 
 
+def uncorrected_design(sample, spec):
+    """``spec``'s design without the rest-of-world correction.
+
+    Every degree and strength column holds its node's value, the pair's
+    own loan included, floored at 1 before the log; the rows and the other
+    columns are those of ``build_design``.
+    """
+    from dataclasses import replace
+
+    from creditnet.econometrics import build_design
+
+    design = build_design(sample, spec)
+    w = sample.network.weights
+    fi, bi = design.firm_index, design.bank_index
+    s_bal = sample.firm_columns["balance_strength"]
+    t_bal = sample.bank_columns["balance_strength"]
+    node_values = {
+        "ln_k": (w > 0).sum(axis=1)[fi], "ln_h": (w > 0).sum(axis=0)[bi],
+        "ln_s_net": w.sum(axis=1)[fi], "ln_t_net": w.sum(axis=0)[bi],
+        "ln_s_bal": s_bal[fi], "ln_t_bal": t_bal[bi]}
+    augmented = design.augmented.copy()
+    n_floored = dict(design.n_floored)
+    for col, name in enumerate(design.column_names, start=1):
+        if name in node_values:
+            values = node_values[name]
+            augmented[:, col] = np.log(np.maximum(values, 1.0))
+            n_floored[name] = int((values < 1.0).sum())
+    return replace(design, augmented=augmented, n_floored=n_floored,
+                   n_clamped=0)
+
+
 def _conditional_weights(p, s, t):
     """w_ij = s_i t_j / (W p_ij) with W = sqrt(S T); 0 where p_ij = 0."""
     with np.errstate(divide="ignore", invalid="ignore"):

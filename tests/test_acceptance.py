@@ -10,6 +10,8 @@ replication, and byte-level determinism.
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -17,10 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from creditnet import econometrics
 from creditnet.core import Sample, derived_degrees, derived_strengths
 from creditnet.econometrics import (DesignMatrix, Model, ModelSpec, Placebo,
                                     Stage, build_design, fit_logit, fit_ols,
-                                    fit_ols_fixed_effects, rest_of_world, vif)
+                                    fit_ols_fixed_effects, vif)
 from creditnet.ingest import parse_sample
 from creditnet.netstats import summarize
 from creditnet.nullmodel import (Variant, bicm_from_network, calibrate_z,
@@ -31,7 +34,7 @@ from creditnet.synthgen import GenConfig, generate
 from conftest import make_network, make_sample
 from oracles import (herman_correct, logit_grid_refine, logit_newton,
                      ols_normal_equations, ols_with_group_dummies,
-                     precision_at_l, rmsre)
+                     precision_at_l, rmsre, uncorrected_design)
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -220,7 +223,7 @@ def test_acceptance_ols_fe_vif_oracles():
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_acceptance_rest_of_world_correction(seed):
-    """The vectorised correction agrees with the pair-by-pair oracle."""
+    """The design's corrected columns agree with the pair-by-pair oracle."""
     rng = np.random.default_rng(seed)
     nf, nb = int(rng.integers(2, 9)), int(rng.integers(2, 7))
     w = (rng.random((nf, nb)) < 0.5) * rng.lognormal(0, 1, (nf, nb))
@@ -230,23 +233,26 @@ def test_acceptance_rest_of_world_correction(seed):
     s_bal = rng.uniform(0, 10, nf)
     t_bal = rng.uniform(0, 10, nb)
     sample = make_sample(w, s_bal=s_bal, t_bal=t_bal)
-    fi, bi = (idx.ravel() for idx in np.indices((nf, nb)))
-    linked = w[fi, bi] > 0  # stage 2 rows are the existing links
-    for stage, number, rows in ((Stage.LINK_FORMATION, 1, slice(None)),
-                                (Stage.LOAN_SIZING, 2, linked)):
-        columns, n_clamped = rest_of_world(sample, fi[rows], bi[rows], stage)
-        got = np.column_stack([columns[q] for q in (
-            "k", "h", "s_net", "t_net", "s_bal", "t_bal")])
+    names = ("ln_k", "ln_h", "ln_s_net", "ln_t_net", "ln_s_bal", "ln_t_bal")
+    for stage, number in ((Stage.LINK_FORMATION, 1), (Stage.LOAN_SIZING, 2)):
+        design = build_design(sample, ModelSpec(stage, Model.M3_FULL))
+        got = np.column_stack([design.column(name) for name in names])
+        want = []
         negative = 0
-        for row, i, j in zip(got, fi[rows], bi[rows]):
+        for i, j in zip(design.firm_index, design.bank_index):
             c = herman_correct(w, i, j, number, s_bal[i], t_bal[j])
-            np.testing.assert_allclose(
-                row, [c.firm_degree, c.bank_degree, c.firm_net_strength,
-                      c.bank_net_strength, c.firm_bal_strength,
-                      c.bank_bal_strength], rtol=1e-12, atol=1e-12)
+            want.append([c.firm_degree, c.bank_degree, c.firm_net_strength,
+                         c.bank_net_strength, c.firm_bal_strength,
+                         c.bank_bal_strength])
             if number == 2:
                 negative += int(s_bal[i] < w[i, j]) + int(t_bal[j] < w[i, j])
-        assert n_clamped == negative
+        # degrees and strengths share the log floor of 1
+        want = np.array(want)
+        np.testing.assert_allclose(got, np.log(np.maximum(want, 1.0)),
+                                   rtol=1e-12, atol=1e-12)
+        assert design.n_clamped == negative
+        assert {name: design.n_floored[name] for name in names} == dict(
+            zip(names, (want < 1.0).sum(axis=0).tolist()))
 
 
 # --------------------------------------------------------------------------
@@ -299,9 +305,9 @@ def test_acceptance_sign_patterns():
 def _placebo_pair(cfg):
     """Degree coefficients of the matched empirical and placebo designs."""
     sample, _ = generate(cfg)
-    emp = fit_logit(build_design(sample, ModelSpec(
+    emp = fit_logit(uncorrected_design(sample, ModelSpec(
         Stage.LINK_FORMATION, Model.M3_FULL,
-        placebo=Placebo.NO_STRENGTH, herman=False)))
+        placebo=Placebo.NO_STRENGTH)))
     null = fit_logit(build_design(sample, ModelSpec(
         Stage.LINK_FORMATION, Model.M3_FULL,
         placebo=Placebo.NULL_NET), expected_metrics(
@@ -430,3 +436,53 @@ def test_acceptance_byte_identical_runs(tmp_path):
         assert bytes_a == bytes_b, rel
     manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
     assert manifest == json.loads((tmp_path / "b" / "manifest.json").read_text())
+
+
+# stage-1 fits of a sample large enough for BLAS to thread; prints each
+# cell's estimates and standard errors as JSON
+_STAGE1_FITS = """
+import json
+from creditnet.econometrics import (DegreeVariant, Model, ModelSpec, Stage,
+                                    build_design, fit_logit)
+from creditnet.synthgen import GenConfig, generate
+
+sample, _ = generate(GenConfig(n_firms=1000, n_banks=100, seed=1,
+                               target_density=0.07, firm_size_sigma=1.0,
+                               bank_size_sigma=2.1))
+fits = {}
+for spec in (ModelSpec(Stage.LINK_FORMATION, Model.M1_GRAVITY),
+             ModelSpec(Stage.LINK_FORMATION, Model.M2_NETWORK),
+             ModelSpec(Stage.LINK_FORMATION, Model.M3_FULL,
+                       DegreeVariant.B_WITHOUT_DEGREE)):
+    fit = fit_logit(build_design(sample, spec))
+    fits[spec.name()] = {name: [c.estimate, c.std_error]
+                         for name, c in fit.coefficients.items()}
+print(json.dumps(fits))
+"""
+
+
+def test_acceptance_stage1_fits_agree_across_blas_threads():
+    """Byte identity holds for one BLAS thread count; across thread counts
+    the stage-1 estimates agree to 1e-6 of max(|estimate|, SE) and the
+    SEs to 1e-6 relative."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        econometrics.__file__)))
+    fits = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out = subprocess.run([sys.executable, "-c", _STAGE1_FITS], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=300)
+        fits.append(json.loads(out.stdout))
+    one, two = fits
+    assert sorted(one) == sorted(two) == ["link_formation_m1",
+                                          "link_formation_m2_a",
+                                          "link_formation_m3_b"]
+    for cell in one:
+        assert one[cell].keys() == two[cell].keys(), cell
+        for name, (b1, se1) in one[cell].items():
+            b2, se2 = two[cell][name]
+            assert abs(b1 - b2) <= 1e-6 * max(abs(b1), se1), (cell, name)
+            assert se2 == pytest.approx(se1, rel=1e-6), (cell, name)

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from creditnet import econometrics
-from creditnet.core import derived_degrees, derived_strengths
+from creditnet.core import Sample, derived_degrees, derived_strengths
 from creditnet.econometrics import (AbsorbedColumns, AllRowsDropped,
                                     DegreeVariant, DesignMatrix, EconError,
                                     FixedEffects, Model, ModelSpec,
@@ -16,19 +16,19 @@ from creditnet.econometrics import (AbsorbedColumns, AllRowsDropped,
                                     RankDeficient, Separation,
                                     SingletonGroupsOnly, SingularInformation,
                                     Stage, build_design, fit_design, fit_logit,
-                                    fit_ols, fit_ols_fixed_effects,
-                                    rest_of_world, vif)
+                                    fit_ols, fit_ols_fixed_effects, vif)
 from creditnet.nullmodel import (Variant, expected_metrics,
                                  fitness_spec_from_sample)
 from creditnet.report import canonical_json
 from conftest import make_network, make_sample
-from oracles import (fit_logit_allocating, logit_loglik, logit_newton,
-                     ols_normal_equations, ols_with_group_dummies,
+from oracles import (fit_logit_allocating, herman_correct, logit_loglik,
+                     logit_newton, ols_normal_equations,
+                     ols_with_group_dummies, uncorrected_design,
                      vif_from_correlation)
 
 
 def random_sample(rng, nf=25, nb=8, p=0.35):
-    from creditnet.core import BANK_FIELDS, FIRM_FIELDS, Sample
+    from creditnet.core import BANK_FIELDS, FIRM_FIELDS
 
     w = (rng.random((nf, nb)) < p) * rng.lognormal(3.0, 1.0, (nf, nb))
     w[:, 0] = np.maximum(w[:, 0], 0.5)  # keep every bank linked
@@ -57,13 +57,29 @@ def random_sample(rng, nf=25, nb=8, p=0.35):
 # rest-of-the-world corrections
 
 
-ROW_QUANTITIES = ("k", "h", "s_net", "t_net", "s_bal", "t_bal")
+CORRECTED = ("ln_k", "ln_h", "ln_s_net", "ln_t_net", "ln_s_bal", "ln_t_bal")
 
 
 def _pair(sample, i, j, stage):
-    """(k, h, s_net, t_net, s_bal, t_bal) of the single pair (i, j)."""
-    columns, _ = rest_of_world(sample, np.array([i]), np.array([j]), stage)
-    return tuple(float(columns[q][0]) for q in ROW_QUANTITIES)
+    """The full model's corrected columns on the row of the pair (i, j),
+    checked against the pair-by-pair oracle floored at 1 before the log."""
+    d = build_design(sample, ModelSpec(stage, Model.M3_FULL))
+    row = np.flatnonzero((d.firm_index == i) & (d.bank_index == j))[0]
+    got = tuple(float(d.column(name)[row]) for name in CORRECTED)
+    c = herman_correct(sample.network.weights, i, j,
+                       1 if stage is Stage.LINK_FORMATION else 2,
+                       sample.firm_columns["balance_strength"][i],
+                       sample.bank_columns["balance_strength"][j])
+    np.testing.assert_allclose(got, np.log(np.maximum(
+        [c.firm_degree, c.bank_degree, c.firm_net_strength,
+         c.bank_net_strength, c.firm_bal_strength, c.bank_bal_strength],
+        1.0)), rtol=1e-12, atol=1e-12)
+    return got
+
+
+def _logs(*values):
+    return pytest.approx(tuple(math.log(max(v, 1.0)) for v in values),
+                         rel=1e-12, abs=1e-12)
 
 
 TWO_BY_TWO = dict(weights=[[10.0, 0.0], [5.0, 2.0]],
@@ -72,54 +88,41 @@ TWO_BY_TWO = dict(weights=[[10.0, 0.0], [5.0, 2.0]],
 
 def test_herman_stage1_subtracts_focal_link():
     sample = make_sample(**TWO_BY_TWO)
-    k, h, s_net, t_net, s_bal, t_bal = _pair(sample, 1, 0,
-                                             Stage.LINK_FORMATION)
-    assert k == 1.0  # k=2 minus the focal link
-    assert h == 1.0
-    assert s_net == 2.0  # 7 - 5
-    assert t_net == 10.0  # 15 - 5
-    assert s_bal == 9.0  # untouched at stage 1
-    assert t_bal == 20.0
+    # k = 2 and h = 2 less the focal link; s_net 7 - 5 and t_net 15 - 5;
+    # balance strengths untouched at stage 1
+    assert _pair(sample, 1, 0, Stage.LINK_FORMATION) == _logs(
+        1.0, 1.0, 2.0, 10.0, 9.0, 20.0)
 
 
 def test_herman_stage1_absent_pair_unchanged():
     sample = make_sample(**TWO_BY_TWO)
-    k, h, s_net, t_net, s_bal, t_bal = _pair(sample, 0, 1,
-                                             Stage.LINK_FORMATION)
-    assert k == 1.0 and h == 1.0
-    assert s_net == 10.0 and t_net == 2.0
-    assert s_bal == 4.0 and t_bal == 3.0
+    assert _pair(sample, 0, 1, Stage.LINK_FORMATION) == _logs(
+        1.0, 1.0, 10.0, 2.0, 4.0, 3.0)
 
 
 def test_herman_stage2_subtracts_from_balance_too():
     sample = make_sample(**TWO_BY_TWO)
-    k, h, s_net, _, s_bal, t_bal = _pair(sample, 1, 0, Stage.LOAN_SIZING)
-    assert k == 1.0 and h == 1.0
-    assert s_bal == 4.0  # 9 - 5
-    assert t_bal == 15.0  # 20 - 5
-    assert s_net == 2.0
+    # s_bal 9 - 5 and t_bal 20 - 5
+    assert _pair(sample, 1, 0, Stage.LOAN_SIZING) == _logs(
+        1.0, 1.0, 2.0, 10.0, 4.0, 15.0)
 
 
 def test_herman_stage2_clamps_negative_balance():
     sample = make_sample([[10.0]], s_bal=np.array([3.0]),
                          t_bal=np.array([30.0]))
-    s_bal, t_bal = _pair(sample, 0, 0, Stage.LOAN_SIZING)[4:]
-    assert s_bal == 0.0  # 3 - 10, clamped
-    assert t_bal == 20.0
-    _, n_clamped = rest_of_world(sample, np.array([0]), np.array([0]),
-                                 Stage.LOAN_SIZING)
-    assert n_clamped == 1
+    # s_bal 3 - 10 is clamped at 0 and floored; t_bal 30 - 10
+    assert _pair(sample, 0, 0, Stage.LOAN_SIZING)[4:] == _logs(0.0, 20.0)
+    d = build_design(sample, ModelSpec(Stage.LOAN_SIZING, Model.M3_FULL))
+    assert d.n_clamped == 1
+    assert d.n_floored["ln_s_bal"] == 1 and d.n_floored["ln_t_bal"] == 0
 
 
 def test_design_counts_clamped_balances(caplog):
     """Clamps are counted on the design, not logged."""
     sample = make_sample(**TWO_BY_TWO)  # link (0, 0): s_bal 4 - 10 < 0
     caplog.set_level("DEBUG")
-    for stage, herman, count in ((Stage.LOAN_SIZING, True, 1),
-                                 (Stage.LOAN_SIZING, False, 0),
-                                 (Stage.LINK_FORMATION, True, 0)):
-        d = build_design(sample, ModelSpec(stage, Model.M3_FULL,
-                                           herman=herman))
+    for stage, count in ((Stage.LOAN_SIZING, 1), (Stage.LINK_FORMATION, 0)):
+        d = build_design(sample, ModelSpec(stage, Model.M3_FULL))
         assert d.n_clamped == count
         assert d.provenance() == {"n_obs": d.n_obs, "n_dropped": d.n_dropped,
                                   "n_floored": d.n_floored,
@@ -129,21 +132,80 @@ def test_design_counts_clamped_balances(caplog):
 
 @pytest.mark.parametrize("stage", list(Stage))
 def test_uncorrected_design_holds_node_values(stage):
+    """The oracle's uncorrected design holds every node's value, and agrees
+    with the corrected design wherever the correction takes nothing off."""
     sample = make_sample(**TWO_BY_TWO)  # link (0, 0): s_bal 4 - 10 < 0
-    d = build_design(sample, ModelSpec(stage, Model.M3_FULL, herman=False))
+    spec = ModelSpec(stage, Model.M3_FULL)
+    d = uncorrected_design(sample, spec)
     fi, bi = d.firm_index, d.bank_index
     k, h = derived_degrees(sample.network)
     s_net, t_net = derived_strengths(sample.network)
     node_values = (k[fi].astype(float), h[bi].astype(float), s_net[fi],
                    t_net[bi], sample.firm_columns["balance_strength"][fi],
                    sample.bank_columns["balance_strength"][bi])
-    columns, n_clamped = rest_of_world(sample, fi, bi, stage, herman=False)
-    assert n_clamped == d.n_clamped == 0
-    for quantity, want in zip(ROW_QUANTITIES, node_values):
-        assert np.array_equal(columns[quantity], want)
-    for name, want in zip(("ln_k", "ln_h", "ln_s_net", "ln_t_net", "ln_s_bal",
-                           "ln_t_bal"), node_values):
+    assert d.n_clamped == 0
+    for name, want in zip(CORRECTED, node_values):
         assert np.array_equal(d.column(name), np.log(np.maximum(want, 1.0)))
+    corrected = build_design(sample, spec)
+    unlinked = sample.network.weights[fi, bi] == 0
+    assert np.array_equal(d.augmented[unlinked], corrected.augmented[unlinked])
+    for name in set(d.column_names) - set(CORRECTED):
+        assert np.array_equal(d.column(name), corrected.column(name)), name
+
+
+# the columns of the full model that do not yet follow the leave-pair-out
+# rule, per stage
+EXEMPT = {Stage.LINK_FORMATION: {"ln_s_bal", "ln_t_bal", "is_exclusive"},
+          Stage.LOAN_SIZING: {"is_exclusive"}}
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_design_leaves_the_pair_out(seed):
+    """A linked pair's row is built as if its loan had never been made.
+
+    Removing the loan w_ij from the network gives a sample where (i, j) is
+    unlinked; removing it from both balance strengths too (clamped at 0)
+    gives the pair's leave-pair-out row. The pair's stage-1 row equals that
+    row, and so does its stage-2 row, but for the columns in ``EXEMPT``:
+    stage 1 keeps the loan in the balance strengths, and ``is_exclusive``
+    reads the degree with the loan at both stages. The null placebo
+    columns are not covered: their leave-pair-out value needs the null
+    recomputed without the loan.
+    """
+    rng = np.random.default_rng(seed)
+    nf, nb = int(rng.integers(2, 9)), int(rng.integers(2, 7))
+    w = (rng.random((nf, nb)) < 0.5) * rng.lognormal(1.0, 1.0, (nf, nb))
+    # balance strengths may fall below a loan, so clamping is exercised too
+    sample = make_sample(w, s_bal=rng.uniform(0, 20, nf),
+                         t_bal=rng.uniform(0, 20, nb))
+    # a pair whose bank keeps another link once the loan is gone, so the
+    # leave-pair-out design keeps the bank's rows
+    pairs = np.argwhere((w > 0) & ((w > 0).sum(axis=0) >= 2))
+    assume(len(pairs) > 0)
+    i, j = pairs[rng.integers(len(pairs))]
+    loan = w[i, j]
+    w_out = w.copy()
+    w_out[i, j] = 0.0
+    s_out = sample.firm_columns["balance_strength"].copy()
+    t_out = sample.bank_columns["balance_strength"].copy()
+    s_out[i], t_out[j] = max(s_out[i] - loan, 0.0), max(t_out[j] - loan, 0.0)
+    left_out = build_design(
+        Sample(make_network(w_out),
+               dict(sample.firm_columns, balance_strength=s_out),
+               dict(sample.bank_columns, balance_strength=t_out)),
+        ModelSpec(Stage.LINK_FORMATION, Model.M3_FULL))
+    ref = np.flatnonzero((left_out.firm_index == i)
+                         & (left_out.bank_index == j))[0]
+    for stage, exempt in EXEMPT.items():
+        d = build_design(sample, ModelSpec(stage, Model.M3_FULL))
+        assert d.column_names == left_out.column_names
+        row = np.flatnonzero((d.firm_index == i) & (d.bank_index == j))[0]
+        for name in d.column_names:
+            if name not in exempt:
+                assert d.column(name)[row] == pytest.approx(
+                    left_out.column(name)[ref], rel=1e-12, abs=1e-12), (
+                        stage, name)
 
 
 # --------------------------------------------------------------------------
@@ -233,7 +295,7 @@ def test_design_computes_degrees_once(monkeypatch):
 
 @pytest.mark.parametrize("spec", [
     ModelSpec(Stage.LINK_FORMATION, Model.M3_FULL),
-    ModelSpec(Stage.LINK_FORMATION, Model.M2_NETWORK, herman=False),
+    ModelSpec(Stage.LINK_FORMATION, Model.M2_NETWORK),
     ModelSpec(Stage.LOAN_SIZING, Model.M3_FULL,
               fixed_effects=FixedEffects.BANK_DUMMIES),
 ], ids=lambda spec: spec.name())
@@ -662,8 +724,6 @@ def test_model_spec_names():
     spec = ModelSpec(Stage.LINK_FORMATION, Model.M3_FULL,
                      placebo=Placebo.NULL_BAL)
     assert spec.name() == "link_formation_m3_a_null_bal"
-    assert ModelSpec(Stage.LOAN_SIZING, Model.M3_FULL, herman=False).name() \
-        == "loan_sizing_m3_a_uncorrected"
 
 
 def test_model_spec_rejects_fields_its_design_ignores():
@@ -684,15 +744,14 @@ def test_model_spec_name_identifies_its_design():
     constructor accepts."""
     by_name: dict[str, list[ModelSpec]] = {}
     for fields in itertools.product(Stage, Model, DegreeVariant, Placebo,
-                                    FixedEffects, (True, False)):
+                                    FixedEffects):
         try:
             spec = ModelSpec(*fields)
         except EconError:
             continue
         by_name.setdefault(spec.name(), []).append(spec)
-    # per herman setting: 8 stage-1 names, and 16 at stage 2 with and
-    # without bank fixed effects
-    assert len(by_name) == 48
+    # 8 stage-1 names, and 16 at stage 2 with and without bank fixed effects
+    assert len(by_name) == 24
     sample = make_sample(**TWO_BY_TWO)  # the correction clamps a balance
     nulls = {Placebo.NULL_NET: expected_metrics(fitness_spec_from_sample(
                  sample, Variant.NETWORK_DRIVEN)),
