@@ -720,7 +720,8 @@ def vif(design: DesignMatrix) -> dict[str, float]:
     svd = None
     if np.all(np.ptp(X, axis=0) > 0):
         centred = X - X.mean(axis=0)
-        svd = _svd(centred / np.linalg.norm(centred, axis=0))
+        centred /= np.linalg.norm(centred, axis=0)
+        svd = _svd(centred)
     if svd is None:
         return {name: float("inf") for name in design.column_names}
     # the centred unit-norm columns have X'X = the correlation matrix

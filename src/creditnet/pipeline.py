@@ -349,6 +349,7 @@ def run(config: RunConfig) -> ReportBundle:
     bundle = ReportBundle(out_dir=config.out_dir)
     sample, input_paths = _load_sample(config, bundle)
     filtered, filter_report = apply_consistency_filter(sample)
+    del sample  # the unfiltered weights are not read again
     report.write_json(bundle.add("filter_report.json"),
                       filter_report.to_json())
     write_stats(bundle, filtered.network)

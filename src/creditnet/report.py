@@ -7,6 +7,7 @@ whole-pipeline reruns diffable.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -116,9 +117,13 @@ def canonical_json(obj) -> str:
 
 
 # the public writers do not call one another, so each file is one call
-def _write(path, text: str, newline=None) -> None:
+def _open(path, newline=None):
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline=newline) as fh:
+    return open(path, "w", encoding="utf-8", newline=newline)
+
+
+def _write(path, text: str) -> None:
+    with _open(path) as fh:
         fh.write(text)
 
 
@@ -142,6 +147,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# rows formatted and written at a time: write_csv's memory is bounded by a
+# block, whatever the row count
+_CSV_BLOCK_ROWS = 8192
+
+
 def write_csv(path, header, columns) -> None:
     """Write a CSV file from a sequence of equally long columns.
 
@@ -151,16 +161,23 @@ def write_csv(path, header, columns) -> None:
     plain floats are formatted a column at a time. Text that holds a
     comma, a double quote or a line break is quoted as ``csv.QUOTE_MINIMAL``
     quotes it, with inner quotes doubled; numbers are never quoted. Lines
-    end in ``\\n``.
+    end in ``\\n``. Rows are formatted and written in blocks of
+    ``_CSV_BLOCK_ROWS``, and each distinct text value is formatted once.
     """
-    texts = []
-    for column in columns:
-        floats = _float_array(column)
-        texts.append([_fmt(v) for v in column] if floats is None
-                     else _float_strs(floats, _CSV_NONFINITE))
-    lines = [",".join(map(_fmt, header))]
-    lines += map(",".join, zip(*texts))
-    _write(path, "\n".join(lines) + "\n", newline="")
+    columns = [(column, _float_array(column)) for column in columns]
+    n_rows = min((len(column) for column, _ in columns), default=0)
+    # memoised for text only: as dict keys, 0.0 == -0.0 and 1 == 1.0
+    fmt_str = functools.cache(_fmt)
+    with _open(path, newline="") as fh:
+        fh.write(",".join(map(_fmt, header)) + "\n")
+        for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+            block = slice(start, min(start + _CSV_BLOCK_ROWS, n_rows))
+            texts = [
+                [fmt_str(v) if type(v) is str else _fmt(v)
+                 for v in column[block]] if f is None
+                else _float_strs(f[block], _CSV_NONFINITE)
+                for column, f in columns]
+            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
 def sha256_file(path) -> str:

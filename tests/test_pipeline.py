@@ -5,6 +5,7 @@ import json
 import os
 import re
 import tempfile
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from creditnet import econometrics, nullmodel, pipeline
+from creditnet import econometrics, nullmodel, pipeline, report
 from creditnet.cli import main
 from creditnet.core import Sample
 from creditnet.ingest import write_sample_csv
@@ -128,6 +129,8 @@ csv_columns = st.one_of(
 @settings(max_examples=200, deadline=None)
 @example([EDGE_FLOATS, np.array(EDGE_FLOATS)[::-1], list(range(19)),
           np.array([EDGE_FLOATS, EDGE_FLOATS]).T[:, 0]])
+# equal dict keys with different texts, and text values that repeat
+@example([[0.0, -0.0, 1, 1.0], ["f1", 'b"2', "f1", 'b"2']])
 def test_write_csv_matches_row_writer(columns):
     header = [f"c{i}" for i in range(len(columns))]
     with tempfile.TemporaryDirectory() as tmp:
@@ -136,6 +139,39 @@ def test_write_csv_matches_row_writer(columns):
         with open(path, "rb") as fh:
             written = fh.read()
     assert written == csv_rows_text(header, zip(*columns)).encode("utf-8")
+
+
+CSV_BLOCK = report._CSV_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [0, 1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1,
+                               2 * CSV_BLOCK + 1])
+def test_write_csv_streams_the_same_text_across_blocks(tmp_path, n):
+    rng = np.random.default_rng(n)
+    floats = rng.normal(size=n + 2)
+    floats[::7], floats[3::11] = np.nan, -0.0
+    ids = ["f,1", 'b"2', "f3"] * (n // 3 + 2)
+    # rows stop at the shortest column, the first one
+    columns = [floats[:n], list(range(n + 3)), ids[:n + 1],
+               floats[::-1].tolist()]
+    path = tmp_path / "out.csv"
+    write_csv(path, ["x", "k", "id", "y"], columns)
+    text = csv_rows_text(["x", "k", "id", "y"], zip(*columns))
+    assert text.count("\n") == n + 1
+    assert path.read_bytes() == text.encode("utf-8")
+
+
+def test_write_csv_memory_does_not_grow_with_the_rows(tmp_path):
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(size=100_000), rng.lognormal(size=100_000)
+    path = tmp_path / "out.csv"
+    tracemalloc.start()
+    try:
+        write_csv(path, ["x", "y"], (x, y))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < os.path.getsize(path)
 
 
 @given(st.lists(st.text(), min_size=2, max_size=4),
