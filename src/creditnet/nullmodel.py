@@ -308,14 +308,17 @@ def conditional_weights(spec, p: np.ndarray) -> np.ndarray:
 
 
 BICM_MAX_ITERS = 10_000
-BICM_DAMPING = 0.5  # geometric weight of each new iterate
 
 
 def solve_bicm(k, h, tol: float = 1e-8) -> BicmSpec:
     """Fit per-node multipliers so expected degrees match the targets.
 
-    Damped multiplicative fixed-point iteration; nodes with target degree
-    zero get a zero multiplier (their row or column has p identically 0).
+    Nodes with equal degree share a multiplier, so the undamped fixed point
+    x = k / sum_j y_j / (1 + x y_j), then y = h / sum_i x_i / (1 + x_i y),
+    runs over the distinct degrees, weighted by their counts; a zero degree
+    gives a zero multiplier. It returns once every row and column sum of p
+    is within ``tol`` of its target. A degree at or above the number of
+    linked nodes on the other side (p = 1 to each) raises NonGraphicalTargets.
     """
     k = np.asarray(k, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -325,39 +328,32 @@ def solve_bicm(k, h, tol: float = 1e-8) -> BicmSpec:
     if abs(k.sum() - h.sum()) > 1e-9 * max(1.0, k.sum()):
         raise NonGraphicalTargets(
             f"degree sums differ: {k.sum()} vs {h.sum()}")
-    if np.any(k > nb) or np.any(h > nf):
-        raise NonGraphicalTargets("a target degree exceeds the opposite side")
-    if np.any(k == nb) or np.any(h == nf):
-        # a saturated node needs an infinite multiplier
-        raise NonGraphicalTargets("full-degree nodes are not supported")
     if k.sum() == 0:
         return BicmSpec(np.zeros(nf), np.zeros(nb), k, h)
+    for side, deg, partners in (("firm", k, h), ("bank", h, k)):
+        active = np.count_nonzero(partners)
+        if np.any(deg >= active):  # p = 1 to every partner with a link
+            raise NonGraphicalTargets(
+                f"{np.count_nonzero(deg >= active)} {side}(s) with a degree "
+                f"of at least {active}, the linked nodes on the other side")
 
-    active_f = k > 0
-    active_b = h > 0
-    x = np.where(active_f, k / nb, 0.0)
-    y = np.where(active_b, h / nf, 0.0)
-
-    residual = np.inf
+    kd, k_class, k_n = np.unique(k, return_inverse=True, return_counts=True)
+    hd, h_class, h_n = np.unique(h, return_inverse=True, return_counts=True)
+    x, y = kd / nb, hd / nf
     for _ in range(BICM_MAX_ITERS):
         xy = np.outer(x, y)
         p = xy / (1.0 + xy)
-        rk = p.sum(axis=1) - k
-        rh = p.sum(axis=0) - h
-        residual = max(np.abs(rk).max(), np.abs(rh).max())
+        residual = max(np.abs(p @ h_n - kd).max(), np.abs(k_n @ p - hd).max())
+        # the class sums only say when to check the node sums a caller sees
         if residual < tol:
-            return BicmSpec(x, y, k, h)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            denom_x = (y[None, :] / (1.0 + xy)).sum(axis=1)
-            x_prop = np.where(active_f, k / denom_x, 0.0)
-            xy = np.outer(x_prop, y)
-            denom_y = (x_prop[:, None] / (1.0 + xy)).sum(axis=0)
-            y_prop = np.where(active_b, h / denom_y, 0.0)
-        # geometric damping keeps the iterates positive
-        x = np.where(active_f, x**(1 - BICM_DAMPING) * x_prop**BICM_DAMPING,
-                     0.0)
-        y = np.where(active_b, y**(1 - BICM_DAMPING) * y_prop**BICM_DAMPING,
-                     0.0)
+            spec = BicmSpec(x[k_class], y[h_class], k, h)
+            p = spec.probability_matrix()
+            residual = max(np.abs(p.sum(axis=1) - k).max(),
+                           np.abs(p.sum(axis=0) - h).max())
+            if residual < tol:
+                return spec
+        x = kd / ((y / (1.0 + xy)) @ h_n)
+        y = hd / (k_n @ (x[:, None] / (1.0 + np.outer(x, y))))
     raise NoConvergence(BICM_MAX_ITERS, residual)
 
 

@@ -24,7 +24,7 @@ from creditnet.core import Sample, derived_degrees, derived_strengths
 from creditnet.econometrics import (DesignMatrix, Model, ModelSpec, Placebo,
                                     Stage, build_design, fit_logit, fit_ols,
                                     fit_ols_fixed_effects, vif)
-from creditnet.ingest import parse_sample
+from creditnet.ingest import apply_consistency_filter, parse_sample
 from creditnet.netstats import summarize
 from creditnet.nullmodel import (Variant, bicm_from_network, calibrate_z,
                                  expected_metrics, fitness_spec_from_sample,
@@ -41,9 +41,9 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 # 113 x 61 generated benchmark: calibrated to the consolidated-scale
 # headline statistics (density 0.07, mean degrees 4.34 / 7.97, CVs
 # 0.75 / 1.83); shared by the conservation, residual, and replication tests.
-BENCH_CONFIG = GenConfig(n_firms=113, n_banks=61, seed=11,
-                         target_density=0.07, firm_size_sigma=1.0,
-                         bank_size_sigma=2.1)
+GEN_SHAPE = {"target_density": 0.07, "firm_size_sigma": 1.0,
+             "bank_size_sigma": 2.1}
+BENCH_CONFIG = GenConfig(n_firms=113, n_banks=61, seed=11, **GEN_SHAPE)
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +147,17 @@ def test_acceptance_degree_null_residuals(bench_sample):
     assert np.all(np.abs(acc.mean("bank_degrees") - h)
                   <= 3 * np.maximum(expected.stderr("bank_degrees", 10_000),
                                     1e-12))
+
+
+def test_acceptance_bicm_residual_is_checked_on_the_nodes():
+    # at this input the solver's test over degree classes passes while a
+    # node's expected degree is still 1.0009e-8 from its target
+    sample, _ = apply_consistency_filter(generate(
+        GenConfig(n_firms=4000, n_banks=250, seed=123, **GEN_SHAPE))[0])
+    k, h = derived_degrees(sample.network)
+    p = bicm_from_network(sample.network).probability_matrix()
+    assert max(np.abs(p.sum(axis=1) - k).max(),
+               np.abs(p.sum(axis=0) - h).max()) < 1e-8
 
 
 # --------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from creditnet.core import derived_degrees, derived_strengths
@@ -174,6 +174,52 @@ def test_solve_bicm_rejects_bad_targets():
         solve_bicm([3.0, 0.0], [1.0, 1.0, 1.0])  # full-degree firm
     with pytest.raises(NonGraphicalTargets):
         solve_bicm([-1.0, 2.0], [1.0])
+    # bank 0 lends to every firm but the isolated firm 3: saturated among
+    # the firms with a link, so p = 1 to each of them and y_0 is infinite
+    with pytest.raises(NonGraphicalTargets, match="^1 bank.* 3, "):
+        solve_bicm([2.0, 2.0, 1.0, 0.0], [3.0, 1.0, 1.0])
+    with pytest.raises(NonGraphicalTargets, match="^1 firm.* 3, "):
+        solve_bicm([3.0, 1.0, 1.0], [2.0, 2.0, 1.0, 0.0])
+
+
+def _strictly_graphical(k, h):
+    """Gale-Ryser holds strictly on both sides over the nodes with a
+    positive degree: no node is saturated and no set of firms must link to
+    every bank of some set, so every BiCM multiplier is finite."""
+    for a, b in ((k, h), (h, k)):
+        a, b = np.sort(a[a > 0])[::-1], b[b > 0]
+        if a[0] >= b.size or any(a[:m].sum() >= np.minimum(b, m).sum()
+                                 for m in range(2, a.size)):
+            return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 20), st.floats(0.02, 0.6),
+       st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_solve_bicm_on_random_networks(nf, nb, density, isolated_firm,
+                                       isolated_bank, seed):
+    """Every node's degree within tol, bit-equal multipliers for equal
+    targets, zero rows and columns for zero degrees, and the damped
+    per-node oracle's p."""
+    w = np.random.default_rng(seed).random((nf, nb)) < density
+    w[0] &= not isolated_firm
+    w[:, 0] &= not isolated_bank
+    k, h = w.sum(axis=1).astype(float), w.sum(axis=0).astype(float)
+    assume(k.sum() == 0 or _strictly_graphical(k, h))
+    spec = solve_bicm(k, h)
+    p = spec.probability_matrix()
+    assert max(np.abs(p.sum(axis=1) - k).max(),
+               np.abs(p.sum(axis=0) - h).max()) < 1e-8
+    for target, multiplier in ((k, spec.x), (h, spec.y)):
+        for value in target:
+            tied = multiplier[target == value]
+            assert (tied == tied[0]).all()
+    assert (spec.x[k == 0] == 0).all() and (p[k == 0] == 0).all()
+    assert (spec.y[h == 0] == 0).all() and (p[:, h == 0] == 0).all()
+    if k.sum() > 0:
+        np.testing.assert_allclose(p, bicm_fixed_point(k, h, tol=1e-10),
+                                   atol=1e-6)
 
 
 def test_bicm_from_network_carries_sizes():
