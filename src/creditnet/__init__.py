@@ -1,8 +1,7 @@
 """Bipartite bank-firm credit networks: maximum-entropy counterfactuals
 and two-stage credit econometrics."""
 
-from .core import (BipartiteNetwork, Sample, derived_degrees,
-                   derived_strengths)
+from .core import BipartiteNetwork, Sample
 from .ingest import apply_consistency_filter, parse_sample
 from .netstats import ccdf, compare, summarize
 from .nullmodel import (Variant, calibrate_z, expected_metrics,

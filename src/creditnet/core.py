@@ -8,6 +8,7 @@ so topology and weights can never disagree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -19,9 +20,13 @@ __all__ = [
     "InvalidAttribute",
     "attribute_columns",
     "Sample",
-    "derived_degrees",
-    "derived_strengths",
 ]
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -31,6 +36,8 @@ class BipartiteNetwork:
     ``weights[i, j]`` is the loan amount between firm ``i`` and bank ``j``
     in currency units; a zero entry encodes an absent link. Ids are
     non-empty without surrounding whitespace, which the CSV reader strips.
+    The weights are immutable, so ``links``, ``degrees`` and ``strengths``
+    are computed once and returned as read-only arrays.
     """
 
     firm_ids: tuple[str, ...]
@@ -73,9 +80,26 @@ class BipartiteNetwork:
     def n_banks(self) -> int:
         return len(self.bank_ids)
 
+    @cached_property
+    def links(self) -> tuple[np.ndarray, np.ndarray]:
+        """Firm and bank index of every link (positive weight), firm-major."""
+        return _read_only(*np.nonzero(self.weights > 0))
+
+    @cached_property
+    def degrees(self) -> tuple[np.ndarray, np.ndarray]:
+        """Firm and bank degrees (int64 counts of links)."""
+        i, j = self.links
+        return _read_only(np.bincount(i, minlength=self.n_firms),
+                          np.bincount(j, minlength=self.n_banks))
+
+    @cached_property
+    def strengths(self) -> tuple[np.ndarray, np.ndarray]:
+        """Firm and bank network strengths (row and column weight sums)."""
+        return _read_only(self.weights.sum(axis=1), self.weights.sum(axis=0))
+
     @property
     def n_links(self) -> int:
-        return int(np.count_nonzero(self.weights > 0))
+        return self.links[0].size
 
     @property
     def density(self) -> float:
@@ -155,13 +179,3 @@ class Sample:
         object.__setattr__(self, "bank_columns", attribute_columns(
             self.bank_columns, BANK_FIELDS, net.n_banks))
 
-
-def derived_degrees(net: BipartiteNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """Firm and bank degrees (counts of positive-weight links)."""
-    a = net.weights > 0
-    return a.sum(axis=1).astype(np.int64), a.sum(axis=0).astype(np.int64)
-
-
-def derived_strengths(net: BipartiteNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """Firm and bank network strengths (row and column weight sums)."""
-    return net.weights.sum(axis=1), net.weights.sum(axis=0)

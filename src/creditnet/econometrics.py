@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Sample, derived_degrees, derived_strengths
+from .core import Sample
 # expected_metrics is not called here; it stays importable from this module
 # because the benchmark's tracer wraps econometrics.expected_metrics by name
 from .nullmodel import ExpectedMetrics, expected_metrics  # noqa: F401
@@ -205,11 +205,8 @@ class DesignMatrix:
     order: column 0 is the intercept and column ``1 + j`` holds
     ``column_names[j]``. ``X`` is its regressor view ``augmented[:, 1:]``.
 
-    ``n_clamped`` counts the corrected balance strengths below 0 at stage
-    2. It counts both balance strengths of every stage-2 row, whatever the
-    design's columns, so it is not 0 in designs with no balance column
-    (``loan_sizing_m2_a``, ``m2_b`` and ``m3_a_null_bal``) and keeps the
-    bank side under bank fixed effects (``m3_a_fe``).
+    ``n_clamped`` counts the corrected balance strengths below 0 in the
+    design's stage-2 balance columns.
     """
 
     spec: ModelSpec
@@ -274,8 +271,8 @@ def build_design(sample: Sample, spec: ModelSpec,
     """
     net = sample.network
     nf, nb = net.n_firms, net.n_banks
-    k, h = derived_degrees(net)
-    s_net, t_net = derived_strengths(net)
+    k, h = net.degrees
+    s_net, t_net = net.strengths
     loan_sizing = spec.stage is Stage.LOAN_SIZING
 
     columns = _columns_for(spec)
@@ -296,7 +293,7 @@ def build_design(sample: Sample, spec: ModelSpec,
     # pair scope and row filtering; rows run over firms, then banks
     n_dropped = 0
     if loan_sizing:
-        fi, bi = np.nonzero(net.weights > 0)
+        fi, bi = net.links  # shared with the network, not copied
     else:
         fi, bi = np.meshgrid(np.arange(nf), np.arange(nb), indexing="ij")
         fi, bi = fi.ravel(), bi.ravel()
@@ -314,17 +311,11 @@ def build_design(sample: Sample, spec: ModelSpec,
     # the rows of linked pairs, and what each own share takes off them
     linked = slice(None) if loan_sizing else np.flatnonzero(w_row > 0)
     own_share = {LINK: 1.0, LOAN: w_row[linked]}
-    n_clamped = 0
     if loan_sizing:
         own_share[LOAN_AT_STAGE_2] = own_share[LOAN]
-        # corrected balance strengths below 0: the floor of 1 covers the
-        # clamp at 0, so only the count is kept; it covers both balance
-        # strengths of every row, whatever the design's columns
-        n_clamped = int(sum(
-            np.count_nonzero(nodes[c.side][c.source][rows[c.side]] - w_row < 0)
-            for c in COLUMNS.values() if c.own is LOAN_AT_STAGE_2))
 
     floored: dict[str, int] = {}
+    n_clamped = 0
     # each column is transformed per node and gathered into its place; the
     # linked rows of a column with an own share are then overwritten
     augmented = np.empty((fi.size, 1 + len(columns)))
@@ -344,6 +335,8 @@ def build_design(sample: Sample, spec: ModelSpec,
             rest = node[own_rows] - own_share[own]
             floored[name] += (np.count_nonzero(rest < floor)
                               - np.count_nonzero(below[own_rows]))
+            if own is LOAN_AT_STAGE_2:  # the floor of 1 covers the clamp at 0
+                n_clamped += np.count_nonzero(rest < 0)
             augmented[linked, j] = np.log(np.maximum(rest, floor))
     if not np.all(np.isfinite(augmented)):
         raise EconError("non-finite entries in the design matrix")

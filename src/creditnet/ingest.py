@@ -19,8 +19,7 @@ import numpy as np
 
 from . import report
 from .core import (BANK_FIELDS, FIRM_FIELDS, BipartiteNetwork,
-                   InvalidAttribute, Sample, attribute_columns,
-                   derived_strengths)
+                   InvalidAttribute, Sample, attribute_columns)
 
 __all__ = [
     "IngestError",
@@ -190,7 +189,7 @@ def apply_consistency_filter(sample: Sample) -> tuple[Sample, FilterReport]:
     Banks left isolated by the removals stay in the sample but are flagged.
     """
     net = sample.network
-    s_net, _ = derived_strengths(net)
+    s_net = net.strengths[0]
     s_bal = sample.firm_columns["balance_strength"]
     lower, upper = CONSISTENCY_BAND
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -208,13 +207,13 @@ def apply_consistency_filter(sample: Sample) -> tuple[Sample, FilterReport]:
                           f"firms: none has a network/balance strength ratio "
                           f"in [{lower:g}, {upper:g}]")
     firm_ids = np.array(net.firm_ids, dtype=object)
-    new_weights = net.weights[keep, :]
     new_sample = Sample(
-        BipartiteNetwork(tuple(firm_ids[keep]), net.bank_ids, new_weights),
+        BipartiteNetwork(tuple(firm_ids[keep]), net.bank_ids,
+                         net.weights[keep, :]),
         {name: col[keep] for name, col in sample.firm_columns.items()},
         sample.bank_columns,
     )
-    isolated = ~(new_weights > 0).any(axis=0)
+    isolated = new_sample.network.degrees[1] == 0
     return new_sample, FilterReport(
         kept_firms=int(keep.sum()),
         dropped_firms=tuple(zip(firm_ids[drop], ratios[drop].tolist(),
@@ -231,7 +230,7 @@ def write_sample_csv(sample: Sample, out_dir) -> dict[str, str]:
     """
     paths = {name: os.path.join(out_dir, f"{name}.csv") for name in _HEADERS}
     net = sample.network
-    i, j = np.nonzero(net.weights > 0)
+    i, j = net.links
     report.write_csv(paths["edges"], _HEADERS["edges"], (
         np.array(net.firm_ids, dtype=object)[i],
         np.array(net.bank_ids, dtype=object)[j], net.weights[i, j]))

@@ -6,7 +6,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import BipartiteNetwork, derived_degrees
+from .core import BipartiteNetwork
 
 __all__ = [
     "StatsError",
@@ -81,7 +81,7 @@ def summarize(net: BipartiteNetwork) -> SummaryStats:
 
     Coefficients of variation use the population standard deviation.
     """
-    k, h = derived_degrees(net)
+    k, h = net.degrees
     k_mean = float(k.mean())
     h_mean = float(h.mean())
     return SummaryStats(

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BipartiteNetwork, derived_degrees, derived_strengths, Sample
+from .core import BipartiteNetwork, Sample
 
 __all__ = [
     "NullModelError",
@@ -291,7 +291,7 @@ def fitness_spec_from_sample(sample: Sample, variant: Variant) -> FitnessSpec:
     """Calibrate a fitness model on a sample for the requested variant."""
     net = sample.network
     if variant is Variant.NETWORK_DRIVEN:
-        s, t = derived_strengths(net)
+        s, t = net.strengths
     else:
         s = sample.firm_columns["balance_strength"]
         t = sample.bank_columns["balance_strength"]
@@ -317,8 +317,10 @@ def solve_bicm(k, h, tol: float = 1e-8) -> BicmSpec:
     x = k / sum_j y_j / (1 + x y_j), then y = h / sum_i x_i / (1 + x_i y),
     runs over the distinct degrees, weighted by their counts; a zero degree
     gives a zero multiplier. It returns once every row and column sum of p
-    is within ``tol`` of its target. A degree at or above the number of
-    linked nodes on the other side (p = 1 to each) raises NonGraphicalTargets.
+    is within ``tol`` of its target. Targets that need p = 1 somewhere raise
+    NonGraphicalTargets: a degree at or above the number of linked nodes on
+    the other side, or a set of nodes that must link to every node of a set
+    on the other side (the strict Gale-Ryser test over positive degrees).
     """
     k = np.asarray(k, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -330,12 +332,30 @@ def solve_bicm(k, h, tol: float = 1e-8) -> BicmSpec:
             f"degree sums differ: {k.sum()} vs {h.sum()}")
     if k.sum() == 0:
         return BicmSpec(np.zeros(nf), np.zeros(nb), k, h)
+    # strict Gale-Ryser over the positive degrees of each side: the m
+    # largest need fewer links than sum_j min(b_j, m), the most any m nodes
+    # can have with partners of degrees b, or some p is 1. The smallest
+    # failing set is named, a single node (m = 1) first.
+    failed = []
     for side, deg, partners in (("firm", k, h), ("bank", h, k)):
-        active = np.count_nonzero(partners)
-        if np.any(deg >= active):  # p = 1 to every partner with a link
+        a, b = -np.sort(-deg[deg > 0]), np.sort(partners[partners > 0])
+        m = np.arange(1, max(a.size, 2))
+        below = np.searchsorted(b, m)  # partners with a degree under m
+        room = np.cumsum(np.r_[0.0, b])[below] + m * (b.size - below)
+        room[0] = b.size  # one node: saturated at a link to every partner
+        need = np.cumsum(a)[m - 1]
+        if np.any(need >= room):
+            i = np.argmax(need >= room)
+            failed.append((m[i], side, deg, need[i], room[i]))
+    if failed:
+        m, side, deg, need, room = min(failed, key=lambda f: f[0])
+        if m == 1:  # p = 1 to every partner with a link
             raise NonGraphicalTargets(
-                f"{np.count_nonzero(deg >= active)} {side}(s) with a degree "
-                f"of at least {active}, the linked nodes on the other side")
+                f"{np.count_nonzero(deg >= room)} {side}(s) with a degree "
+                f"of at least {room:.15g}, the linked nodes on the other side")
+        raise NonGraphicalTargets(
+            f"the {m} {side}s of largest degree need {need:.15g} links, at "
+            f"least the {room:.15g} that any {m} {side}s can have")
 
     kd, k_class, k_n = np.unique(k, return_inverse=True, return_counts=True)
     hd, h_class, h_n = np.unique(h, return_inverse=True, return_counts=True)
@@ -359,9 +379,7 @@ def solve_bicm(k, h, tol: float = 1e-8) -> BicmSpec:
 
 def bicm_from_network(net: BipartiteNetwork) -> BicmSpec:
     """Degree-constrained model of a network, sized by network strengths."""
-    k, h = derived_degrees(net)
-    s, t = derived_strengths(net)
-    return solve_bicm(k, h).with_sizes(s, t)
+    return solve_bicm(*net.degrees).with_sizes(*net.strengths)
 
 
 def random_baseline(net: BipartiteNetwork) -> ConstantSpec:
@@ -369,7 +387,7 @@ def random_baseline(net: BipartiteNetwork) -> ConstantSpec:
     network strengths."""
     if net.n_links == 0:
         raise NullModelError("random baseline needs at least one link")
-    s, t = derived_strengths(net)
+    s, t = net.strengths
     return ConstantSpec(density=net.density, s=_as_fitness(s, "firm size"),
                         t=_as_fitness(t, "bank size"))
 

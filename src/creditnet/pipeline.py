@@ -16,7 +16,7 @@ import numpy as np
 
 from . import econometrics as econ
 from . import netstats, nullmodel, report
-from .core import BipartiteNetwork, Sample, derived_degrees
+from .core import BipartiteNetwork, Sample
 from .ingest import apply_consistency_filter, parse_sample
 from .netstats import ccdf, compare, summarize
 from .nullmodel import (Variant, bicm_from_network, fitness_spec_from_sample,
@@ -195,8 +195,7 @@ def write_stats(bundle: ReportBundle,
     """Write the summary statistics and the degree CCDFs of a network."""
     stats = summarize(net)
     report.write_json(bundle.add("summary_stats.json"), stats.to_json())
-    k, h = derived_degrees(net)
-    for label, values in (("firm_degrees", k), ("bank_degrees", h)):
+    for label, values in zip(("firm_degrees", "bank_degrees"), net.degrees):
         curve = ccdf(values)
         report.write_csv(bundle.add(f"ccdf_{label}.csv"),
                          ["value", "survival"],
@@ -245,7 +244,7 @@ def write_null_variant(bundle: ReportBundle, sample: Sample, name: str,
     except Exception as exc:  # fails the variant, not its closed forms
         bundle.failures[f"nullmodel_{name}"] = _cause(exc)
         return None
-    k, h = derived_degrees(sample.network)
+    k, h = sample.network.degrees
     skipped = {}
     for side, emp, model_k in (("firms", k, expected.firm_degrees),
                                ("banks", h, expected.bank_degrees)):

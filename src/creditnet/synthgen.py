@@ -117,8 +117,7 @@ def generate(config: GenConfig) -> tuple[Sample, GroundTruth]:
     bank_ids = tuple(f"B{j:03d}" for j in range(nb))
     net = BipartiteNetwork(firm_ids, bank_ids, weights)
 
-    s_net = weights.sum(axis=1)
-    t_net = weights.sum(axis=0)
+    s_net, t_net = net.strengths
     s_bal = s_net * np.exp(rng.normal(0.0, config.balance_noise, nf))
     t_bal = t_net * np.exp(rng.normal(0.0, config.balance_noise, nb))
 

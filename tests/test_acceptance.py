@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from creditnet import econometrics
-from creditnet.core import Sample, derived_degrees, derived_strengths
+from creditnet.core import Sample
 from creditnet.econometrics import (DesignMatrix, Model, ModelSpec, Placebo,
                                     Stage, build_design, fit_logit, fit_ols,
                                     fit_ols_fixed_effects, vif)
@@ -103,7 +103,7 @@ def test_acceptance_conditional_weight_conservation(bench_sample):
     start = time.monotonic()
     spec = fitness_spec_from_sample(bench_sample, Variant.NETWORK_DRIVEN)
     metrics = expected_metrics(spec)
-    s_net, t_net = derived_strengths(bench_sample.network)
+    s_net, t_net = bench_sample.network.strengths
 
     # closed form: expected strengths reproduce the observed strengths
     np.testing.assert_allclose(metrics.firm_strengths, s_net, rtol=1e-10)
@@ -132,7 +132,7 @@ def test_acceptance_conditional_weight_conservation(bench_sample):
 
 def test_acceptance_degree_null_residuals(bench_sample):
     net = bench_sample.network
-    k, h = derived_degrees(net)
+    k, h = net.degrees
     spec = bicm_from_network(net)
     p = spec.probability_matrix()
     residual = max(np.abs(p.sum(axis=1) - k).max(),
@@ -154,7 +154,7 @@ def test_acceptance_bicm_residual_is_checked_on_the_nodes():
     # node's expected degree is still 1.0009e-8 from its target
     sample, _ = apply_consistency_filter(generate(
         GenConfig(n_firms=4000, n_banks=250, seed=123, **GEN_SHAPE))[0])
-    k, h = derived_degrees(sample.network)
+    k, h = sample.network.degrees
     p = bicm_from_network(sample.network).probability_matrix()
     assert max(np.abs(p.sum(axis=1) - k).max(),
                np.abs(p.sum(axis=0) - h).max()) < 1e-8
@@ -387,7 +387,7 @@ def test_acceptance_metrics():
     assert abs(rmsre(emp, model) - direct) <= 1e-12
 
     stats = summarize(net)
-    k, h = derived_degrees(net)
+    k, h = net.degrees
     for got, values in ((stats.mean_firm_degree, k),
                         (stats.mean_bank_degree, h)):
         assert abs(got - sum(values) / len(values)) <= 1e-12

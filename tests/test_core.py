@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from creditnet.core import (BANK_FIELDS, FIRM_FIELDS, BipartiteNetwork,
-                            InvalidAttribute, Sample, attribute_columns,
-                            derived_degrees, derived_strengths)
+                            InvalidAttribute, Sample, attribute_columns)
 from conftest import make_network, make_sample
 from oracles import row_col_sums
 
@@ -19,26 +18,26 @@ weight_matrices = arrays(
 
 def test_degrees_empty_network():
     net = make_network([[0.0]])
-    k, h = derived_degrees(net)
+    k, h = net.degrees
     assert k.tolist() == [0]
     assert h.tolist() == [0]
 
 
 def test_degrees_hand_count(small_net):
-    k, h = derived_degrees(small_net)
+    k, h = small_net.degrees
     assert k.tolist() == [1, 2]
     assert h.tolist() == [2, 1]
 
 
 def test_strengths_hand_sum(small_net):
-    s, t = derived_strengths(small_net)
+    s, t = small_net.strengths
     assert s.tolist() == [1.0, 5.0]
     assert t.tolist() == [3.0, 3.0]
 
 
 def test_strengths_all_zero():
     net = make_network(np.zeros((3, 4)))
-    s, t = derived_strengths(net)
+    s, t = net.strengths
     assert not s.any() and not t.any()
 
 
@@ -47,7 +46,7 @@ def test_strengths_match_summation_oracle(rng):
     idx = rng.choice(200, size=100, replace=False)
     weights.ravel()[idx] = rng.uniform(1, 100, size=100)
     net = make_network(weights)
-    s, t = derived_strengths(net)
+    s, t = net.strengths
     rows, cols = row_col_sums(weights)
     np.testing.assert_allclose(s, rows)
     np.testing.assert_allclose(t, cols)
@@ -57,8 +56,8 @@ def test_strengths_match_summation_oracle(rng):
 @settings(max_examples=50)
 def test_degree_strength_duality(weights):
     net = make_network(weights)
-    k, h = derived_degrees(net)
-    s, t = derived_strengths(net)
+    k, h = net.degrees
+    s, t = net.strengths
     assert k.sum() == h.sum() == net.n_links
     assert np.isclose(s.sum(), t.sum())
 
@@ -74,10 +73,35 @@ def test_permutation_equivariance(weights, rnd):
     rnd.shuffle(perm_b)
     permuted = make_network(weights[np.ix_(perm_f, perm_b)], firm_prefix="G",
                             bank_prefix="C")
-    k, h = derived_degrees(net)
-    kp, hp = derived_degrees(permuted)
+    k, h = net.degrees
+    kp, hp = permuted.degrees
     assert kp.tolist() == [k[i] for i in perm_f]
     assert hp.tolist() == [h[j] for j in perm_b]
+
+
+@given(weight_matrices)
+@settings(max_examples=50)
+def test_topology_matches_per_entry_oracle(weights):
+    """Links, degrees and strengths equal a per-entry loop and the
+    summation oracle, are computed once and are read-only."""
+    net = make_network(weights)
+    nf, nb = weights.shape
+    pairs = [(i, j) for i in range(nf) for j in range(nb) if weights[i, j] > 0]
+    fi, bi = net.links
+    assert list(zip(fi.tolist(), bi.tolist())) == pairs
+    assert net.n_links == len(pairs)
+    k, h = net.degrees
+    assert k.dtype == h.dtype == np.int64
+    assert k.tolist() == [sum(i == f for f, _ in pairs) for i in range(nf)]
+    assert h.tolist() == [sum(j == b for _, b in pairs) for j in range(nb)]
+    rows, cols = row_col_sums(weights)
+    np.testing.assert_allclose(net.strengths[0], rows)
+    np.testing.assert_allclose(net.strengths[1], cols)
+    for name in ("links", "degrees", "strengths"):
+        assert getattr(net, name) is getattr(net, name)
+        for side in getattr(net, name):
+            with pytest.raises(ValueError):
+                side[:1] = 1
 
 
 def test_network_rejects_bad_inputs():

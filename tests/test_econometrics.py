@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from creditnet import econometrics
-from creditnet.core import Sample, derived_degrees, derived_strengths
+from creditnet.core import Sample
 from creditnet.econometrics import (AbsorbedColumns, AllRowsDropped,
                                     DegreeVariant, DesignMatrix, EconError,
                                     FixedEffects, Model, ModelSpec,
@@ -130,6 +130,16 @@ def test_design_counts_clamped_balances(caplog):
     assert not caplog.records
 
 
+def test_clamps_counted_only_in_balance_columns():
+    """A design without a stage-2 balance column clamps nothing."""
+    sample = make_sample(**TWO_BY_TWO)  # link (0, 0): s_bal 4 - 10 < 0
+    m2_a = build_design(sample, ModelSpec(Stage.LOAN_SIZING,
+                                          Model.M2_NETWORK))
+    m3_a = build_design(sample, ModelSpec(Stage.LOAN_SIZING, Model.M3_FULL))
+    assert (m2_a.spec.name(), m2_a.n_clamped) == ("loan_sizing_m2_a", 0)
+    assert (m3_a.spec.name(), m3_a.n_clamped) == ("loan_sizing_m3_a", 1)
+
+
 @pytest.mark.parametrize("stage", list(Stage))
 def test_uncorrected_design_holds_node_values(stage):
     """The oracle's uncorrected design holds every node's value, and agrees
@@ -138,8 +148,8 @@ def test_uncorrected_design_holds_node_values(stage):
     spec = ModelSpec(stage, Model.M3_FULL)
     d = uncorrected_design(sample, spec)
     fi, bi = d.firm_index, d.bank_index
-    k, h = derived_degrees(sample.network)
-    s_net, t_net = derived_strengths(sample.network)
+    k, h = sample.network.degrees
+    s_net, t_net = sample.network.strengths
     node_values = (k[fi].astype(float), h[bi].astype(float), s_net[fi],
                    t_net[bi], sample.firm_columns["balance_strength"][fi],
                    sample.bank_columns["balance_strength"][bi])
@@ -281,16 +291,14 @@ def test_design_row_scopes():
     assert np.all(np.diff(d2.firm_index * net.n_banks + d2.bank_index) > 0)
 
 
-def test_design_computes_degrees_once(monkeypatch):
+def test_stage2_designs_share_the_network_links():
+    """Stage-2 rows are the network's links themselves, not copies."""
     sample = random_sample(np.random.default_rng(2))
-    calls = []
-    derived_degrees = econometrics.derived_degrees
-    monkeypatch.setattr(econometrics, "derived_degrees",
-                        lambda net: calls.append(net) or derived_degrees(net))
-    for stage in Stage:
-        calls.clear()
-        build_design(sample, ModelSpec(stage, Model.M3_FULL))
-        assert calls == [sample.network]
+    fi, bi = sample.network.links
+    for spec in (ModelSpec(Stage.LOAN_SIZING, Model.M3_FULL),
+                 ModelSpec(Stage.LOAN_SIZING, Model.M1_GRAVITY)):
+        d = build_design(sample, spec)
+        assert d.firm_index is fi and d.bank_index is bi
 
 
 @pytest.mark.parametrize("spec", [

@@ -2,10 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from creditnet.core import derived_degrees, derived_strengths
 from creditnet.nullmodel import (STATISTICS, ConstantSpec,
                                  FitnessSpec, NonGraphicalTargets,
                                  NonpositiveFitness, TargetOutOfRange, Variant,
@@ -131,7 +130,7 @@ def test_expected_metrics_network_driven_reproduces_strengths(rng):
     sample = make_sample(w)
     spec = fitness_spec_from_sample(sample, Variant.NETWORK_DRIVEN)
     metrics = expected_metrics(spec)
-    s, t = derived_strengths(sample.network)
+    s, t = sample.network.strengths
     # S = T here, so expected strengths equal node strengths exactly
     np.testing.assert_allclose(metrics.firm_strengths, s, rtol=1e-10)
     np.testing.assert_allclose(metrics.bank_strengths, t, rtol=1e-10)
@@ -157,7 +156,7 @@ def test_solve_bicm_matches_targets_and_oracle(rng):
     w[0, :] = 0.0  # an isolated firm
     w[1, 0] = 1.0
     net = make_network(w)
-    k, h = derived_degrees(net)
+    k, h = net.degrees
     spec = solve_bicm(k, h, tol=1e-10)
     p = spec.probability_matrix()
     np.testing.assert_allclose(p.sum(axis=1), k, atol=1e-8)
@@ -194,6 +193,28 @@ def _strictly_graphical(k, h):
     return True
 
 
+def test_solve_bicm_rejects_a_saturated_set():
+    """Firms 1 and 2 need 9 links, all that banks of degrees 1, 2, 3, 3, 1
+    and 1 can give two firms: no node is saturated, yet both firms must
+    link to banks 3, 4 and 5, so their multipliers are infinite."""
+    k, h = [0, 4, 5, 1, 1], [0, 1, 0, 2, 3, 3, 1, 1]
+    assert not _strictly_graphical(np.array(k), np.array(h))
+    with pytest.raises(NonGraphicalTargets, match=(
+            "^the 2 firms of largest degree need 9 links, at least the 9 ")):
+        solve_bicm(k, h)
+    with pytest.raises(NonGraphicalTargets, match=(
+            "^the 2 firms of largest degree need 6 links, at least the 6 ")):
+        solve_bicm(h, k)
+
+
+def test_solve_bicm_takes_fractional_targets():
+    """A single node with a fractional degree is not saturated: one firm
+    and one bank with half a link each have p = 1/2."""
+    for k, h in (([0.5], [0.5]), ([0.5, 0.5], [1.0])):
+        p = solve_bicm(k, h).probability_matrix()
+        np.testing.assert_allclose(p, 0.5, atol=1e-8)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 30), st.integers(1, 20), st.floats(0.02, 0.6),
        st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
@@ -201,12 +222,15 @@ def test_solve_bicm_on_random_networks(nf, nb, density, isolated_firm,
                                        isolated_bank, seed):
     """Every node's degree within tol, bit-equal multipliers for equal
     targets, zero rows and columns for zero degrees, and the damped
-    per-node oracle's p."""
+    per-node oracle's p; targets that are not strictly graphical raise."""
     w = np.random.default_rng(seed).random((nf, nb)) < density
     w[0] &= not isolated_firm
     w[:, 0] &= not isolated_bank
     k, h = w.sum(axis=1).astype(float), w.sum(axis=0).astype(float)
-    assume(k.sum() == 0 or _strictly_graphical(k, h))
+    if k.sum() > 0 and not _strictly_graphical(k, h):
+        with pytest.raises(NonGraphicalTargets):
+            solve_bicm(k, h)
+        return
     spec = solve_bicm(k, h)
     p = spec.probability_matrix()
     assert max(np.abs(p.sum(axis=1) - k).max(),
@@ -225,7 +249,7 @@ def test_solve_bicm_on_random_networks(nf, nb, density, isolated_firm,
 def test_bicm_from_network_carries_sizes():
     net = make_network([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0], [4.0, 0.0, 0.0]])
     spec = bicm_from_network(net)
-    s, t = derived_strengths(net)
+    s, t = net.strengths
     np.testing.assert_allclose(spec.s, s)
     assert spec.weight_norm == pytest.approx(np.sqrt(s.sum() * t.sum()))
 

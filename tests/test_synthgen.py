@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from creditnet.cli import main
-from creditnet.core import derived_degrees
 from creditnet.synthgen import DegenerateDensity, GenConfig, generate
 from oracles import sequential_links
 
@@ -96,7 +95,7 @@ def test_fragmentation_penalty_shrinks_multibank_loans():
     cfg = dict(seed=4, target_density=0.25, noise_sd=0.0)
     flat, _ = generate(GenConfig(**cfg))
     penal, _ = generate(GenConfig(**cfg, fragmentation_penalty=-1.0))
-    k = derived_degrees(flat.network)[0]
+    k = flat.network.degrees[0]
     same_topology = np.array_equal(flat.network.weights > 0,
                                    penal.network.weights > 0)
     assert same_topology  # the penalty only rescales weights
