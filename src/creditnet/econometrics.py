@@ -290,29 +290,29 @@ def build_design(sample: Sample, spec: ModelSpec,
         nodes[FIRM]["k_null"] = null.firm_degrees
         nodes[BANK]["h_null"] = null.bank_degrees
 
-    # pair scope and row filtering; rows run over firms, then banks
-    n_dropped = 0
-    if loan_sizing:
-        fi, bi = net.links  # shared with the network, not copied
+    # the links, firm-major, and what each own share takes off their rows
+    li, lj = net.links
+    loans = net.weights[li, lj]
+    own_share = {LINK: 1.0, LOAN: loans}
+    if loan_sizing:  # the rows are the links, the network's own arrays
+        fi, bi, linked, n_dropped = li, lj, slice(None), 0
+        own_share[LOAN_AT_STAGE_2] = loans
+        y = np.log(loans)
     else:
-        fi, bi = np.meshgrid(np.arange(nf), np.arange(nb), indexing="ij")
-        fi, bi = fi.ravel(), bi.ravel()
-        if spec.model is not Model.M1_GRAVITY:
-            # banks isolated by the consistency filter carry no information
-            # for network specifications; their rows are dropped and counted
-            keep = h[bi] > 0
-            n_dropped = int((~keep).sum())
-            fi, bi = fi[keep], bi[keep]
+        # every pair of a firm and a kept bank, firms first: a network
+        # specification drops the rows of the banks isolated by the
+        # consistency filter, which carry no information, and counts them
+        banks = (np.arange(nb) if spec.model is Model.M1_GRAVITY
+                 else np.flatnonzero(h))
+        n_dropped = nf * (nb - banks.size)
+        fi, bi = np.repeat(np.arange(nf), banks.size), np.tile(banks, nf)
+        linked = li * banks.size + np.searchsorted(banks, lj)  # ascending
+        y = np.zeros(fi.size)
+        y[linked] = 1.0
     if fi.size == 0:
         raise AllRowsDropped("no rows left for this specification")
-
     rows = {FIRM: fi, BANK: bi}
-    w_row = net.weights[fi, bi]
-    # the rows of linked pairs, and what each own share takes off them
-    linked = slice(None) if loan_sizing else np.flatnonzero(w_row > 0)
-    own_share = {LINK: 1.0, LOAN: w_row[linked]}
-    if loan_sizing:
-        own_share[LOAN_AT_STAGE_2] = own_share[LOAN]
+    ends = {FIRM: li, BANK: lj}  # each side's node on the linked rows
 
     floored: dict[str, int] = {}
     n_clamped = 0
@@ -331,7 +331,7 @@ def build_design(sample: Sample, spec: ModelSpec,
             values = np.log(node) if floor == PLAIN_LOG else node
         augmented[:, j] = values[take]
         if own in own_share:
-            own_rows = take[linked]
+            own_rows = ends[side]
             rest = node[own_rows] - own_share[own]
             floored[name] += (np.count_nonzero(rest < floor)
                               - np.count_nonzero(below[own_rows]))
@@ -340,7 +340,6 @@ def build_design(sample: Sample, spec: ModelSpec,
             augmented[linked, j] = np.log(np.maximum(rest, floor))
     if not np.all(np.isfinite(augmented)):
         raise EconError("non-finite entries in the design matrix")
-    y = np.log(w_row) if loan_sizing else (w_row > 0).astype(float)
 
     return DesignMatrix(
         spec=spec,

@@ -127,8 +127,8 @@ class FitnessSpec(_SizedModel):
             "model": "fitness",
             "variant": self.variant.value,
             "z": self.z,
-            "firm_fitness": self.s.tolist(),
-            "bank_fitness": self.t.tolist(),
+            "firm_fitness": self.s,
+            "bank_fitness": self.t,
         }
 
 
@@ -159,10 +159,10 @@ class BicmSpec(_SizedModel):
     def to_json(self) -> dict:
         return {
             "model": "bicm",
-            "firm_multipliers": self.x.tolist(),
-            "bank_multipliers": self.y.tolist(),
-            "target_firm_degrees": self.target_firm_degrees.tolist(),
-            "target_bank_degrees": self.target_bank_degrees.tolist(),
+            "firm_multipliers": self.x,
+            "bank_multipliers": self.y,
+            "target_firm_degrees": self.target_firm_degrees,
+            "target_bank_degrees": self.target_bank_degrees,
         }
 
 
@@ -318,9 +318,11 @@ def solve_bicm(k, h, tol: float = 1e-8) -> BicmSpec:
     runs over the distinct degrees, weighted by their counts; a zero degree
     gives a zero multiplier. It returns once every row and column sum of p
     is within ``tol`` of its target. Targets that need p = 1 somewhere raise
-    NonGraphicalTargets: a degree at or above the number of linked nodes on
-    the other side, or a set of nodes that must link to every node of a set
-    on the other side (the strict Gale-Ryser test over positive degrees).
+    NonGraphicalTargets: a degree at or above sum_j min(b_j, 1) over the
+    partner degrees b (the number of linked partners for integer degrees),
+    a set of nodes that must link to every node of a set on the other side
+    (the strict Gale-Ryser test over positive degrees), or a partner degree
+    of 1 or more beside a single linked node.
     """
     k = np.asarray(k, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -332,20 +334,21 @@ def solve_bicm(k, h, tol: float = 1e-8) -> BicmSpec:
             f"degree sums differ: {k.sum()} vs {h.sum()}")
     if k.sum() == 0:
         return BicmSpec(np.zeros(nf), np.zeros(nb), k, h)
-    # strict Gale-Ryser over the positive degrees of each side: the m
-    # largest need fewer links than sum_j min(b_j, m), the most any m nodes
-    # can have with partners of degrees b, or some p is 1. The smallest
-    # failing set is named, a single node (m = 1) first.
+    # strict Gale-Ryser over the positive degrees of each side: for m = 1
+    # ... n - 1, the m largest need fewer links than sum_j min(b_j, m), the
+    # most any m nodes can have with partners of degrees b, or some p is 1.
+    # The smallest failing set is named, a single node (m = 1) first.
     failed = []
     for side, deg, partners in (("firm", k, h), ("bank", h, k)):
         a, b = -np.sort(-deg[deg > 0]), np.sort(partners[partners > 0])
         m = np.arange(1, max(a.size, 2))
         below = np.searchsorted(b, m)  # partners with a degree under m
         room = np.cumsum(np.r_[0.0, b])[below] + m * (b.size - below)
-        room[0] = b.size  # one node: saturated at a link to every partner
         need = np.cumsum(a)[m - 1]
-        if np.any(need >= room):
-            i = np.argmax(need >= room)
+        # a single node has p_j = b_j: every partner needs b_j < 1
+        bad = need >= room if a.size > 1 else b[-1:] >= 1
+        if np.any(bad):
+            i = np.argmax(bad)
             failed.append((m[i], side, deg, need[i], room[i]))
     if failed:
         m, side, deg, need, room = min(failed, key=lambda f: f[0])

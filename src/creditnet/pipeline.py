@@ -169,7 +169,7 @@ def residual_diagnostics(fit: econ.FitResult) -> dict:
         "variance": m2,
         "skewness": float(skew),
         "excess_kurtosis": float(kurt),
-        "histogram": {"counts": counts.tolist(), "edges": edges.tolist()},
+        "histogram": {"counts": counts, "edges": edges},
     }
 
 

@@ -49,16 +49,10 @@ def _float_strs(values: np.ndarray, nonfinite: dict) -> list[str]:
 
 
 def _float_array(values):
-    """``values`` as a 1-d float array when it is one (float64 or narrower)
-    or a non-empty list or tuple of plain floats, else None."""
-    if isinstance(values, np.ndarray):
-        if (values.ndim == 1 and values.dtype.kind == "f"
-                and values.dtype.itemsize <= 8):
-            return values
-        return None
-    if (isinstance(values, (list, tuple)) and values
-            and all(type(v) is float for v in values)):
-        return np.array(values, dtype=np.float64)
+    """``values`` if it is a 1-d float64-or-narrower array, else None."""
+    if (isinstance(values, np.ndarray) and values.ndim == 1
+            and values.dtype.kind == "f" and values.dtype.itemsize <= 8):
+        return values
     return None
 
 
@@ -157,12 +151,13 @@ def write_csv(path, header, columns) -> None:
 
     Row ``r`` holds the ``r``-th value of every column; the rows stop at
     the shortest column. A float is written by ``repr`` and NaN as an
-    empty field; any other value by ``str``. Float arrays and lists of
-    plain floats are formatted a column at a time. Text that holds a
-    comma, a double quote or a line break is quoted as ``csv.QUOTE_MINIMAL``
-    quotes it, with inner quotes doubled; numbers are never quoted. Lines
-    end in ``\\n``. Rows are formatted and written in blocks of
-    ``_CSV_BLOCK_ROWS``, and each distinct text value is formatted once.
+    empty field; any other value by ``str``. A 1-d float array is
+    formatted a column at a time, any other column value by value. Text
+    that holds a comma, a double quote or a line break is quoted as
+    ``csv.QUOTE_MINIMAL`` quotes it, with inner quotes doubled; numbers are
+    never quoted. Lines end in ``\\n``. Rows are formatted and written in
+    blocks of ``_CSV_BLOCK_ROWS``, and each distinct text value is
+    formatted once.
     """
     columns = [(column, _float_array(column)) for column in columns]
     n_rows = min((len(column) for column, _ in columns), default=0)

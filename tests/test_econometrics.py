@@ -332,6 +332,33 @@ def test_design_drops_rows_of_isolated_banks():
     assert 2 not in set(d.bank_index)
 
 
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_stage1_rows_are_every_firm_and_kept_bank(seed):
+    """Stage 1 has one row per firm and kept bank, firms first, with y = 1
+    on the links: the gravity model keeps every bank, a network
+    specification only the banks with a link and counts the rest dropped."""
+    rng = np.random.default_rng(seed)
+    nf, nb = int(rng.integers(1, 8)), int(rng.integers(1, 7))
+    w = (rng.random((nf, nb)) < 0.5) * rng.lognormal(1.0, 1.0, (nf, nb))
+    w[:, rng.random(nb) < 0.4] = 0.0  # isolated banks
+    sample = make_sample(w)
+    for model in (Model.M1_GRAVITY, Model.M2_NETWORK):
+        pairs = [(i, j) for i in range(nf) for j in range(nb)
+                 if model is Model.M1_GRAVITY or w[:, j].any()]
+        spec = ModelSpec(Stage.LINK_FORMATION, model)
+        if not pairs:
+            with pytest.raises(AllRowsDropped):
+                build_design(sample, spec)
+            continue
+        d = build_design(sample, spec)
+        assert d.firm_index.dtype == d.bank_index.dtype == np.int64
+        assert list(zip(d.firm_index.tolist(), d.bank_index.tolist())) == \
+            pairs
+        assert d.y.tolist() == [float(w[i, j] > 0) for i, j in pairs]
+        assert d.n_dropped == nf * nb - len(pairs)
+
+
 def test_design_exclusive_uses_uncorrected_degree():
     w = np.array([[4.0, 0.0], [1.0, 2.0]])
     sample = make_sample(w)
@@ -358,6 +385,14 @@ def test_design_all_rows_dropped():
     sample = make_sample(w)
     with pytest.raises(AllRowsDropped):
         build_design(sample, ModelSpec(Stage.LOAN_SIZING, Model.M1_GRAVITY))
+    # no link leaves no bank for a network specification at stage 1, while
+    # the gravity model keeps every pair, each unlinked
+    with pytest.raises(AllRowsDropped):
+        build_design(sample, ModelSpec(Stage.LINK_FORMATION,
+                                       Model.M2_NETWORK))
+    d = build_design(sample, ModelSpec(Stage.LINK_FORMATION,
+                                       Model.M1_GRAVITY))
+    assert d.n_obs == 4 and d.n_dropped == 0 and not d.y.any()
 
 
 # --------------------------------------------------------------------------

@@ -179,6 +179,13 @@ def test_solve_bicm_rejects_bad_targets():
         solve_bicm([2.0, 2.0, 1.0, 0.0], [3.0, 1.0, 1.0])
     with pytest.raises(NonGraphicalTargets, match="^1 firm.* 3, "):
         solve_bicm([3.0, 1.0, 1.0], [2.0, 2.0, 1.0, 0.0])
+    # firm 0 needs p = 1 to bank 0: 2 = sum_j min(h_j, 1), though 3 banks
+    # have a link
+    with pytest.raises(NonGraphicalTargets, match="^1 firm.* 2, "):
+        solve_bicm([2.0, 0.5], [1.5, 0.5, 0.5])
+    # a single firm links to each bank with p = h_j
+    with pytest.raises(NonGraphicalTargets, match="^1 firm"):
+        solve_bicm([1.5], [1.2, 0.3])
 
 
 def _strictly_graphical(k, h):
@@ -213,6 +220,18 @@ def test_solve_bicm_takes_fractional_targets():
     for k, h in (([0.5], [0.5]), ([0.5, 0.5], [1.0])):
         p = solve_bicm(k, h).probability_matrix()
         np.testing.assert_allclose(p, 0.5, atol=1e-8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_solve_bicm_solves_targets_of_an_interior_p(nf, nb, seed):
+    """The row and column sums of any P with every entry in (0, 1) are
+    strictly graphical: they solve to within 1e-8 at every node."""
+    p = np.random.default_rng(seed).uniform(0.02, 0.98, (nf, nb))
+    k, h = p.sum(axis=1), p.sum(axis=0)
+    q = solve_bicm(k, h).probability_matrix()
+    assert max(np.abs(q.sum(axis=1) - k).max(),
+               np.abs(q.sum(axis=0) - h).max()) < 1e-8
 
 
 @settings(max_examples=150, deadline=None)
