@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from . import econometrics as econ
 from . import pipeline, report
@@ -21,15 +22,6 @@ from .pipeline import (SYNTH_KEYS, ReportBundle, RunConfig, load_config_file,
 from .synthgen import GenConfig, write_synthetic
 
 STAGES = {"1": econ.Stage.LINK_FORMATION, "2": econ.Stage.LOAN_SIZING}
-# the RunConfig fields that `run` flags set; a flag left out is None
-RUN_FLAGS = ("edges_path", "firm_attrs_path", "bank_attrs_path", "n_samples",
-             "seed")
-
-
-def _add_input_args(parser):
-    parser.add_argument("--edges", required=True)
-    parser.add_argument("--firms", required=True)
-    parser.add_argument("--banks", required=True)
 
 
 def _parse_filtered(args):
@@ -71,12 +63,13 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_nullmodel(args) -> int:
-    if args.samples < 1:  # an invalid request, not a failing model
-        raise ValueError("n_samples must be >= 1")
+    # RunConfig's rules refuse an invalid request before any input is read
+    config = RunConfig(args.out, args.edges, args.firms, args.banks,
+                       n_samples=args.samples, seed=args.seed)
     filtered, _ = _parse_filtered(args)
     bundle = ReportBundle(args.out)
     if pipeline.write_null_variant(bundle, filtered, args.variant,
-                                   args.samples, args.seed):
+                                   config.n_samples, config.seed):
         print(f"wrote nullmodel_{args.variant}.json to {args.out}")
     return _finish(bundle)
 
@@ -104,8 +97,9 @@ def _cmd_placebo(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    given = {name: getattr(args, name) for name in RUN_FLAGS
-             if getattr(args, name) is not None}
+    # the flags given, under the names of the RunConfig fields they set
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+             if getattr(args, f.name, None) is not None}
     bundle = run(load_config_file(args.config, args.out, **given)
                  if args.config else RunConfig(out_dir=args.out, **given))
     if bundle.ok:
@@ -118,51 +112,46 @@ def build_parser() -> argparse.ArgumentParser:
         prog="creditnet",
         description="Bipartite credit networks: null models and regressions")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options that several subcommands share, each declared once
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True)
+    inputs = argparse.ArgumentParser(add_help=False)
+    for name in ("edges", "firms", "banks"):
+        inputs.add_argument("--" + name, required=True)
+    stage = argparse.ArgumentParser(add_help=False)
+    stage.add_argument("--stage", choices=list(STAGES), required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic sample")
-    p.add_argument("--out", required=True)
+    def command(name, func, summary, parents=(inputs, out)):
+        p = sub.add_parser(name, help=summary, parents=parents)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("synth", _cmd_synth, "generate a synthetic sample", (out,))
     # the config-file keys without their "synth_" prefix, e.g. --noise-sd
     for key, (name, kind) in SYNTH_KEYS.items():
         p.add_argument("--" + key.removeprefix("synth_").replace("_", "-"),
                        dest=name, type=kind, default=getattr(GenConfig, name))
-    p.set_defaults(func=_cmd_synth)
+    command("ingest", _cmd_ingest, "parse, filter and re-emit a sample")
+    command("stats", _cmd_stats, "summary statistics and CCDFs")
 
-    p = sub.add_parser("ingest", help="parse, filter and re-emit a sample")
-    _add_input_args(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_ingest)
-
-    p = sub.add_parser("stats", help="summary statistics and CCDFs")
-    _add_input_args(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_stats)
-
-    p = sub.add_parser("nullmodel", help="calibrate a null model and sample")
-    _add_input_args(p)
-    p.add_argument("--out", required=True)
+    p = command("nullmodel", _cmd_nullmodel,
+                "calibrate a null model and sample")
     p.add_argument("--variant", choices=list(pipeline.NULL_VARIANTS),
                    default="network")
     p.add_argument("--samples", type=int, default=RunConfig.n_samples)
     p.add_argument("--seed", type=int, default=RunConfig.seed)
-    p.set_defaults(func=_cmd_nullmodel)
 
-    p = sub.add_parser("regress", help="fit one regression specification")
-    _add_input_args(p)
-    p.add_argument("--out", required=True)
-    p.add_argument("--stage", choices=["1", "2"], required=True)
-    p.add_argument("--model", choices=["m1", "m2", "m3"], required=True)
-    p.add_argument("--variant", choices=["a", "b"], default="a")
+    p = command("regress", _cmd_regress, "fit one regression specification",
+                (inputs, out, stage))
+    p.add_argument("--model", choices=[m.value for m in econ.Model],
+                   required=True)
+    p.add_argument("--variant", choices=[v.value for v in econ.DegreeVariant],
+                   default=econ.ModelSpec.variant.value)
     p.add_argument("--fixed-effects", action="store_true")
-    p.set_defaults(func=_cmd_regress)
+    command("placebo", _cmd_placebo, "the four-column placebo panel",
+            (inputs, out, stage))
 
-    p = sub.add_parser("placebo", help="the four-column placebo panel")
-    _add_input_args(p)
-    p.add_argument("--out", required=True)
-    p.add_argument("--stage", choices=["1", "2"], required=True)
-    p.set_defaults(func=_cmd_placebo)
-
-    p = sub.add_parser("run", help="full pipeline")
-    p.add_argument("--out", required=True)
+    p = command("run", _cmd_run, "full pipeline", (out,))
     p.add_argument("--config", help="flat key=value config file; the other "
                    "flags given override its values")
     p.add_argument("--edges", dest="edges_path")
@@ -170,8 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--banks", dest="bank_attrs_path")
     p.add_argument("--samples", dest="n_samples", type=int)
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=_cmd_run)
-
     return parser
 
 

@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 
-STRENGTH_FLOOR = 1.0  # one currency unit, keeps log terms finite
+STRENGTH_FLOOR = 1.0  # one euro, the inputs' unit; keeps log terms finite
 DEGREE_FLOOR = 1.0  # a corrected degree of 0 reads as ln 1
 EXPECTED_DEGREE_FLOOR = 1e-8
 PLAIN_LOG = 0.0  # the log of values that are positive: nothing is floored

@@ -6,6 +6,11 @@ Input schemas:
     banks.csv  -> bank_id,t_bal,total_assets,leverage,roa
 
 Duplicate (firm, bank) edge rows are summed into a single weight.
+
+Amounts, ``s_bal``, ``t_bal`` and ``total_assets`` are read as euros. The
+regressions floor strengths at ``econometrics.STRENGTH_FLOOR``, one euro,
+which every strength that is exactly zero is raised to, so restating the
+inputs in another unit moves the slopes.
 """
 
 from __future__ import annotations

@@ -234,14 +234,12 @@ def calibrate_z(s, t, l_target: float) -> float:
 
     # Newton from z = l_target / (S T), where sum p <= sum z s t = l_target;
     # a step leaving the bracket of evaluated sides is a bisection instead.
-    # Near the root the slope is at most max_links - l_target, so closer to
-    # saturation than this no estimate can meet the margin: skip it.
+    # Near the root the slope is at most max_links - l_target, so close to
+    # saturation the margin test refuses the estimate.
     known_below, known_above = 0.0, np.inf  # sides known outside these
     u = np.log(l_target) - np.log(s.sum()) - np.log(t.sum())
     u_lo, u_hi = -np.inf, np.log(Z_MAX)
-    saturated = (MARGIN_SAFETY * SUM_ROUNDING * l_target
-                 > ESTIMATE_MARGIN * (max_links - l_target))
-    for _ in range(0 if saturated else NEWTON_ITERS):
+    for _ in range(NEWTON_ITERS):
         gap = expected_links(np.exp(u)) - l_target
         d = slope()
         if not d > 0:
@@ -332,15 +330,16 @@ def solve_bicm(k, h, tol: float = 1e-8) -> BicmSpec:
     if abs(k.sum() - h.sum()) > 1e-9 * max(1.0, k.sum()):
         raise NonGraphicalTargets(
             f"degree sums differ: {k.sum()} vs {h.sum()}")
-    if k.sum() == 0:
-        return BicmSpec(np.zeros(nf), np.zeros(nb), k, h)
     # strict Gale-Ryser over the positive degrees of each side: for m = 1
     # ... n - 1, the m largest need fewer links than sum_j min(b_j, m), the
     # most any m nodes can have with partners of degrees b, or some p is 1.
-    # The smallest failing set is named, a single node (m = 1) first.
+    # The smallest failing set is named, a single node (m = 1) first. A side
+    # with no positive degree has no such set.
     failed = []
     for side, deg, partners in (("firm", k, h), ("bank", h, k)):
         a, b = -np.sort(-deg[deg > 0]), np.sort(partners[partners > 0])
+        if a.size == 0:
+            continue
         m = np.arange(1, max(a.size, 2))
         below = np.searchsorted(b, m)  # partners with a degree under m
         room = np.cumsum(np.r_[0.0, b])[below] + m * (b.size - below)
@@ -355,7 +354,8 @@ def solve_bicm(k, h, tol: float = 1e-8) -> BicmSpec:
         if m == 1:  # p = 1 to every partner with a link
             raise NonGraphicalTargets(
                 f"{np.count_nonzero(deg >= room)} {side}(s) with a degree "
-                f"of at least {room:.15g}, the linked nodes on the other side")
+                f"of at least {room:.15g}, the sum over the other side of "
+                "min(degree, 1)")
         raise NonGraphicalTargets(
             f"the {m} {side}s of largest degree need {need:.15g} links, at "
             f"least the {room:.15g} that any {m} {side}s can have")

@@ -174,15 +174,14 @@ def residual_diagnostics(fit: econ.FitResult) -> dict:
 
 
 def _load_sample(config: RunConfig, bundle: ReportBundle):
-    if config.synth is not None:
-        sample, paths = write_synthetic(
-            config.synth, os.path.join(config.out_dir, "input"))
+    paths = {"edges": config.edges_path, "firms": config.firm_attrs_path,
+             "banks": config.bank_attrs_path}
+    if config.synth is not None:  # written under input/, then read back
+        _, paths = write_synthetic(config.synth,
+                                   os.path.join(config.out_dir, "input"))
         bundle.files += [os.path.relpath(p, config.out_dir)
                          for p in paths.values()]
         bundle.files.append(os.path.join("input", "ground_truth.json"))
-        return sample, paths
-    paths = {"edges": config.edges_path, "firms": config.firm_attrs_path,
-             "banks": config.bank_attrs_path}
     return parse_sample(*paths.values()), paths
 
 

@@ -4,7 +4,7 @@ One test per headline guarantee of the package: calibration exactness,
 conditional-weight conservation, degree-preserving-null residuals, estimator
 oracle equivalence, rest-of-the-world correction contract, sign-pattern
 recovery on synthetic data, placebo contrast, benchmark metrics, fixture
-replication, and byte-level determinism.
+replication, byte-level determinism, and a grid unchanged by relabelling.
 """
 
 import json
@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from creditnet import econometrics
-from creditnet.core import Sample
+from creditnet.core import BipartiteNetwork, Sample
 from creditnet.econometrics import (DesignMatrix, Model, ModelSpec, Placebo,
                                     Stage, build_design, fit_logit, fit_ols,
                                     fit_ols_fixed_effects, vif)
@@ -30,7 +30,8 @@ from creditnet.netstats import summarize
 from creditnet.nullmodel import (Variant, bicm_from_network, calibrate_z,
                                  expected_metrics, fitness_spec_from_sample,
                                  random_baseline, sample_ensemble)
-from creditnet.pipeline import RunConfig, run
+from creditnet.pipeline import (PLACEBO_NULLS, ReportBundle, RunConfig,
+                                calibrate_null, default_grid, run)
 from creditnet.synthgen import GenConfig, generate
 from conftest import make_network, make_sample
 from oracles import (herman_correct, logit_grid_refine, logit_newton,
@@ -503,3 +504,68 @@ def test_acceptance_stage1_fits_agree_across_blas_threads():
             b2, se2 = two[cell][name]
             assert abs(b1 - b2) <= 1e-6 * max(abs(b1), se1), (cell, name)
             assert se2 == pytest.approx(se1, rel=1e-6), (cell, name)
+
+
+# --------------------------------------------------------------------------
+# 11. relabelling invariance
+
+RELABEL_CONFIGS = (
+    [GenConfig(n_firms=60, n_banks=15, seed=seed, target_density=0.15)
+     for seed in range(20)]
+    + [GenConfig(n_firms=113, n_banks=61, seed=seed, **GEN_SHAPE)
+       for seed in range(1, 11)]
+    + [GenConfig(n_firms=500, n_banks=60, seed=1, **GEN_SHAPE)])
+
+
+def _relabel(sample: Sample, rng) -> Sample:
+    """The same sample with its firms and banks permuted: ids, attribute
+    rows and weights move together."""
+    net = sample.network
+    fp, bp = rng.permutation(net.n_firms), rng.permutation(net.n_banks)
+    return Sample(
+        BipartiteNetwork(tuple(net.firm_ids[i] for i in fp),
+                         tuple(net.bank_ids[j] for j in bp),
+                         net.weights[np.ix_(fp, bp)]),
+        {name: col[fp] for name, col in sample.firm_columns.items()},
+        {name: col[bp] for name, col in sample.bank_columns.items()})
+
+
+def _grid_fits(sample: Sample) -> dict:
+    """Each default-grid cell's coefficients, or the type of the exception
+    that failed it; the null placebos read the closed forms a run reads."""
+    bundle = ReportBundle(out_dir="")  # calibrate_null writes no file
+    fits = {}
+    for spec in default_grid():
+        null = (calibrate_null(bundle, sample, PLACEBO_NULLS[spec.placebo])[1]
+                if spec.placebo in PLACEBO_NULLS else None)
+        try:
+            fits[spec.name()] = econometrics.fit_design(
+                build_design(sample, spec, null)).coefficients
+        except Exception as exc:
+            fits[spec.name()] = type(exc)
+    return fits
+
+
+@pytest.mark.parametrize(
+    "config", RELABEL_CONFIGS,
+    ids=[f"{c.n_firms}x{c.n_banks}-seed{c.seed}" for c in RELABEL_CONFIGS])
+def test_acceptance_relabelling_leaves_the_grid_unchanged(config):
+    """Permuting firms and banks fails the same cells with the same
+    exception type and moves no estimate or SE by more than 1e-8 of
+    max(|estimate|, SE)."""
+    sample, _ = apply_consistency_filter(generate(config)[0])
+    before = _grid_fits(sample)
+    after = _grid_fits(_relabel(sample, np.random.default_rng(0)))
+    assert before.keys() == after.keys()
+    for cell, fit in before.items():
+        if isinstance(fit, type):
+            assert after[cell] is fit, cell
+            continue
+        assert after[cell].keys() == fit.keys(), cell
+        for name, c in fit.items():
+            scale = max(abs(c.estimate), c.std_error)
+            other = after[cell][name]
+            assert abs(other.estimate - c.estimate) <= 1e-8 * scale, \
+                (cell, name)
+            assert abs(other.std_error - c.std_error) <= 1e-8 * scale, \
+                (cell, name)

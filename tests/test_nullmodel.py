@@ -71,7 +71,7 @@ def test_calibrate_z_equals_allocating_oracle(nf, nb, sigma, density, zeros,
 
 
 @pytest.mark.parametrize("nf, nb, log_scale, density", [
-    (300, 40, 0.0, 1 - 0.9 / 12_000),  # within 1 of max_links: no Newton
+    (300, 40, 0.0, 1 - 0.9 / 12_000),  # within 1 of max_links: refused
     (300, 40, 0.0, 1 - 18 / 12_000),   # Newton runs, its margin is too wide
     (1, 1, 15.0, 0.01),
     (1, 1, -15.0, 0.5),
@@ -81,7 +81,7 @@ def test_calibrate_z_equals_allocating_oracle(nf, nb, sigma, density, zeros,
 ])
 def test_calibrate_z_edge_cases_equal_allocating_oracle(nf, nb, log_scale,
                                                         density):
-    """Where the Newton estimate is rejected or skipped, as where it is
+    """Where the margin test refuses the Newton estimate, as where it is
     used, z is the allocating bisection's z bit for bit."""
     rng = np.random.default_rng(3)
     s = np.exp(log_scale) * rng.lognormal(0.0, 1.0, nf)
@@ -181,11 +181,29 @@ def test_solve_bicm_rejects_bad_targets():
         solve_bicm([3.0, 1.0, 1.0], [2.0, 2.0, 1.0, 0.0])
     # firm 0 needs p = 1 to bank 0: 2 = sum_j min(h_j, 1), though 3 banks
     # have a link
-    with pytest.raises(NonGraphicalTargets, match="^1 firm.* 2, "):
+    with pytest.raises(NonGraphicalTargets, match=(
+            r"^1 firm\(s\) with a degree of at least 2, the sum over the "
+            r"other side of min\(degree, 1\)$")):
         solve_bicm([2.0, 0.5], [1.5, 0.5, 0.5])
     # a single firm links to each bank with p = h_j
     with pytest.raises(NonGraphicalTargets, match="^1 firm"):
         solve_bicm([1.5], [1.2, 0.3])
+
+
+def test_solve_bicm_takes_zero_targets_on_either_side():
+    """A side whose degrees are all 0 takes the path of any other target:
+    a positive degree within the sum tolerance of 0 solves to within tol,
+    and all-zero targets give zero multipliers."""
+    for k, h in (([1e-12], [0.0]), ([0.0], [1e-12])):
+        spec = solve_bicm(k, h)
+        p = spec.probability_matrix()
+        assert max(np.abs(p.sum(axis=1) - k).max(),
+                   np.abs(p.sum(axis=0) - h).max()) < 1e-8
+    spec = solve_bicm([0.0, 0.0], [0.0, 0.0, 0.0])
+    for got, want in ((spec.x, np.zeros(2)), (spec.y, np.zeros(3)),
+                      (spec.target_firm_degrees, np.zeros(2)),
+                      (spec.target_bank_degrees, np.zeros(3))):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def _strictly_graphical(k, h):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import io
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from creditnet import econometrics, nullmodel, pipeline, report
-from creditnet.cli import main
+from creditnet.cli import build_parser, main
 from creditnet.core import Sample
 from creditnet.ingest import write_sample_csv
 from creditnet.pipeline import (NULL_VARIANTS, PLACEBO_NULLS, ReportBundle,
@@ -25,7 +26,7 @@ from creditnet.report import (canonical_json, sha256_file, sha256_text,
                               svg_histogram, svg_scatter, write_csv)
 from creditnet.synthgen import GenConfig, generate
 from conftest import make_sample
-from oracles import canonical_json_dumps, csv_rows_text
+from oracles import canonical_json_dumps, central_moments, csv_rows_text
 
 
 def small_run_config(out_dir, seed=7):
@@ -467,6 +468,30 @@ def test_residual_diagnostics_content(completed_run):
     assert resid.var() == pytest.approx(diag["variance"], rel=1e-9)
 
 
+def test_residual_diagnostics_match_central_moments(completed_run):
+    """Variance m2, skewness m3 / m2**1.5 and excess kurtosis m4 / m2**2 - 3
+    of the loan-sizing residuals, by the oracle's central moments."""
+    out, _ = completed_run
+    diag = json.loads((out / "residual_diagnostics.json").read_text())
+    resid = np.loadtxt(out / "residual_vs_ln_k.csv", delimiter=",",
+                       skiprows=1, usecols=1)
+    m2, m3, m4 = (central_moments(resid, order) for order in (2, 3, 4))
+    assert diag["variance"] == pytest.approx(m2, rel=1e-12)
+    assert diag["skewness"] == pytest.approx(m3 / m2**1.5, rel=1e-9)
+    assert diag["excess_kurtosis"] == pytest.approx(m4 / m2**2 - 3, rel=1e-9)
+
+
+def test_residual_diagnostics_of_constant_residuals():
+    """A constant residual vector has no spread: both shape moments are 0."""
+    resid = np.full(40, -1.25)  # every partial sum is exact
+    fit = econometrics.FitResult(method="ols", coefficients={}, fit_stat=0.0,
+                    fit_stat_name="r_squared", n_obs=resid.size,
+                    objective=0.0, n_iter=1, residuals=resid)
+    diag = residual_diagnostics(fit)
+    assert diag["variance"] == central_moments(resid, 2) == 0.0
+    assert diag["skewness"] == diag["excess_kurtosis"] == 0.0
+
+
 def test_residual_diagnostics_requires_residuals():
     from creditnet.econometrics import EconError, FitResult
     bare = FitResult(method="ols", coefficients={}, fit_stat=0.0,
@@ -815,6 +840,55 @@ def test_cli_usage_error_exits_1(argv, capsys):
 def test_cli_help_exits_0(capsys):
     assert main(["run", "--help"]) == 0
     assert "--config" in capsys.readouterr().out
+
+
+_INPUTS = [("--edges", True, None, None), ("--firms", True, None, None),
+           ("--banks", True, None, None), ("--out", True, None, None)]
+# each subcommand's options in declaration order (the order of argparse's
+# usage line and of its missing-arguments message): option string,
+# required, choices, default
+CLI_SURFACE = {
+    "synth": [("--out", True, None, None), ("--firms", False, None, 60),
+              ("--banks", False, None, 20), ("--seed", False, None, 0),
+              ("--density", False, None, 0.12),
+              ("--attachment-boost", False, None, 0.0),
+              ("--fragmentation-penalty", False, None, 0.0),
+              ("--noise-sd", False, None, 0.1),
+              ("--balance-noise", False, None, 0.05)],
+    "ingest": _INPUTS,
+    "stats": _INPUTS,
+    "nullmodel": _INPUTS + [
+        ("--variant", False, ["network", "balance", "bicm", "random"],
+         "network"),
+        ("--samples", False, None, 10_000), ("--seed", False, None, 42)],
+    "regress": _INPUTS + [
+        ("--stage", True, ["1", "2"], None),
+        ("--model", True, ["m1", "m2", "m3"], None),
+        ("--variant", False, ["a", "b"], "a"),
+        ("--fixed-effects", False, None, False)],
+    "placebo": _INPUTS + [("--stage", True, ["1", "2"], None)],
+    "run": [("--out", True, None, None), ("--config", False, None, None),
+            ("--edges", False, None, None), ("--firms", False, None, None),
+            ("--banks", False, None, None), ("--samples", False, None, None),
+            ("--seed", False, None, None)],
+}
+
+
+def test_cli_surface_is_pinned(capsys):
+    """Every subcommand keeps its options, which are required, their
+    choices and their defaults; each one's --help exits 0."""
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert list(commands) == list(CLI_SURFACE)
+    for name, parser in commands.items():
+        options = [(*action.option_strings, action.required,
+                    None if action.choices is None else list(action.choices),
+                    action.default)
+                   for action in parser._actions
+                   if not isinstance(action, argparse._HelpAction)]
+        assert options == CLI_SURFACE[name], name
+        assert main([name, "--help"]) == 0, name
+        assert capsys.readouterr().out.startswith(f"usage: creditnet {name}")
 
 
 def test_cli_error_exit_code(tmp_path, capsys):
