@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -390,15 +390,8 @@ class FitResult:
             self.fit_stat_name: self.fit_stat,
             "objective": self.objective,
             "n_iter": self.n_iter,
-            "coefficients": {
-                name: {
-                    "estimate": c.estimate,
-                    "std_error": c.std_error,
-                    "p_value": c.p_value,
-                    "stars": c.stars,
-                }
-                for name, c in self.coefficients.items()
-            },
+            "coefficients": {name: asdict(c)
+                             for name, c in self.coefficients.items()},
         }
         if self.ame is not None:
             out["ame"] = dict(self.ame)

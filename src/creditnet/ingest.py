@@ -106,18 +106,18 @@ class FilterReport:
 def _read_rows(path, expected_header):
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRow(path, 1, "empty file") from None
+        header = next(reader, None)
+        if header is None:
+            raise MalformedRow(path, 1, "empty file")
         if [h.strip() for h in header] != expected_header:
             raise MalformedRow(path, 1, f"expected header {','.join(expected_header)}")
         for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            row = [cell.strip() for cell in row]
+            if not any(row):
                 continue
             if len(row) != len(expected_header):
                 raise MalformedRow(path, line_no, f"expected {len(expected_header)} fields")
-            yield line_no, [cell.strip() for cell in row]
+            yield line_no, row
 
 
 def _parse_float(path, line_no, text):
@@ -131,8 +131,9 @@ def _parse_float(path, line_no, text):
 
 
 def _read_attributes(path, header, fields):
-    """Node ids and validated attribute columns of one attribute file."""
-    line_nos: dict[str, int] = {}  # node id -> its line, in file order
+    """Node positions by id and validated columns of one attribute file."""
+    positions: dict[str, int] = {}  # in file order
+    line_nos = []  # the line of each position
     rows = []
 
     def columns():
@@ -141,33 +142,31 @@ def _read_attributes(path, header, fields):
                 dict(zip(fields, np.reshape(rows, (-1, len(fields))).T)),
                 fields, len(rows))
         except InvalidAttribute as exc:
-            raise MalformedRow(path, list(line_nos.values())[exc.position],
-                               str(exc)) from None
+            raise MalformedRow(path, line_nos[exc.position], str(exc)) from None
 
     try:
         for line_no, row in _read_rows(path, header):
             if not row[0]:
                 raise MalformedRow(path, line_no, f"empty {header[0]}")
-            if row[0] in line_nos:
+            if row[0] in positions:
                 raise DuplicateAttributeRow(row[0])
             rows.append([_parse_float(path, line_no, v) for v in row[1:]])
-            line_nos[row[0]] = line_no
+            positions[row[0]] = len(line_nos)
+            line_nos.append(line_no)
     except IngestError:
         columns()  # an out-of-range row above the bad one is named first
         raise
-    return tuple(line_nos), columns()
+    return positions, columns()
 
 
 def parse_sample(edges_path, firm_attrs_path, bank_attrs_path) -> Sample:
     """Assemble a validated :class:`Sample` from the three CSV files."""
     # node ordering follows the attribute files, so parsing is deterministic
-    firm_ids, firm_columns = _read_attributes(
+    firm_pos, firm_columns = _read_attributes(
         firm_attrs_path, _HEADERS["firms"], FIRM_FIELDS)
-    bank_ids, bank_columns = _read_attributes(
+    bank_pos, bank_columns = _read_attributes(
         bank_attrs_path, _HEADERS["banks"], BANK_FIELDS)
-    firm_pos = {f: i for i, f in enumerate(firm_ids)}
-    bank_pos = {b: j for j, b in enumerate(bank_ids)}
-    weights = np.zeros((len(firm_ids), len(bank_ids)))
+    weights = np.zeros((len(firm_pos), len(bank_pos)))
 
     for line_no, row in _read_rows(edges_path, _HEADERS["edges"]):
         fid, bid, amount_text = row
@@ -182,7 +181,7 @@ def parse_sample(edges_path, firm_attrs_path, bank_attrs_path) -> Sample:
             raise MissingAttribute(bid)
         weights[firm_pos[fid], bank_pos[bid]] += amount
 
-    net = BipartiteNetwork(firm_ids, bank_ids, weights)
+    net = BipartiteNetwork(tuple(firm_pos), tuple(bank_pos), weights)
     return Sample(net, firm_columns, bank_columns)
 
 

@@ -101,10 +101,10 @@ def ccdf(values) -> CcdfCurve:
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise EmptyInput("ccdf of an empty sequence")
-    distinct = np.unique(arr)
+    distinct, counts = np.unique(arr, return_counts=True)
     # count of entries >= x, for x scanning the distinct values
-    counts = arr.size - np.searchsorted(np.sort(arr), distinct, side="left")
-    return CcdfCurve(values=distinct, survival=counts / arr.size)
+    at_least = np.cumsum(counts[::-1])[::-1]
+    return CcdfCurve(values=distinct, survival=at_least / arr.size)
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

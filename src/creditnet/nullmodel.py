@@ -23,7 +23,7 @@ conditional weights (:func:`sample_ensemble`).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -92,19 +92,8 @@ def _as_fitness(values, name) -> np.ndarray:
     return arr
 
 
-class _SizedModel:
-    """A link model whose node sizes ``s`` and ``t`` set the link weights."""
-
-    @property
-    def weight_norm(self) -> float:
-        """Normalization W = sqrt(S T) of the conditional weight rule."""
-        if self.s is None or self.t is None:
-            raise NullModelError("no node sizes attached for weight assignment")
-        return float(np.sqrt(self.s.sum() * self.t.sum()))
-
-
 @dataclass(frozen=True)
-class FitnessSpec(_SizedModel):
+class FitnessSpec:
     """Calibrated fitness link model with dcGM conditional weights."""
 
     s: np.ndarray
@@ -133,7 +122,7 @@ class FitnessSpec(_SizedModel):
 
 
 @dataclass(frozen=True)
-class BicmSpec(_SizedModel):
+class BicmSpec:
     """Degree-constrained model: p_ij = x_i y_j / (1 + x_i y_j).
 
     ``s`` and ``t`` supply the node sizes for the conditional weight rule;
@@ -151,11 +140,6 @@ class BicmSpec(_SizedModel):
         xy = np.outer(self.x, self.y)
         return xy / (1.0 + xy)
 
-    def with_sizes(self, s, t) -> "BicmSpec":
-        return BicmSpec(self.x, self.y, self.target_firm_degrees,
-                        self.target_bank_degrees,
-                        _as_fitness(s, "firm size"), _as_fitness(t, "bank size"))
-
     def to_json(self) -> dict:
         return {
             "model": "bicm",
@@ -167,7 +151,7 @@ class BicmSpec(_SizedModel):
 
 
 @dataclass(frozen=True)
-class ConstantSpec(_SizedModel):
+class ConstantSpec:
     """Random baseline: constant link probability equal to the density,
     over as many firms and banks as ``s`` and ``t`` have sizes."""
 
@@ -298,10 +282,13 @@ def fitness_spec_from_sample(sample: Sample, variant: Variant) -> FitnessSpec:
 
 
 def conditional_weights(spec, p: np.ndarray) -> np.ndarray:
-    """Conditional weights s_i t_j / (W p_ij) of a sized model whose link
-    probabilities are ``p``; 0 where p_ij is 0."""
-    w = np.multiply(p, spec.weight_norm)
-    np.divide(np.outer(spec.s, spec.t), w, out=w, where=p > 0)
+    """Conditional weights s_i t_j / (W p_ij), W = sqrt(S T), of a sized
+    model whose link probabilities are ``p``; 0 where p_ij is 0."""
+    s, t = spec.s, spec.t
+    if s is None or t is None:
+        raise NullModelError("no node sizes attached for weight assignment")
+    w = np.multiply(p, float(np.sqrt(s.sum() * t.sum())))
+    np.divide(np.outer(s, t), w, out=w, where=p > 0)
     return w
 
 
@@ -320,7 +307,8 @@ def solve_bicm(k, h, tol: float = 1e-8) -> BicmSpec:
     partner degrees b (the number of linked partners for integer degrees),
     a set of nodes that must link to every node of a set on the other side
     (the strict Gale-Ryser test over positive degrees), or a partner degree
-    of 1 or more beside a single linked node.
+    of 1 or more beside a single linked node. So does a degree of ``tol`` or
+    more against a side whose degrees are all 0.
     """
     k = np.asarray(k, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -334,12 +322,17 @@ def solve_bicm(k, h, tol: float = 1e-8) -> BicmSpec:
     # ... n - 1, the m largest need fewer links than sum_j min(b_j, m), the
     # most any m nodes can have with partners of degrees b, or some p is 1.
     # The smallest failing set is named, a single node (m = 1) first. A side
-    # with no positive degree has no such set.
+    # with no positive degree has no such set; against one, p is 0, so a
+    # degree can only be met if it is below tol.
     failed = []
     for side, deg, partners in (("firm", k, h), ("bank", h, k)):
         a, b = -np.sort(-deg[deg > 0]), np.sort(partners[partners > 0])
-        if a.size == 0:
+        if a.size == 0 or (b.size == 0 and a[0] < tol):
             continue
+        if b.size == 0:
+            raise NonGraphicalTargets(
+                f"{a.size} {side}(s) with a positive degree, and no positive "
+                "degree on the other side")
         m = np.arange(1, max(a.size, 2))
         below = np.searchsorted(b, m)  # partners with a degree under m
         room = np.cumsum(np.r_[0.0, b])[below] + m * (b.size - below)
@@ -382,7 +375,9 @@ def solve_bicm(k, h, tol: float = 1e-8) -> BicmSpec:
 
 def bicm_from_network(net: BipartiteNetwork) -> BicmSpec:
     """Degree-constrained model of a network, sized by network strengths."""
-    return solve_bicm(*net.degrees).with_sizes(*net.strengths)
+    s, t = net.strengths
+    return replace(solve_bicm(*net.degrees), s=_as_fitness(s, "firm size"),
+                   t=_as_fitness(t, "bank size"))
 
 
 def random_baseline(net: BipartiteNetwork) -> ConstantSpec:

@@ -88,17 +88,11 @@ class RunConfig:
                 raise ValueError(f"unknown null variant {v!r}")
 
     def to_json(self) -> dict:
-        return {
-            "edges_path": self.edges_path,
-            "firm_attrs_path": self.firm_attrs_path,
-            "bank_attrs_path": self.bank_attrs_path,
-            "synth": asdict(self.synth) if self.synth else None,
-            "null_variants": list(self.null_variants),
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "grid": (None if self.grid is None  # an empty grid is not None
-                     else [spec.name() for spec in self.grid]),
-        }
+        out = asdict(self)
+        del out["out_dir"]
+        out["grid"] = (None if self.grid is None  # an empty grid is not None
+                       else [spec.name() for spec in self.grid])
+        return out
 
 
 @dataclass

@@ -69,9 +69,6 @@ class GroundTruth:
     def to_json(self) -> dict:
         return asdict(self)
 
-    def save(self, path) -> None:
-        report.write_json(path, self.to_json())
-
 
 def _logit(p):
     return np.log(p) - np.log1p(-p)
@@ -107,9 +104,7 @@ def generate(config: GenConfig) -> tuple[Sample, GroundTruth]:
 
     w_cond = conditional_weights(fitness, p_base)
     k_final = adjacency.sum(axis=1)
-    frag = np.where(k_final > 0,
-                    np.exp(config.fragmentation_penalty * np.log(np.maximum(k_final, 1))),
-                    1.0)
+    frag = np.exp(config.fragmentation_penalty * np.log(np.maximum(k_final, 1)))
     size_noise = np.exp(rng.normal(0.0, config.noise_sd, (nf, nb)))
     weights = np.where(adjacency, w_cond * frag[:, None] * size_noise, 0.0)
 
@@ -146,5 +141,6 @@ def write_synthetic(config: GenConfig, out_dir) -> tuple[Sample, dict[str, str]]
     plus ``ground_truth.json``; return it with the paths of the CSVs."""
     sample, truth = generate(config)
     paths = write_sample_csv(sample, out_dir)
-    truth.save(os.path.join(out_dir, "ground_truth.json"))
+    report.write_json(os.path.join(out_dir, "ground_truth.json"),
+                      truth.to_json())
     return sample, paths

@@ -4,7 +4,8 @@ One test per headline guarantee of the package: calibration exactness,
 conditional-weight conservation, degree-preserving-null residuals, estimator
 oracle equivalence, rest-of-the-world correction contract, sign-pattern
 recovery on synthetic data, placebo contrast, benchmark metrics, fixture
-replication, byte-level determinism, and a grid unchanged by relabelling.
+replication, byte-level determinism, and a grid unchanged by relabelling or
+by an isolated bank.
 """
 
 import json
@@ -316,6 +317,21 @@ def test_acceptance_sign_patterns():
     assert time.monotonic() - start < 600.0
 
 
+def test_acceptance_stage1_sign_without_mechanism():
+    """The stage-1 fixture above with no attachment boost, on seeds it does
+    not use: M3 finds a positive degree effect at p < 0.01 in at most 5 of
+    100 seeds, a 5% false-positive budget. Every fit must succeed."""
+    positive = 0
+    for seed in range(100, 200):
+        sample, _ = generate(GenConfig(
+            n_firms=120, n_banks=30, seed=seed, target_density=0.15,
+            attachment_boost=0.0, balance_noise=1.0))
+        c = fit_logit(build_design(sample, ModelSpec(
+            Stage.LINK_FORMATION, Model.M3_FULL))).coefficients["ln_k"]
+        positive += c.estimate > 0 and c.p_value < 0.01
+    assert positive <= 5
+
+
 # --------------------------------------------------------------------------
 # 7. placebo contrast
 
@@ -546,22 +562,18 @@ def _grid_fits(sample: Sample) -> dict:
     return fits
 
 
-@pytest.mark.parametrize(
-    "config", RELABEL_CONFIGS,
-    ids=[f"{c.n_firms}x{c.n_banks}-seed{c.seed}" for c in RELABEL_CONFIGS])
-def test_acceptance_relabelling_leaves_the_grid_unchanged(config):
-    """Permuting firms and banks fails the same cells with the same
-    exception type and moves no estimate or SE by more than 1e-8 of
+def _assert_same_grid(before: dict, after: dict, moved=()) -> None:
+    """The same cells fail with the same exception type, and no cell but
+    those in ``moved`` moves an estimate or SE by more than 1e-8 of
     max(|estimate|, SE)."""
-    sample, _ = apply_consistency_filter(generate(config)[0])
-    before = _grid_fits(sample)
-    after = _grid_fits(_relabel(sample, np.random.default_rng(0)))
     assert before.keys() == after.keys()
     for cell, fit in before.items():
         if isinstance(fit, type):
             assert after[cell] is fit, cell
             continue
         assert after[cell].keys() == fit.keys(), cell
+        if cell in moved:
+            continue
         for name, c in fit.items():
             scale = max(abs(c.estimate), c.std_error)
             other = after[cell][name]
@@ -569,3 +581,30 @@ def test_acceptance_relabelling_leaves_the_grid_unchanged(config):
                 (cell, name)
             assert abs(other.std_error - c.std_error) <= 1e-8 * scale, \
                 (cell, name)
+
+
+GRID_IDS = [f"{c.n_firms}x{c.n_banks}-seed{c.seed}" for c in RELABEL_CONFIGS]
+
+
+@pytest.mark.parametrize("config", RELABEL_CONFIGS, ids=GRID_IDS)
+def test_acceptance_relabelling_leaves_the_grid_unchanged(config):
+    """Permuting firms and banks moves no cell."""
+    sample, _ = apply_consistency_filter(generate(config)[0])
+    _assert_same_grid(_grid_fits(sample), _grid_fits(
+        _relabel(sample, np.random.default_rng(0))))
+
+
+@pytest.mark.parametrize("config", RELABEL_CONFIGS, ids=GRID_IDS)
+def test_acceptance_an_isolated_bank_leaves_the_grid_unchanged(config):
+    """One more bank with no links and no reported debt moves no cell but
+    the gravity model M1, which keeps an isolated bank's stage-1 rows."""
+    sample, _ = apply_consistency_filter(generate(config)[0])
+    net = sample.network
+    wider = Sample(
+        BipartiteNetwork(net.firm_ids, net.bank_ids + ("B_isolated",),
+                         np.column_stack([net.weights, np.zeros(net.n_firms)])),
+        sample.firm_columns,
+        {name: np.append(col, 0.0 if name == "balance_strength" else col[0])
+         for name, col in sample.bank_columns.items()})
+    _assert_same_grid(_grid_fits(sample), _grid_fits(wider),
+                      moved=("link_formation_m1",))

@@ -206,6 +206,18 @@ def test_solve_bicm_takes_zero_targets_on_either_side():
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+def test_solve_bicm_refuses_a_degree_no_zero_side_can_meet():
+    """Against a side with no positive degree every p is 0, so a degree of
+    tol or more is refused before the fixed point runs, with no warning,
+    and smaller ones solve to p = 0, two nodes as one does."""
+    for k, h, tol in (([1e-12], [0.0], 1e-13), ([0.0], [1e-12], 1e-13),
+                      ([1e-12, 0.0], [0.0, 0.0], 1e-12)):
+        with pytest.raises(NonGraphicalTargets, match="1 (firm|bank)"):
+            solve_bicm(k, h, tol=tol)
+    spec = solve_bicm([1e-12, 1e-12], [0.0, 0.0])
+    assert not spec.probability_matrix().any()
+
+
 def _strictly_graphical(k, h):
     """Gale-Ryser holds strictly on both sides over the nodes with a
     positive degree: no node is saturated and no set of firms must link to
@@ -288,7 +300,7 @@ def test_bicm_from_network_carries_sizes():
     spec = bicm_from_network(net)
     s, t = net.strengths
     np.testing.assert_allclose(spec.s, s)
-    assert spec.weight_norm == pytest.approx(np.sqrt(s.sum() * t.sum()))
+    np.testing.assert_allclose(spec.t, t)
 
 
 def test_random_baseline_density(small_net):
