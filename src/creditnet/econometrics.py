@@ -216,7 +216,6 @@ class DesignMatrix:
     firm_index: np.ndarray
     bank_index: np.ndarray
     dummy_columns: frozenset[str]
-    bank_columns: frozenset[str]
     n_floored: dict[str, int]
     n_dropped: int
     n_clamped: int = 0
@@ -349,7 +348,6 @@ def build_design(sample: Sample, spec: ModelSpec,
         firm_index=fi,
         bank_index=bi,
         dummy_columns=frozenset({"is_exclusive"} & set(columns)),
-        bank_columns=frozenset(c for c in columns if COLUMNS[c].side == BANK),
         n_floored=floored,
         n_dropped=n_dropped,
         n_clamped=n_clamped,
@@ -379,8 +377,8 @@ class FitResult:
     n_obs: int
     objective: float  # log-likelihood (logit) or RSS (OLS)
     n_iter: int
+    residuals: np.ndarray
     ame: dict[str, float] | None = None
-    residuals: np.ndarray | None = None
     extra: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -429,16 +427,12 @@ def _stars(p: float) -> str:
     return ""
 
 
-def _p_value(z: float) -> float:
-    return math.erfc(abs(z) / math.sqrt(2.0))
-
-
 def _coef_stats(names, beta, se) -> dict[str, CoefficientStat]:
     out = {}
     for name, b, s in zip(names, beta, se):
         z = b / s if s > 0 else math.inf
         # an undefined standard error leaves the test undefined: no stars
-        p = math.nan if math.isnan(s) else _p_value(z)
+        p = math.nan if math.isnan(s) else math.erfc(abs(z) / math.sqrt(2.0))
         out[name] = CoefficientStat(float(b), float(s), float(p), _stars(p))
     return out
 
@@ -635,10 +629,12 @@ def fit_ols(design: DesignMatrix) -> FitResult:
 
 def fit_ols_fixed_effects(design: DesignMatrix) -> FitResult:
     """Within-transformation OLS absorbing bank-level heterogeneity."""
-    if design.bank_columns:
+    absorbed = [c for c in design.column_names
+                if c in COLUMNS and COLUMNS[c].side == BANK]
+    if absorbed:
         raise AbsorbedColumns(
             f"bank-level columns are absorbed under bank fixed effects: "
-            f"{sorted(design.bank_columns)}")
+            f"{sorted(absorbed)}")
     y = design.y
     _, gidx, counts = np.unique(design.bank_index, return_inverse=True,
                                 return_counts=True)

@@ -69,9 +69,13 @@ class RunConfig:
     seed: int = 42
     grid: tuple[econ.ModelSpec, ...] | None = None  # None -> default grid
 
+    @property
+    def input_paths(self) -> dict[str, str | None]:
+        return {"edges": self.edges_path, "firms": self.firm_attrs_path,
+                "banks": self.bank_attrs_path}
+
     def __post_init__(self):
-        paths = {"edges": self.edges_path, "firms": self.firm_attrs_path,
-                 "banks": self.bank_attrs_path}
+        paths = self.input_paths
         given = [name for name, path in paths.items() if path]
         if self.synth is None and not given:  # no input: the default sample
             object.__setattr__(self, "synth", GenConfig(seed=self.seed))
@@ -83,9 +87,11 @@ class RunConfig:
                              "banks) or a synthetic generator config")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        for v in self.null_variants:
+        for i, v in enumerate(self.null_variants):
             if v not in NULL_VARIANTS:
                 raise ValueError(f"unknown null variant {v!r}")
+            if v in self.null_variants[:i]:
+                raise ValueError(f"null variant {v!r} given twice")
 
     def to_json(self) -> dict:
         out = asdict(self)
@@ -138,7 +144,6 @@ def default_grid() -> tuple[econ.ModelSpec, ...]:
 
 
 RESIDUAL_BINS = 30
-COMPARISON_BINS = 10
 
 
 def residual_diagnostics(fit: econ.FitResult) -> dict:
@@ -147,8 +152,6 @@ def residual_diagnostics(fit: econ.FitResult) -> dict:
     A run writes the scatters against key predictors to
     ``residual_vs_<column>.csv`` only, not into this summary.
     """
-    if fit.residuals is None:
-        raise econ.EconError("fit carries no stored residuals")
     resid = np.asarray(fit.residuals, dtype=float)
     m = resid.mean()
     centered = resid - m
@@ -168,8 +171,7 @@ def residual_diagnostics(fit: econ.FitResult) -> dict:
 
 
 def _load_sample(config: RunConfig, bundle: ReportBundle):
-    paths = {"edges": config.edges_path, "firms": config.firm_attrs_path,
-             "banks": config.bank_attrs_path}
+    paths = config.input_paths
     if config.synth is not None:  # written under input/, then read back
         _, paths = write_synthetic(config.synth,
                                    os.path.join(config.out_dir, "input"))
@@ -242,7 +244,7 @@ def write_null_variant(bundle: ReportBundle, sample: Sample, name: str,
     for side, emp, model_k in (("firms", k, expected.firm_degrees),
                                ("banks", h, expected.bank_degrees)):
         try:
-            cs = compare(emp, model_k, n_bins=COMPARISON_BINS)
+            cs = compare(emp, model_k)
         except netstats.StatsError as exc:
             skipped[side] = _cause(exc)
             continue

@@ -70,10 +70,6 @@ class GroundTruth:
         return asdict(self)
 
 
-def _logit(p):
-    return np.log(p) - np.log1p(-p)
-
-
 def generate(config: GenConfig) -> tuple[Sample, GroundTruth]:
     """Draw a synthetic sample; fully reproducible from (config, seed)."""
     rng = philox(config.seed)
@@ -91,7 +87,7 @@ def generate(config: GenConfig) -> tuple[Sample, GroundTruth]:
     # attachment boost acts on each firm's running degree
     uniforms = rng.random((nf, nb))
     adjacency = np.zeros((nf, nb), dtype=bool)
-    logit_base = _logit(p_base)
+    logit_base = np.log(p_base) - np.log1p(-p_base)
     k_running = np.zeros(nf)
     for j in range(nb):
         logodds = logit_base[:, j] + config.attachment_boost * np.log1p(k_running)

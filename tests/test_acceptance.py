@@ -64,8 +64,7 @@ def _fake_design(X, y, names=None, dummies=(), groups=None):
         augmented=np.column_stack([np.ones(n), X]), y=y,
         firm_index=np.zeros(n, dtype=int),
         bank_index=np.zeros(n, dtype=int) if groups is None else groups,
-        dummy_columns=frozenset(dummies), bank_columns=frozenset(),
-        n_floored={}, n_dropped=0)
+        dummy_columns=frozenset(dummies), n_floored={}, n_dropped=0)
 
 
 # --------------------------------------------------------------------------
@@ -212,8 +211,7 @@ def test_acceptance_ols_fe_vif_oracles():
         column_names=("x0", "x1", "x2"),
         augmented=np.column_stack([np.ones(150), X[:, :3]]), y=y_fe,
         firm_index=np.zeros(150, dtype=int), bank_index=groups,
-        dummy_columns=frozenset(), bank_columns=frozenset(),
-        n_floored={}, n_dropped=0)
+        dummy_columns=frozenset(), n_floored={}, n_dropped=0)
     fe = fit_ols_fixed_effects(d)
     beta_o, se_o = ols_with_group_dummies(X[:, :3], y_fe, groups)
     est = np.array([c.estimate for c in fe.coefficients.values()])
@@ -330,6 +328,27 @@ def test_acceptance_stage1_sign_without_mechanism():
             Stage.LINK_FORMATION, Model.M3_FULL))).coefficients["ln_k"]
         positive += c.estimate > 0 and c.p_value < 0.01
     assert positive <= 5
+
+
+def test_acceptance_stage2_fragmentation_contrast():
+    """The stage-2 fixture above, on seeds it does not use, once with the
+    fragmentation penalty of -1 and once with none. Paired by seed, the M3
+    degree coefficient must fall: the mean contrast (penalty -1 minus
+    penalty 0) plus three standard errors is below 0. Every fit must
+    succeed."""
+    contrasts = []
+    for seed in range(100, 200):
+        ln_k = []
+        for penalty in (-1.0, 0.0):
+            sample, _ = generate(GenConfig(
+                n_firms=80, n_banks=40, seed=seed, target_density=0.25,
+                fragmentation_penalty=penalty, firm_size_sigma=1.8,
+                balance_noise=0.3))
+            ln_k.append(fit_ols(build_design(sample, ModelSpec(
+                Stage.LOAN_SIZING, Model.M3_FULL))).coefficients["ln_k"])
+        contrasts.append(ln_k[0].estimate - ln_k[1].estimate)
+    se = np.std(contrasts, ddof=1) / math.sqrt(len(contrasts))
+    assert np.mean(contrasts) + 3 * se < 0
 
 
 # --------------------------------------------------------------------------

@@ -415,8 +415,7 @@ def fake_design(X, y, names=None, dummies=()):
         augmented=np.column_stack([np.ones(len(y)), X]), y=y,
         firm_index=np.zeros(len(y), dtype=int),
         bank_index=np.zeros(len(y), dtype=int),
-        dummy_columns=frozenset(dummies), bank_columns=frozenset(),
-        n_floored={}, n_dropped=0)
+        dummy_columns=frozenset(dummies), n_floored={}, n_dropped=0)
 
 
 def test_logit_matches_newton_oracle(rng):
@@ -584,7 +583,8 @@ def test_coef_stats_nan_standard_error_has_no_test():
     assert stat.stars == ""
     fit = econometrics.FitResult(
         method="logit", coefficients={"a": stat}, fit_stat=0.1,
-        fit_stat_name="pseudo_r2", n_obs=10, objective=-1.0, n_iter=3)
+        fit_stat_name="pseudo_r2", n_obs=10, objective=-1.0, n_iter=3,
+        residuals=np.zeros(10))
     assert '"p_value": null' in canonical_json(fit.to_json())
     assert "***" not in fit.format_table()
 
@@ -682,8 +682,7 @@ def test_fixed_effects_matches_dummy_oracle(rng):
         column_names=("x0", "x1", "x2"),
         augmented=np.column_stack([np.ones(n), X]), y=y,
         firm_index=np.zeros(n, dtype=int), bank_index=groups,
-        dummy_columns=frozenset(), bank_columns=frozenset(),
-        n_floored={}, n_dropped=0)
+        dummy_columns=frozenset(), n_floored={}, n_dropped=0)
     fit = fit_ols_fixed_effects(d)
     beta_o, se_o = ols_with_group_dummies(X, y, groups)
     est = np.array([c.estimate for c in fit.coefficients.values()])
@@ -703,8 +702,7 @@ def test_fixed_effects_rejects_bank_columns():
         y=np.ones(10),
         firm_index=np.zeros(10, dtype=int),
         bank_index=np.arange(10) % 3,
-        dummy_columns=frozenset(), bank_columns=frozenset({"ln_t_net"}),
-        n_floored={}, n_dropped=0)
+        dummy_columns=frozenset(), n_floored={}, n_dropped=0)
     with pytest.raises(AbsorbedColumns):
         fit_ols_fixed_effects(d)
 
@@ -717,7 +715,7 @@ def test_fixed_effects_singleton_groups():
         augmented=np.column_stack([np.ones(4), np.arange(4.0)]),
         y=np.arange(4.0), firm_index=np.zeros(4, dtype=int),
         bank_index=np.arange(4), dummy_columns=frozenset(),
-        bank_columns=frozenset(), n_floored={}, n_dropped=0)
+        n_floored={}, n_dropped=0)
     with pytest.raises(SingletonGroupsOnly):
         fit_ols_fixed_effects(d)
 
@@ -727,7 +725,6 @@ def test_design_fe_strips_bank_columns():
     d = build_design(sample, ModelSpec(
         Stage.LOAN_SIZING, Model.M3_FULL,
         fixed_effects=FixedEffects.BANK_DUMMIES))
-    assert not d.bank_columns
     assert "ln_t_net" not in d.column_names
     assert "ln_h" not in d.column_names
     fit = fit_ols_fixed_effects(d)

@@ -249,3 +249,101 @@ def test_filter_never_creates_links():
     sample = make_sample([[1.0, 2.0], [0.0, 5.0]], s_bal=[3.0, 5.0])
     filtered, _ = apply_consistency_filter(sample)
     assert filtered.network.n_links <= sample.network.n_links
+
+
+# --------------------------------------------------------------------------
+# refusals: each names its file and line
+
+
+def refusal(paths):
+    """The error parse_sample raises on the given input files."""
+    with pytest.raises(IngestError) as err:
+        parse_sample(paths["edges"], paths["firms"], paths["banks"])
+    return err.value
+
+
+def test_empty_file_is_refused(tmp_path):
+    paths = write_inputs(tmp_path, ["F1,B1,10"], default_firms(["F1"]),
+                         default_banks(["B1"]))
+    open(paths["edges"], "w").close()
+    err = refusal(paths)
+    assert type(err) is MalformedRow
+    assert str(err) == f"{paths['edges']}:1: malformed row (empty file)"
+
+
+def test_wrong_header_is_refused(tmp_path):
+    paths = write_inputs(tmp_path, ["F1,B1,10"], default_firms(["F1"]),
+                         default_banks(["B1"]))
+    with open(paths["banks"], "w", encoding="utf-8") as fh:
+        fh.write("bank_id,t_bal,assets,leverage,roa\nB1,500.0,5000,12,0.5\n")
+    err = refusal(paths)
+    assert type(err) is MalformedRow
+    assert str(err) == (f"{paths['banks']}:1: malformed row (expected header "
+                        "bank_id,t_bal,total_assets,leverage,roa)")
+
+
+def test_blank_line_parses_as_if_absent(tmp_path):
+    firms, banks = default_firms(["F1", "F2"]), default_banks(["B1", "B2"])
+    edges = ["F1,B1,10", "F2,B2,4"]
+    plain = parse_sample(*write_inputs(tmp_path, edges, firms,
+                                       banks).values())
+    gaps = parse_sample(*write_inputs(
+        tmp_path, edges[:1] + [""] + edges[1:],
+        firms[:1] + [""] + firms[1:], banks[:1] + [""] + banks[1:]).values())
+    assert gaps.network.firm_ids == plain.network.firm_ids
+    assert gaps.network.bank_ids == plain.network.bank_ids
+    np.testing.assert_array_equal(gaps.network.weights, plain.network.weights)
+    # the rows below a blank line keep their own line numbers
+    paths = write_inputs(tmp_path, ["F1,B1,10", "", "F1,B1,-2"],
+                         default_firms(["F1"]), default_banks(["B1"]))
+    err = refusal(paths)
+    assert type(err) is NegativeAmount
+    assert str(err) == f"{paths['edges']}:4: negative loan amount"
+
+
+@pytest.mark.parametrize("text", ["inf", "nan", "-inf"])
+def test_non_finite_values_are_refused(tmp_path, text):
+    firms, banks = default_firms(["F1", "F2"]), default_banks(["B1"])
+    paths = write_inputs(tmp_path, ["F1,B1,10", f"F2,B1,{text}"], firms,
+                         banks)
+    err = refusal(paths)
+    assert type(err) is MalformedRow
+    assert str(err) == (f"{paths['edges']}:3: malformed row "
+                        f"(non-finite value: {text!r})")
+    firms[1] = f"F2,100.0,1000,0.5,{text},0.3"
+    paths = write_inputs(tmp_path, ["F1,B1,10"], firms, banks)
+    err = refusal(paths)
+    assert type(err) is MalformedRow
+    assert str(err) == (f"{paths['firms']}:3: malformed row "
+                        f"(non-finite value: {text!r})")
+
+
+@pytest.mark.parametrize("row", [",B1,10", "F1,,10", " ,B1,10"])
+def test_empty_node_id_in_edges_is_refused(tmp_path, row):
+    paths = write_inputs(tmp_path, ["F1,B1,10", row], default_firms(["F1"]),
+                         default_banks(["B1"]))
+    err = refusal(paths)
+    assert type(err) is MalformedRow
+    assert str(err) == f"{paths['edges']}:3: malformed row (empty node id)"
+
+
+def test_empty_attribute_id_is_refused(tmp_path):
+    paths = write_inputs(tmp_path, ["F1,B1,10"],
+                         default_firms(["F1", ""]), default_banks(["B1"]))
+    err = refusal(paths)
+    assert type(err) is MalformedRow
+    assert str(err) == f"{paths['firms']}:3: malformed row (empty firm_id)"
+    paths = write_inputs(tmp_path, ["F1,B1,10"],
+                         default_firms(["F1"]), default_banks(["", "B1"]))
+    err = refusal(paths)
+    assert type(err) is MalformedRow
+    assert str(err) == f"{paths['banks']}:2: malformed row (empty bank_id)"
+
+
+def test_edge_to_an_unknown_bank_is_refused(tmp_path):
+    paths = write_inputs(tmp_path, ["F1,B1,10", "F1,B9,10"],
+                         default_firms(["F1"]), default_banks(["B1"]))
+    err = refusal(paths)
+    assert type(err) is MissingAttribute
+    assert err.node_id == "B9"
+    assert str(err) == "no attribute record for node 'B9'"

@@ -492,15 +492,6 @@ def test_residual_diagnostics_of_constant_residuals():
     assert diag["skewness"] == diag["excess_kurtosis"] == 0.0
 
 
-def test_residual_diagnostics_requires_residuals():
-    from creditnet.econometrics import EconError, FitResult
-    bare = FitResult(method="ols", coefficients={}, fit_stat=0.0,
-                     fit_stat_name="r_squared", n_obs=0, objective=0.0,
-                     n_iter=1)
-    with pytest.raises(EconError):
-        residual_diagnostics(bare)
-
-
 def test_config_validation(tmp_path):
     # neither files nor synth: the default sample, drawn with the run's seed
     assert RunConfig(out_dir=str(tmp_path)).synth == GenConfig(seed=42)
@@ -511,6 +502,20 @@ def test_config_validation(tmp_path):
     with pytest.raises(ValueError):
         RunConfig(out_dir=str(tmp_path), synth=GenConfig(),
                   null_variants=("bogus",))
+
+
+def test_config_refuses_a_repeated_null_variant(tmp_path, capsys):
+    """A variant given twice would be calibrated, drawn and listed twice."""
+    with pytest.raises(ValueError,
+                       match=r"^null variant 'network' given twice$"):
+        RunConfig(out_dir=str(tmp_path), null_variants=("network", "network"))
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("samples = 20\nvariants = network,bicm,network\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert ("cfg:2: variants: null variant 'network' given twice"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_config_hash_tells_an_empty_grid_from_the_default(tmp_path):
@@ -585,6 +590,7 @@ BAD_VALUES = {
     "synth_banks = 0": "n_banks (0) must be >= 1",
     "samples = 0": "n_samples must be >= 1",
     "variants = netwrk": "unknown null variant 'netwrk'",
+    "variants = network,network": "null variant 'network' given twice",
 }
 
 
@@ -644,6 +650,23 @@ def test_cli_synth_defaults_are_gen_config_defaults(tmp_path):
                 fh.read(), name
     assert (tmp_path / "cli" / "ground_truth.json").read_text() == \
         canonical_json(truth.to_json())
+
+
+def test_cli_ingest_re_emits_a_clean_sample(tmp_path, capsys):
+    """A sample the filter keeps whole comes back byte for byte."""
+    data, out = tmp_path / "data", tmp_path / "ingest"
+    assert main(["synth", "--out", str(data), "--firms", "40", "--banks",
+                 "12", "--seed", "3", "--density", "0.25"]) == 0
+    capsys.readouterr()
+    assert main(["ingest", "--edges", str(data / "edges.csv"),
+                 "--firms", str(data / "firms.csv"),
+                 "--banks", str(data / "banks.csv"), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("kept 40 firms, dropped 0; ")
+    filtered = json.loads((out / "filter_report.json").read_text())
+    assert (filtered["kept_firms"], filtered["dropped_firms"]) == (40, [])
+    for name in ("edges", "firms", "banks"):
+        assert (out / f"{name}.csv").read_bytes() == \
+            (data / f"{name}.csv").read_bytes(), name
 
 
 def test_cli_stages_write_what_run_writes(tmp_path):
