@@ -13,15 +13,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-__all__ = [
-    "BipartiteNetwork",
-    "FIRM_FIELDS",
-    "BANK_FIELDS",
-    "InvalidAttribute",
-    "attribute_columns",
-    "Sample",
-]
-
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:

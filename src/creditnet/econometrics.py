@@ -23,33 +23,6 @@ from .core import Sample
 # because the benchmark's tracer wraps econometrics.expected_metrics by name
 from .nullmodel import ExpectedMetrics, expected_metrics  # noqa: F401
 
-__all__ = [
-    "EconError",
-    "MissingNullModel",
-    "AllRowsDropped",
-    "Separation",
-    "SingularInformation",
-    "NoConvergence",
-    "RankDeficient",
-    "SingletonGroupsOnly",
-    "AbsorbedColumns",
-    "Stage",
-    "Model",
-    "DegreeVariant",
-    "Placebo",
-    "FixedEffects",
-    "ModelSpec",
-    "DesignMatrix",
-    "CoefficientStat",
-    "FitResult",
-    "build_design",
-    "fit_design",
-    "fit_logit",
-    "fit_ols",
-    "fit_ols_fixed_effects",
-    "vif",
-]
-
 
 STRENGTH_FLOOR = 1.0  # one euro, the inputs' unit; keeps log terms finite
 DEGREE_FLOOR = 1.0  # a corrected degree of 0 reads as ln 1
@@ -520,13 +493,13 @@ def fit_logit(design: DesignMatrix, tol_score: float = 1e-8,
         score = X.T @ resid
         np.subtract(1.0, p, out=weights)
         np.multiply(p, weights, out=weights)
+        np.multiply(X, weights[:, None], out=xw)
+        info = xw.T @ X
         if np.abs(score).max() < tol_score:
             ll = _loglik(y, eta)
             ll_old = -np.inf if eta_old is None else _loglik(y, eta_old)
             if abs(ll - ll_old) <= tol_ll * max(1.0, abs(ll)):
                 break
-        np.multiply(X, weights[:, None], out=xw)
-        info = xw.T @ X
         try:
             step = np.linalg.solve(info, score)
         except np.linalg.LinAlgError:
@@ -538,8 +511,6 @@ def fit_logit(design: DesignMatrix, tol_score: float = 1e-8,
     else:
         raise NoConvergence(f"IRLS did not converge in {max_iters} iterations")
 
-    np.multiply(X, weights[:, None], out=xw)
-    info = xw.T @ X
     del xw
     try:
         cov = np.linalg.inv(info)

@@ -26,19 +26,6 @@ from . import report
 from .core import (BANK_FIELDS, FIRM_FIELDS, BipartiteNetwork,
                    InvalidAttribute, Sample, attribute_columns)
 
-__all__ = [
-    "IngestError",
-    "MalformedRow",
-    "MissingAttribute",
-    "NegativeAmount",
-    "DuplicateAttributeRow",
-    "NoFirmsLeft",
-    "FilterReport",
-    "parse_sample",
-    "apply_consistency_filter",
-    "write_sample_csv",
-]
-
 CONSISTENCY_BAND = (1e-3, 1e3)
 
 # the header of each input file, by the key write_sample_csv returns it under
@@ -111,7 +98,10 @@ def _read_rows(path, expected_header):
             raise MalformedRow(path, 1, "empty file")
         if [h.strip() for h in header] != expected_header:
             raise MalformedRow(path, 1, f"expected header {','.join(expected_header)}")
-        for line_no, row in enumerate(reader, start=2):
+        # a quoted field may span lines: a row is named by its first line
+        next_line = reader.line_num + 1
+        for row in reader:
+            line_no, next_line = next_line, reader.line_num + 1
             row = [cell.strip() for cell in row]
             if not any(row):
                 continue

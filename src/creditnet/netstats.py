@@ -8,18 +8,6 @@ import numpy as np
 
 from .core import BipartiteNetwork
 
-__all__ = [
-    "StatsError",
-    "EmptyInput",
-    "ConstantSequence",
-    "SummaryStats",
-    "CcdfCurve",
-    "ComparisonStats",
-    "summarize",
-    "ccdf",
-    "compare",
-]
-
 
 class StatsError(ValueError):
     pass

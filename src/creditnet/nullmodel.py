@@ -29,29 +29,6 @@ import numpy as np
 
 from .core import BipartiteNetwork, Sample
 
-__all__ = [
-    "NullModelError",
-    "TargetOutOfRange",
-    "NonpositiveFitness",
-    "NonGraphicalTargets",
-    "NoConvergence",
-    "Variant",
-    "FitnessSpec",
-    "BicmSpec",
-    "ConstantSpec",
-    "Ensemble",
-    "STATISTICS",
-    "calibrate_z",
-    "solve_bicm",
-    "bicm_from_network",
-    "fitness_spec_from_sample",
-    "random_baseline",
-    "conditional_weights",
-    "expected_metrics",
-    "sample_ensemble",
-    "philox",
-]
-
 
 class NullModelError(ValueError):
     pass

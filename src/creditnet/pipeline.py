@@ -23,23 +23,6 @@ from .nullmodel import (Variant, bicm_from_network, fitness_spec_from_sample,
                         random_baseline, sample_ensemble)
 from .synthgen import GenConfig, write_synthetic
 
-__all__ = [
-    "RunConfig",
-    "ReportBundle",
-    "PLACEBO_NULLS",
-    "default_grid",
-    "placebo_panel",
-    "NULL_VARIANTS",
-    "write_stats",
-    "calibrate_null",
-    "write_null_variant",
-    "write_cell",
-    "run",
-    "residual_diagnostics",
-    "load_config_file",
-    "SYNTH_KEYS",
-]
-
 # null variant name -> the function that calibrates it on a sample
 NULL_VARIANTS = {
     "network": lambda sample: fitness_spec_from_sample(

@@ -16,17 +16,6 @@ import re
 
 import numpy as np
 
-__all__ = [
-    "canonical_json",
-    "write_json",
-    "write_csv",
-    "write_text",
-    "sha256_file",
-    "sha256_text",
-    "svg_scatter",
-    "svg_histogram",
-]
-
 
 _INDENT = "  "
 # the text of non-finite floats: JSON has no NaN or infinity, CSV leaves NaN

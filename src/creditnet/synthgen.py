@@ -20,9 +20,6 @@ from .ingest import write_sample_csv
 from .nullmodel import (FitnessSpec, Variant, calibrate_z,
                         conditional_weights, philox)
 
-__all__ = ["GenConfig", "GroundTruth", "DegenerateDensity", "generate",
-           "write_synthetic"]
-
 
 class DegenerateDensity(ValueError):
     pass

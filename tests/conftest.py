@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from creditnet.core import BipartiteNetwork, Sample
+from creditnet.econometrics import DesignMatrix, Model, ModelSpec, Stage
 
 
 def make_network(weights, firm_prefix="F", bank_prefix="B"):
@@ -37,6 +38,21 @@ def make_sample(weights, s_bal=None, t_bal=None):
         "roa": 0.5 + 0.05 * j,
     }
     return Sample(net, firm_columns, bank_columns)
+
+
+def make_design(X, y, names=None, dummies=(), groups=None,
+                spec=ModelSpec(Stage.LINK_FORMATION, Model.M1_GRAVITY)):
+    """A hand-made design: regressors X under ``names`` (x0, x1, ... by
+    default), response y, every row in firm 0 and in bank ``groups``
+    (bank 0 by default)."""
+    names = tuple(names or (f"x{i}" for i in range(X.shape[1])))
+    n = len(y)
+    return DesignMatrix(
+        spec=spec, column_names=names,
+        augmented=np.column_stack([np.ones(n), X]), y=y,
+        firm_index=np.zeros(n, dtype=int),
+        bank_index=np.zeros(n, dtype=int) if groups is None else groups,
+        dummy_columns=frozenset(dummies), n_floored={}, n_dropped=0)
 
 
 @pytest.fixture

@@ -23,8 +23,8 @@ from hypothesis import strategies as st
 
 from creditnet import econometrics
 from creditnet.core import BipartiteNetwork, Sample
-from creditnet.econometrics import (DesignMatrix, Model, ModelSpec, Placebo,
-                                    Stage, build_design, fit_logit, fit_ols,
+from creditnet.econometrics import (Model, ModelSpec, Placebo, Stage,
+                                    build_design, fit_logit, fit_ols,
                                     fit_ols_fixed_effects, vif)
 from creditnet.ingest import apply_consistency_filter, parse_sample
 from creditnet.netstats import summarize
@@ -34,7 +34,7 @@ from creditnet.nullmodel import (Variant, bicm_from_network, calibrate_z,
 from creditnet.pipeline import (PLACEBO_NULLS, ReportBundle, RunConfig,
                                 calibrate_null, default_grid, run)
 from creditnet.synthgen import GenConfig, generate
-from conftest import make_network, make_sample
+from conftest import make_design, make_network, make_sample
 from oracles import (herman_correct, logit_grid_refine, logit_newton,
                      ols_normal_equations, ols_with_group_dummies,
                      precision_at_l, rmsre, uncorrected_design)
@@ -53,18 +53,6 @@ BENCH_CONFIG = GenConfig(n_firms=113, n_banks=61, seed=11, **GEN_SHAPE)
 def bench_sample():
     sample, _ = generate(BENCH_CONFIG)
     return sample
-
-
-def _fake_design(X, y, names=None, dummies=(), groups=None):
-    names = tuple(names or (f"x{i}" for i in range(X.shape[1])))
-    n = len(y)
-    return DesignMatrix(
-        spec=ModelSpec(Stage.LINK_FORMATION, Model.M1_GRAVITY),
-        column_names=names,
-        augmented=np.column_stack([np.ones(n), X]), y=y,
-        firm_index=np.zeros(n, dtype=int),
-        bank_index=np.zeros(n, dtype=int) if groups is None else groups,
-        dummy_columns=frozenset(dummies), n_floored={}, n_dropped=0)
 
 
 # --------------------------------------------------------------------------
@@ -180,7 +168,7 @@ def test_acceptance_logit_oracles():
         eta = beta_true[0] + X @ beta_true[1:]
         y = (rng.random(n) < 1 / (1 + np.exp(-eta))).astype(float)
 
-        fit = fit_logit(_fake_design(X, y))
+        fit = fit_logit(make_design(X, y))
         est = np.array([c.estimate for c in fit.coefficients.values()])
         Xc = np.column_stack([np.ones(n), X])
         np.testing.assert_allclose(est, logit_newton(Xc, y), atol=1e-8)
@@ -194,7 +182,7 @@ def test_acceptance_ols_fe_vif_oracles():
     # plain OLS vs explicit normal equations
     X = rng.normal(0, 1, (150, 4))
     y = 0.5 + X @ np.array([1.0, -2.0, 0.3, 0.0]) + rng.normal(0, 0.5, 150)
-    fit = fit_ols(_fake_design(X, y))
+    fit = fit_ols(make_design(X, y))
     est = np.array([c.estimate for c in fit.coefficients.values()])
     ses = np.array([c.std_error for c in fit.coefficients.values()])
     beta_o, se_o = ols_normal_equations(np.column_stack([np.ones(150), X]), y)
@@ -206,12 +194,8 @@ def test_acceptance_ols_fe_vif_oracles():
     alpha = rng.normal(0, 2, 6)
     y_fe = X[:, :3] @ np.array([1.5, -0.7, 0.2]) + alpha[groups] \
         + rng.normal(0, 0.4, 150)
-    d = DesignMatrix(
-        spec=ModelSpec(Stage.LOAN_SIZING, Model.M2_NETWORK),
-        column_names=("x0", "x1", "x2"),
-        augmented=np.column_stack([np.ones(150), X[:, :3]]), y=y_fe,
-        firm_index=np.zeros(150, dtype=int), bank_index=groups,
-        dummy_columns=frozenset(), n_floored={}, n_dropped=0)
+    d = make_design(X[:, :3], y_fe, groups=groups,
+                    spec=ModelSpec(Stage.LOAN_SIZING, Model.M2_NETWORK))
     fe = fit_ols_fixed_effects(d)
     beta_o, se_o = ols_with_group_dummies(X[:, :3], y_fe, groups)
     est = np.array([c.estimate for c in fe.coefficients.values()])
@@ -222,7 +206,7 @@ def test_acceptance_ols_fe_vif_oracles():
     # VIF vs the literal auxiliary-regression definition
     Xv = rng.normal(0, 1, (200, 4))
     Xv[:, 3] = 0.8 * Xv[:, 0] - 0.4 * Xv[:, 1] + 0.3 * rng.normal(0, 1, 200)
-    got = vif(_fake_design(Xv, np.zeros(200)))
+    got = vif(make_design(Xv, np.zeros(200)))
     for idx in range(4):
         target = Xv[:, idx]
         others = np.column_stack(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from creditnet import econometrics
 from creditnet.core import Sample
 from creditnet.econometrics import (AbsorbedColumns, AllRowsDropped,
-                                    DegreeVariant, DesignMatrix, EconError,
+                                    DegreeVariant, EconError,
                                     FixedEffects, Model, ModelSpec,
                                     MissingNullModel, NoConvergence, Placebo,
                                     RankDeficient, Separation,
@@ -20,7 +20,7 @@ from creditnet.econometrics import (AbsorbedColumns, AllRowsDropped,
 from creditnet.nullmodel import (Variant, expected_metrics,
                                  fitness_spec_from_sample)
 from creditnet.report import canonical_json
-from conftest import make_network, make_sample
+from conftest import make_design, make_network, make_sample
 from oracles import (fit_logit_allocating, herman_correct, logit_loglik,
                      logit_newton, ols_normal_equations,
                      ols_with_group_dummies, uncorrected_design,
@@ -407,20 +407,9 @@ def synthetic_logit(rng, n=400, p=3):
     return X, y
 
 
-def fake_design(X, y, names=None, dummies=()):
-    names = tuple(names or (f"x{i}" for i in range(X.shape[1])))
-    return DesignMatrix(
-        spec=ModelSpec(Stage.LINK_FORMATION, Model.M1_GRAVITY),
-        column_names=names,
-        augmented=np.column_stack([np.ones(len(y)), X]), y=y,
-        firm_index=np.zeros(len(y), dtype=int),
-        bank_index=np.zeros(len(y), dtype=int),
-        dummy_columns=frozenset(dummies), n_floored={}, n_dropped=0)
-
-
 def test_logit_matches_newton_oracle(rng):
     X, y = synthetic_logit(rng)
-    fit = fit_logit(fake_design(X, y))
+    fit = fit_logit(make_design(X, y))
     Xc = np.column_stack([np.ones(len(y)), X])
     beta_oracle = logit_newton(Xc, y)
     est = np.array([c.estimate for c in fit.coefficients.values()])
@@ -434,7 +423,7 @@ def test_logit_perfect_balance_intercept():
     y = np.array([0.0, 1.0] * 50)
     X = np.zeros((100, 1))
     X[:, 0] = np.tile([0.0, 1.0], 50)[::-1]  # anti-aligned regressor
-    fit = fit_logit(fake_design(X, y))
+    fit = fit_logit(make_design(X, y))
     assert fit.n_obs == 100
     assert fit.fit_stat == pytest.approx(
         1 - fit.objective / (100 * np.log(0.5)), abs=1e-9)
@@ -444,18 +433,18 @@ def test_logit_separation_detected(rng):
     X = rng.normal(0, 1, (80, 1))
     y = (X[:, 0] > 0).astype(float)
     with pytest.raises(Separation):
-        fit_logit(fake_design(X, y))
+        fit_logit(make_design(X, y))
 
 
 def test_logit_single_class_rejected():
     with pytest.raises(EconError):
-        fit_logit(fake_design(np.ones((10, 1)), np.ones(10)))
+        fit_logit(make_design(np.ones((10, 1)), np.ones(10)))
 
 
 def test_logit_ame_continuous_and_dummy(rng):
     X, y = synthetic_logit(rng, n=600, p=2)
     X[:, 1] = (X[:, 1] > 0).astype(float)
-    fit = fit_logit(fake_design(X, y, names=("cont", "dummy"),
+    fit = fit_logit(make_design(X, y, names=("cont", "dummy"),
                                 dummies=("dummy",)))
     beta = [c.estimate for c in fit.coefficients.values()]
     Xc = np.column_stack([np.ones(len(y)), X])
@@ -488,7 +477,7 @@ def test_fit_logit_equals_allocating_oracle(seed, n, n_cont, n_dummy,
     eta = rng.normal(0, scale, 1 + X.shape[1]) @ np.vstack([np.ones(n), X.T])
     y = (rng.random(n) < 1 / (1 + np.exp(-eta))).astype(float)
     names = tuple(f"x{i}" for i in range(X.shape[1]))
-    d = fake_design(X, y, names=names, dummies=names[n_cont:])
+    d = make_design(X, y, names=names, dummies=names[n_cont:])
     try:
         expected = fit_logit_allocating(d)
     except EconError as exc:
@@ -502,7 +491,7 @@ def test_fit_logit_equals_allocating_oracle(seed, n, n_cont, n_dummy,
 
 def _separated_design():
     X = np.random.default_rng(0).normal(0, 1, (80, 1))
-    return fake_design(X, (X[:, 0] > 0).astype(float))
+    return make_design(X, (X[:, 0] > 0).astype(float))
 
 
 def _quasi_separated_design():
@@ -514,7 +503,7 @@ def _quasi_separated_design():
     eta = 0.3 + X @ np.array([1.0, -0.5])
     y = (rng.random(n) < 1 / (1 + np.exp(-eta))).astype(float)
     y[dummy == 1] = 1.0
-    return fake_design(np.column_stack([X, dummy]), y,
+    return make_design(np.column_stack([X, dummy]), y,
                        names=("x0", "x1", "d"), dummies=("d",))
 
 
@@ -591,7 +580,7 @@ def test_coef_stats_nan_standard_error_has_no_test():
 
 def test_logit_stars_and_pvalues(rng):
     X, y = synthetic_logit(rng, n=2000)
-    fit = fit_logit(fake_design(X, y))
+    fit = fit_logit(make_design(X, y))
     strong = fit.coefficients["x1"]  # true coefficient -1.0
     assert strong.stars == "***"
     assert strong.p_value < 0.01
@@ -604,7 +593,7 @@ def test_logit_stars_and_pvalues(rng):
 def test_ols_matches_normal_equations(rng):
     X = rng.normal(0, 1, (120, 4))
     y = 1.0 + X @ np.array([2.0, -1.0, 0.5, 0.0]) + rng.normal(0, 0.3, 120)
-    fit = fit_ols(fake_design(X, y))
+    fit = fit_ols(make_design(X, y))
     Xc = np.column_stack([np.ones(120), X])
     beta_o, se_o = ols_normal_equations(Xc, y)
     est = np.array([c.estimate for c in fit.coefficients.values()])
@@ -617,7 +606,7 @@ def test_ols_matches_normal_equations(rng):
 def test_ols_exact_fit():
     X = np.array([[1.0], [2.0], [3.0]])
     y = 2 * X[:, 0] + 1
-    fit = fit_ols(fake_design(X, y))
+    fit = fit_ols(make_design(X, y))
     assert fit.coefficients["intercept"].estimate == pytest.approx(1.0)
     assert fit.coefficients["x0"].estimate == pytest.approx(2.0)
     assert fit.fit_stat == pytest.approx(1.0)
@@ -627,7 +616,7 @@ def test_ols_rank_deficiency_names_columns(rng):
     X = rng.normal(0, 1, (50, 3))
     X[:, 2] = 2 * X[:, 0] - X[:, 1]
     with pytest.raises(RankDeficient) as err:
-        fit_ols(fake_design(X, y=rng.normal(0, 1, 50)))
+        fit_ols(make_design(X, y=rng.normal(0, 1, 50)))
     assert "x2" in err.value.columns
 
 
@@ -637,7 +626,7 @@ def test_rank_deficiency_names_a_column_small_in_scale(rng):
     X = np.column_stack([rng.normal(0, 1, 50), 1e-14 * rng.normal(0, 1, 50),
                          rng.normal(0, 1, 50)])
     with pytest.raises(RankDeficient) as err:
-        fit_ols(fake_design(X, y=rng.normal(0, 1, 50)))
+        fit_ols(make_design(X, y=rng.normal(0, 1, 50)))
     assert err.value.columns == ("x1",)
 
 
@@ -661,7 +650,7 @@ def test_ols_rank_check_matches_matrix_rank(n, p, exponent, seed):
     sing = np.linalg.svd(A, compute_uv=False)
     tol = sing[0] * max(A.shape) * np.finfo(float).eps
     assume(abs(sing[-1] / tol - 1) > 1e-3)
-    design = fake_design(X, rng.normal(0, 1, n))
+    design = make_design(X, rng.normal(0, 1, n))
     if np.linalg.matrix_rank(A) < A.shape[1]:
         with pytest.raises(RankDeficient) as err:
             fit_ols(design)
@@ -676,13 +665,9 @@ def test_fixed_effects_matches_dummy_oracle(rng):
     X = rng.normal(0, 1, (n, 3))
     alpha = rng.normal(0, 2, g)
     y = X @ np.array([1.5, -0.7, 0.2]) + alpha[groups] + rng.normal(0, 0.4, n)
-    d = DesignMatrix(
-        spec=ModelSpec(Stage.LOAN_SIZING, Model.M2_NETWORK,
-                       fixed_effects=FixedEffects.BANK_DUMMIES),
-        column_names=("x0", "x1", "x2"),
-        augmented=np.column_stack([np.ones(n), X]), y=y,
-        firm_index=np.zeros(n, dtype=int), bank_index=groups,
-        dummy_columns=frozenset(), n_floored={}, n_dropped=0)
+    d = make_design(X, y, groups=groups, spec=ModelSpec(
+        Stage.LOAN_SIZING, Model.M2_NETWORK,
+        fixed_effects=FixedEffects.BANK_DUMMIES))
     fit = fit_ols_fixed_effects(d)
     beta_o, se_o = ols_with_group_dummies(X, y, groups)
     est = np.array([c.estimate for c in fit.coefficients.values()])
@@ -695,27 +680,19 @@ def test_fixed_effects_matches_dummy_oracle(rng):
 
 
 def test_fixed_effects_rejects_bank_columns():
-    d = DesignMatrix(
-        spec=ModelSpec(Stage.LOAN_SIZING, Model.M3_FULL,
-                       fixed_effects=FixedEffects.BANK_DUMMIES),
-        column_names=("ln_t_net",), augmented=np.ones((10, 2)),
-        y=np.ones(10),
-        firm_index=np.zeros(10, dtype=int),
-        bank_index=np.arange(10) % 3,
-        dummy_columns=frozenset(), n_floored={}, n_dropped=0)
+    d = make_design(np.ones((10, 1)), np.ones(10), names=("ln_t_net",),
+                    groups=np.arange(10) % 3, spec=ModelSpec(
+                        Stage.LOAN_SIZING, Model.M3_FULL,
+                        fixed_effects=FixedEffects.BANK_DUMMIES))
     with pytest.raises(AbsorbedColumns):
         fit_ols_fixed_effects(d)
 
 
 def test_fixed_effects_singleton_groups():
-    d = DesignMatrix(
-        spec=ModelSpec(Stage.LOAN_SIZING, Model.M2_NETWORK,
-                       fixed_effects=FixedEffects.BANK_DUMMIES),
-        column_names=("x0",),
-        augmented=np.column_stack([np.ones(4), np.arange(4.0)]),
-        y=np.arange(4.0), firm_index=np.zeros(4, dtype=int),
-        bank_index=np.arange(4), dummy_columns=frozenset(),
-        n_floored={}, n_dropped=0)
+    d = make_design(np.arange(4.0)[:, None], np.arange(4.0),
+                    groups=np.arange(4), spec=ModelSpec(
+                        Stage.LOAN_SIZING, Model.M2_NETWORK,
+                        fixed_effects=FixedEffects.BANK_DUMMIES))
     with pytest.raises(SingletonGroupsOnly):
         fit_ols_fixed_effects(d)
 
@@ -734,7 +711,7 @@ def test_design_fe_strips_bank_columns():
 def test_vif_matches_correlation_oracle(rng):
     X = rng.normal(0, 1, (300, 4))
     X[:, 3] = 0.9 * X[:, 0] + 0.3 * rng.normal(0, 1, 300)
-    d = fake_design(X, y=np.zeros(300))
+    d = make_design(X, y=np.zeros(300))
     got = vif(d)
     expected = vif_from_correlation(X)
     for idx, name in enumerate(d.column_names):
@@ -745,14 +722,14 @@ def test_vif_matches_correlation_oracle(rng):
 def test_vif_collinear_is_infinite(rng):
     X = rng.normal(0, 1, (100, 3))
     X[:, 2] = X[:, 0] + X[:, 1]
-    got = vif(fake_design(X, y=np.zeros(100)))
+    got = vif(make_design(X, y=np.zeros(100)))
     assert all(np.isinf(v) for v in got.values())
 
 
 def test_vif_constant_column_is_infinite(rng):
     X = rng.normal(0, 1, (100, 4))
     X[:, 1] = 0.1  # its float mean is not exactly 0.1
-    got = vif(fake_design(X, y=np.zeros(100)))
+    got = vif(make_design(X, y=np.zeros(100)))
     assert all(np.isinf(v) for v in got.values())
 
 

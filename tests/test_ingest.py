@@ -154,6 +154,35 @@ def test_out_of_range_attribute_names_its_line(tmp_path):
         assert err.value.line_no == 3
 
 
+def test_negative_amount_after_a_multi_line_row_names_its_line(tmp_path):
+    two = quoted("two\nlines")  # on lines 2-3
+    paths = write_inputs(tmp_path, [f"{two},B1,10", "F1,B1,-2"],
+                         default_firms(["F1", two]), default_banks(["B1"]))
+    with pytest.raises(NegativeAmount,
+                       match="edges.csv:4: negative loan amount") as err:
+        parse_sample(paths["edges"], paths["firms"], paths["banks"])
+    assert err.value.line_no == 4
+
+
+def test_bad_attribute_after_a_multi_line_row_names_its_line(tmp_path):
+    # the quoted id is on lines 3-4, the bad tangibility on line 5
+    firms = (default_firms(["F1", quoted("two\nlines")])
+             + ["F2,100.0,1000,0.5,1.2,2"])
+    paths = write_inputs(tmp_path, ["F1,B1,10"], firms, default_banks(["B1"]))
+    with pytest.raises(MalformedRow, match="firms.csv:5: .*tangibility"):
+        parse_sample(paths["edges"], paths["firms"], paths["banks"])
+
+
+def test_bad_multi_line_row_is_named_by_its_first_line(tmp_path):
+    # quoted ids on lines 2-3 and 4-5; the second row's tangibility is bad
+    one, two = quoted("one\nline"), quoted("two\nlines")
+    firms = [f"{one},100.0,1000,0.5,1.2,0.3", f"{two},100.0,1000,0.5,1.2,2"]
+    paths = write_inputs(tmp_path, ["F1,B1,10"], firms, default_banks(["B1"]))
+    with pytest.raises(MalformedRow, match="tangibility") as err:
+        parse_sample(paths["edges"], paths["firms"], paths["banks"])
+    assert (err.value.path, err.value.line_no) == (paths["firms"], 4)
+
+
 def test_write_parse_write_is_byte_identical(tmp_path):
     sample, _ = generate(GenConfig(n_firms=30, n_banks=8, seed=2))
     first = write_sample_csv(sample, tmp_path / "first")
