@@ -12,22 +12,20 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
 
 from . import econometrics as econ
 from . import pipeline, report
 from .ingest import apply_consistency_filter, parse_sample, write_sample_csv
-from .pipeline import (SYNTH_KEYS, ReportBundle, RunConfig, load_config_file,
-                       run)
+from .pipeline import (RUN_KEYS, SYNTH_KEYS, ReportBundle, RunConfig,
+                       load_config_file, run)
 from .synthgen import GenConfig, write_synthetic
 
 STAGES = {"1": econ.Stage.LINK_FORMATION, "2": econ.Stage.LOAN_SIZING}
 
 
 def _parse_filtered(args):
-    sample = parse_sample(args.edges, args.firms, args.banks)
-    filtered, rep = apply_consistency_filter(sample)
-    return filtered, rep
+    return apply_consistency_filter(parse_sample(args.edges, args.firms,
+                                                 args.banks))
 
 
 def _finish(bundle: ReportBundle) -> int:
@@ -98,8 +96,8 @@ def _cmd_placebo(args) -> int:
 
 def _cmd_run(args) -> int:
     # the flags given, under the names of the RunConfig fields they set
-    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)
-             if getattr(args, f.name, None) is not None}
+    given = {name: getattr(args, name) for name, _ in RUN_KEYS.values()
+             if getattr(args, name, None) is not None}
     bundle = run(load_config_file(args.config, args.out, **given)
                  if args.config else RunConfig(out_dir=args.out, **given))
     if bundle.ok:
@@ -116,8 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", required=True)
     inputs = argparse.ArgumentParser(add_help=False)
-    for name in ("edges", "firms", "banks"):
-        inputs.add_argument("--" + name, required=True)
+    for key, (name, _) in RUN_KEYS.items():
+        if name.endswith("_path"):
+            inputs.add_argument("--" + key, required=True)
     stage = argparse.ArgumentParser(add_help=False)
     stage.add_argument("--stage", choices=list(STAGES), required=True)
 
@@ -154,11 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("run", _cmd_run, "full pipeline", (out,))
     p.add_argument("--config", help="flat key=value config file; the other "
                    "flags given override its values")
-    p.add_argument("--edges", dest="edges_path")
-    p.add_argument("--firms", dest="firm_attrs_path")
-    p.add_argument("--banks", dest="bank_attrs_path")
-    p.add_argument("--samples", dest="n_samples", type=int)
-    p.add_argument("--seed", type=int)
+    for key, (name, kind) in RUN_KEYS.items():
+        if key != "variants":
+            p.add_argument("--" + key, dest=name, type=kind)
     return parser
 
 

@@ -31,9 +31,8 @@ CONSISTENCY_BAND = (1e-3, 1e3)
 # the header of each input file, by the key write_sample_csv returns it under
 _HEADERS = {
     "edges": ["firm_id", "bank_id", "amount"],
-    "firms": ["firm_id", "s_bal", "total_assets", "leverage", "roa",
-              "tangibility"],
-    "banks": ["bank_id", "t_bal", "total_assets", "leverage", "roa"],
+    "firms": ["firm_id", "s_bal", *FIRM_FIELDS[1:]],
+    "banks": ["bank_id", "t_bal", *BANK_FIELDS[1:]],
 }
 
 
@@ -91,7 +90,8 @@ class FilterReport:
 
 
 def _read_rows(path, expected_header):
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig: a leading byte-order mark, as Excel writes, is not data
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -25,10 +26,7 @@ from .synthgen import GenConfig, write_synthetic
 
 # null variant name -> the function that calibrates it on a sample
 NULL_VARIANTS = {
-    "network": lambda sample: fitness_spec_from_sample(
-        sample, Variant.NETWORK_DRIVEN),
-    "balance": lambda sample: fitness_spec_from_sample(
-        sample, Variant.BALANCE_DRIVEN),
+    **{v.value: partial(fitness_spec_from_sample, variant=v) for v in Variant},
     "bicm": lambda sample: bicm_from_network(sample.network),
     "random": lambda sample: random_baseline(sample.network),
 }
@@ -54,8 +52,8 @@ class RunConfig:
 
     @property
     def input_paths(self) -> dict[str, str | None]:
-        return {"edges": self.edges_path, "firms": self.firm_attrs_path,
-                "banks": self.bank_attrs_path}
+        return {key: getattr(self, name) for key, (name, _) in RUN_KEYS.items()
+                if name.endswith("_path")}
 
     def __post_init__(self):
         paths = self.input_paths
@@ -161,7 +159,7 @@ def _load_sample(config: RunConfig, bundle: ReportBundle):
         bundle.files += [os.path.relpath(p, config.out_dir)
                          for p in paths.values()]
         bundle.files.append(os.path.join("input", "ground_truth.json"))
-    return parse_sample(*paths.values()), paths
+    return parse_sample(paths["edges"], paths["firms"], paths["banks"]), paths
 
 
 def _cause(exc: Exception) -> str:
@@ -343,8 +341,9 @@ def run(config: RunConfig) -> ReportBundle:
     return bundle
 
 
-# config-file key -> RunConfig field and the type its value converts to
-_RUN_KEYS = {
+# config-file key -> RunConfig field and the type its value converts to;
+# `run` takes each key but `variants` as a flag of the same name
+RUN_KEYS = {
     "edges": ("edges_path", str),
     "firms": ("firm_attrs_path", str),
     "banks": ("bank_attrs_path", str),
@@ -370,8 +369,8 @@ SYNTH_KEYS = {
 def load_config_file(path: str, out_dir: str, **given) -> RunConfig:
     """Parse the flat key=value run configuration format; the ``given``
     ``RunConfig`` fields override the file's before the config is built."""
-    fields, synth = {}, {}
-    with open(path, encoding="utf-8") as fh:
+    fields, synth, first_line = {}, {}, {}
+    with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is skipped
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -381,7 +380,7 @@ def load_config_file(path: str, out_dir: str, **given) -> RunConfig:
             key, _, value = line.partition("=")
             key = key.strip()
             target, keys = ((synth, SYNTH_KEYS) if key.startswith("synth_")
-                            else (fields, _RUN_KEYS))
+                            else (fields, RUN_KEYS))
             if key not in keys:
                 raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
             name, kind = keys[key]
@@ -394,6 +393,10 @@ def load_config_file(path: str, out_dir: str, **given) -> RunConfig:
                     RunConfig(out_dir=out_dir, **{name: target[name]})
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {key}: {exc}") from None
+            if key in first_line:
+                raise ValueError(f"{path}:{line_no}: key {key!r} already "
+                                 f"given on line {first_line[key]}")
+            first_line[key] = line_no
     if synth:
         fields["synth"] = GenConfig(**synth)
     return RunConfig(out_dir=out_dir, **{**fields, **given})

@@ -183,6 +183,21 @@ def test_bad_multi_line_row_is_named_by_its_first_line(tmp_path):
     assert (err.value.path, err.value.line_no) == (paths["firms"], 4)
 
 
+@pytest.mark.parametrize("name", ["edges", "firms", "banks"])
+def test_leading_byte_order_mark_is_not_data(tmp_path, name):
+    """Excel's "CSV UTF-8" export starts each file with a UTF-8 byte-order
+    mark; the sample parses as it does without one."""
+    paths = write_inputs(tmp_path, ["F1,B1,10", "F2,B1,5"],
+                         default_firms(["F1", "F2"]), default_banks(["B1"]))
+    plain = write_sample_csv(
+        parse_sample(paths["edges"], paths["firms"], paths["banks"]),
+        tmp_path / "plain")
+    bom = tmp_path / f"{name}.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + bom.read_bytes())
+    back = parse_sample(paths["edges"], paths["firms"], paths["banks"])
+    assert_same_files(plain, write_sample_csv(back, tmp_path / "bom"))
+
+
 def test_write_parse_write_is_byte_identical(tmp_path):
     sample, _ = generate(GenConfig(n_firms=30, n_banks=8, seed=2))
     first = write_sample_csv(sample, tmp_path / "first")

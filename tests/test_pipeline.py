@@ -605,6 +605,26 @@ def test_config_file_bad_value_names_its_line_and_key(tmp_path, line):
         load_config_file(str(cfg_path), str(tmp_path / "o"))
 
 
+def test_config_file_leading_byte_order_mark_is_not_data(tmp_path):
+    """A config file saved with a UTF-8 byte-order mark reads as one without."""
+    text = "samples = 25\nsynth_firms = 30\n"
+    plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    out = str(tmp_path / "o")
+    assert load_config_file(str(bom), out) == load_config_file(str(plain), out)
+
+
+@pytest.mark.parametrize("key", ["samples", "synth_firms"])
+def test_config_file_key_given_twice_is_refused(tmp_path, key):
+    """A repeated key would silently keep its last value."""
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"{key} = 5\nseed = 3\n{key} = 7\n")
+    with pytest.raises(ValueError, match=rf"cfg:3: key '{key}' already "
+                                         "given on line 1$"):
+        load_config_file(str(cfg_path), str(tmp_path / "o"))
+
+
 def test_config_file_any_synth_key_makes_it_synthetic(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("synth_banks = 15\nseed = 5\n")
