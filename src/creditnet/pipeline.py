@@ -73,6 +73,10 @@ class RunConfig:
                 raise ValueError(f"unknown null variant {v!r}")
             if v in self.null_variants[:i]:
                 raise ValueError(f"null variant {v!r} given twice")
+        cells = [spec.name() for spec in self.grid or ()]
+        for i, cell in enumerate(cells):
+            if cell in cells[:i]:
+                raise ValueError(f"grid cell {cell!r} given twice")
 
     def to_json(self) -> dict:
         out = asdict(self)

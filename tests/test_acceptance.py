@@ -314,6 +314,27 @@ def test_acceptance_stage1_sign_without_mechanism():
     assert positive <= 5
 
 
+def test_acceptance_stage1_attachment_contrast():
+    """M2 finds a positive degree effect with no mechanism too, so its sign
+    is no evidence. On the stage-1 fixture above and seeds it does not use,
+    once with the attachment boost of 0.8 and once with none, paired by
+    seed, the M2 degree coefficient must rise: the mean contrast (boost 0.8
+    minus boost 0) minus three standard errors is above 0. Every fit must
+    succeed."""
+    contrasts = []
+    for seed in range(300, 400):
+        ln_k = []
+        for boost in (0.8, 0.0):
+            sample, _ = generate(GenConfig(
+                n_firms=120, n_banks=30, seed=seed, target_density=0.15,
+                attachment_boost=boost, balance_noise=1.0))
+            ln_k.append(fit_logit(build_design(sample, ModelSpec(
+                Stage.LINK_FORMATION, Model.M2_NETWORK))).coefficients["ln_k"])
+        contrasts.append(ln_k[0].estimate - ln_k[1].estimate)
+    se = np.std(contrasts, ddof=1) / math.sqrt(len(contrasts))
+    assert np.mean(contrasts) - 3 * se > 0
+
+
 def test_acceptance_stage2_fragmentation_contrast():
     """The stage-2 fixture above, on seeds it does not use, once with the
     fragmentation penalty of -1 and once with none. Paired by seed, the M3

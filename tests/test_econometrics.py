@@ -706,6 +706,11 @@ def test_design_fe_strips_bank_columns():
     assert "ln_h" not in d.column_names
     fit = fit_ols_fixed_effects(d)
     assert fit.method == "ols_fe"
+    # the fit says so, and keeps no column that COLUMNS puts on the bank side
+    assert fit.extra["bank_controls"] == "absorbed"
+    assert not [c for c in fit.coefficients
+                if c in econometrics.COLUMNS
+                and econometrics.COLUMNS[c].side == econometrics.BANK]
 
 
 def test_vif_matches_correlation_oracle(rng):

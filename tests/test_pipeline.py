@@ -518,6 +518,15 @@ def test_config_refuses_a_repeated_null_variant(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_refuses_a_repeated_grid_cell(tmp_path):
+    """A cell given twice would be fitted, written and listed twice."""
+    spec = econometrics.ModelSpec(econometrics.Stage.LOAN_SIZING,
+                                  econometrics.Model.M1_GRAVITY)
+    with pytest.raises(ValueError,
+                       match=r"^grid cell 'loan_sizing_m1' given twice$"):
+        RunConfig(out_dir=str(tmp_path), null_variants=(), grid=(spec, spec))
+
+
 def test_config_hash_tells_an_empty_grid_from_the_default(tmp_path):
     # grid=None runs the default grid, grid=() runs no cell
     default = small_run_config(tmp_path)
@@ -705,9 +714,13 @@ def test_cli_stages_write_what_run_writes(tmp_path):
                            "--seed", "11"], "", "nullmodel_network.json"),
             ("regress", ["--stage", "2", "--model", "m3"], "regress",
              "loan_sizing_m3_a.json"),
+            ("regress", ["--stage", "2", "--model", "m3", "--fixed-effects"],
+             "regress", "loan_sizing_m3_a_fe.json"),
+            ("regress", ["--stage", "1", "--model", "m2"], "regress",
+             "link_formation_m2_a.json"),
             ("placebo", ["--stage", "2"], "regress",
              "loan_sizing_m3_a_null_net.json")):
-        out = tmp_path / command
+        out = tmp_path / must_write.removesuffix(".json")
         assert main([command, *inputs, "--out", str(out), *args]) == 0
         written = sorted(p.name for p in out.iterdir())
         assert must_write in written
@@ -866,6 +879,14 @@ def test_cli_run_subcommand(tmp_path):
     code = main(["run", "--out", str(out), "--samples", "20", "--seed", "5"])
     assert code in (0, 2)
     assert (out / "manifest.json").exists()
+    # a run given no input writes the sample that `synth` draws with the
+    # run's default seed, and reads it back
+    default, synth = tmp_path / "default", tmp_path / "synth"
+    assert main(["run", "--out", str(default)]) in (0, 2)
+    assert main(["synth", "--out", str(synth), "--seed", "42"]) == 0
+    for name in ("edges.csv", "firms.csv", "banks.csv", "ground_truth.json"):
+        assert (default / "input" / name).read_bytes() == \
+            (synth / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("argv", [

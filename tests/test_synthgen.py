@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from creditnet.cli import main
+from creditnet.ingest import write_sample_csv
 from creditnet.synthgen import DegenerateDensity, GenConfig, generate
 from oracles import sequential_links
 
@@ -25,9 +26,9 @@ def test_generate_seed_changes_output():
     assert not np.array_equal(s1.network.weights, s2.network.weights)
 
 
-def test_generate_keys_seed_mod_2_64():
+def test_generate_keys_seed_mod_2_64(tmp_path):
     """A negative seed names the stream of its residue mod 2**64, as the
-    null-model ensemble's seed does."""
+    null-model ensemble's seed does, and `synth --seed -1` parses as one."""
     s1, t1 = generate(GenConfig(seed=-1))
     s2, t2 = generate(GenConfig(seed=2**64 - 1))
     np.testing.assert_array_equal(s1.network.weights, s2.network.weights)
@@ -36,6 +37,11 @@ def test_generate_keys_seed_mod_2_64():
         for name in cols1:
             np.testing.assert_array_equal(cols1[name], cols2[name])
     assert t1.z == t2.z
+    assert main(["synth", "--seed", "-1", "--out", str(tmp_path / "cli")]) == 0
+    for name, path in write_sample_csv(s2, str(tmp_path / "lib")).items():
+        with open(path, "rb") as fh:
+            assert (tmp_path / "cli" / f"{name}.csv").read_bytes() == \
+                fh.read(), name
 
 
 def test_generate_density_near_target():
