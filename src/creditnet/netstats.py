@@ -132,6 +132,5 @@ def compare(empirical, expected, n_bins: int = 10) -> ComparisonStats:
         if sel.size:
             means[b] = sel.mean()
             stds[b] = sel.std()
-            p05[b] = np.percentile(sel, 5)
-            p95[b] = np.percentile(sel, 95)
+            p05[b], p95[b] = np.percentile(sel, [5, 95])
     return ComparisonStats(pearson, spearman, edges, means, stds, p05, p95)

@@ -1,8 +1,10 @@
-"""Independent reference implementations used to freeze expected values.
+"""Independent reference implementations that tests compare creditnet against.
 
 Everything here is deliberately written as directly as possible (plain
 loops, textbook formulas) and never calls into the package code paths it
-is used to check.
+is used to check. The module holds only such references: a helper that no
+test compares creditnet with, such as a metric the package does not
+compute, has no place here.
 """
 
 import json
@@ -24,6 +26,34 @@ def ccdf_by_counting(values):
     for x in sorted(set(values)):
         out[x] = sum(1 for v in values if v >= x) / len(values)
     return out
+
+
+def _percentile_linear(ordered, q):
+    """The q-th percentile of a sorted list, interpolating linearly between
+    the two values around position q / 100 * (n - 1)."""
+    pos = q / 100 * (len(ordered) - 1)
+    lo = math.floor(pos)
+    hi = min(lo + 1, len(ordered) - 1)
+    return ordered[lo] + (pos - lo) * (ordered[hi] - ordered[lo])
+
+
+def binned_profile(x, y, edges):
+    """Mean, population SD, and 5th and 95th percentiles of the y values
+    whose x lies in [edges[b], edges[b + 1]) for each bin b; the last bin
+    also holds its upper edge. An empty bin gives NaN for each."""
+    n_bins = len(edges) - 1
+    rows = []
+    for b in range(n_bins):
+        sel = sorted(yv for xv, yv in zip(x, y) if edges[b] <= xv
+                     and (xv < edges[b + 1] or b == n_bins - 1))
+        if not sel:
+            rows.append([math.nan] * 4)
+            continue
+        mean = sum(sel) / len(sel)
+        rows.append([mean,
+                     math.sqrt(sum((v - mean) ** 2 for v in sel) / len(sel)),
+                     _percentile_linear(sel, 5), _percentile_linear(sel, 95)])
+    return list(zip(*rows))
 
 
 def average_ranks(values):
@@ -54,30 +84,6 @@ def central_moments(values, order):
     values = np.asarray(values, float)
     mean = values.mean()
     return float(((values - mean) ** order).mean())
-
-
-def calibrate_z_bisection(s, t, l_target, tol=1e-12):
-    s, t = np.asarray(s, float), np.asarray(t, float)
-
-    def expected_links(z):
-        total = 0.0
-        for si in s:
-            for tj in t:
-                total += z * si * tj / (1 + z * si * tj)
-        return total
-
-    lo, hi = 1e-20, 1.0
-    while expected_links(hi) < l_target:
-        hi *= 2
-    for _ in range(400):
-        mid = (lo + hi) / 2
-        if expected_links(mid) < l_target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol * hi:
-            break
-    return (lo + hi) / 2
 
 
 def calibrate_z_allocating(s, t, l_target):
@@ -254,39 +260,6 @@ def logit_grid_refine(X, y, beta_start, half_width=0.5, levels=14):
     return beta
 
 
-def rmsre(empirical, model) -> float:
-    """Root mean square relative error, skipping zero empirical entries."""
-    emp = np.asarray(empirical, dtype=float)
-    mod = np.asarray(model, dtype=float)
-    if emp.shape != mod.shape:
-        raise ValueError("shape mismatch")
-    mask = emp != 0
-    if not mask.any():
-        raise ValueError("all empirical entries are zero")
-    rel = (mod[mask] - emp[mask]) / emp[mask]
-    return float(np.sqrt(np.mean(rel**2)))
-
-
-def precision_at_l(prob_matrix, net) -> float:
-    """Fraction of the top-L_obs probability pairs that are observed links.
-
-    Ties are broken deterministically by (firm, bank) lexicographic order.
-    """
-    p = np.asarray(prob_matrix, dtype=float)
-    if p.shape != net.weights.shape:
-        raise ValueError("probability matrix shape mismatch")
-    if np.any(p < 0) or np.any(p > 1):
-        raise ValueError("probabilities must lie in [0, 1]")
-    n_links = net.n_links
-    if n_links == 0:
-        raise ValueError("precision undefined on a network without links")
-    flat = p.ravel()
-    # stable sort on -p keeps lexicographic (i, j) order within ties
-    top = np.argsort(-flat, kind="stable")[:n_links]
-    observed = (net.weights > 0).ravel()
-    return float(observed[top].sum() / n_links)
-
-
 def ols_normal_equations(X, y):
     X = np.asarray(X, float)
     y = np.asarray(y, float)
@@ -312,14 +285,6 @@ def ols_with_group_dummies(X, y, groups):
     cov = sigma2 * np.linalg.inv(Z.T @ Z)
     p = X.shape[1]
     return beta[:p], np.sqrt(np.diag(cov)[:p])
-
-
-def vif_from_correlation(X):
-    """VIF as the diagonal of the inverse correlation matrix."""
-    X = np.asarray(X, float)
-    Z = (X - X.mean(axis=0)) / X.std(axis=0, ddof=0)
-    corr = (Z.T @ Z) / X.shape[0]
-    return np.diag(np.linalg.inv(corr))
 
 
 @dataclass(frozen=True)

@@ -41,17 +41,6 @@ def test_strengths_all_zero():
     assert not s.any() and not t.any()
 
 
-def test_strengths_match_summation_oracle(rng):
-    weights = np.zeros((20, 10))
-    idx = rng.choice(200, size=100, replace=False)
-    weights.ravel()[idx] = rng.uniform(1, 100, size=100)
-    net = make_network(weights)
-    s, t = net.strengths
-    rows, cols = row_col_sums(weights)
-    np.testing.assert_allclose(s, rows)
-    np.testing.assert_allclose(t, cols)
-
-
 @given(weight_matrices)
 @settings(max_examples=50)
 def test_degree_strength_duality(weights):

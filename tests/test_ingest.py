@@ -51,14 +51,6 @@ def test_missing_attribute_raises(tmp_path):
     assert err.value.node_id == "F9"
 
 
-def test_negative_amount_carries_line_number(tmp_path):
-    paths = write_inputs(tmp_path, ["F1,B1,10", "F1,B1,-2"],
-                         default_firms(["F1"]), default_banks(["B1"]))
-    with pytest.raises(NegativeAmount) as err:
-        parse_sample(paths["edges"], paths["firms"], paths["banks"])
-    assert err.value.line_no == 3
-
-
 def test_malformed_row_and_duplicate_attribute(tmp_path):
     paths = write_inputs(tmp_path, ["F1,B1"], default_firms(["F1"]),
                          default_banks(["B1"]))

@@ -7,8 +7,8 @@ from creditnet import netstats
 from creditnet.netstats import (ConstantSequence, EmptyInput, ccdf, compare,
                                 summarize)
 from conftest import make_network
-from oracles import (average_ranks, ccdf_by_counting, pearson, precision_at_l,
-                     rmsre, spearman)
+from oracles import (average_ranks, binned_profile, ccdf_by_counting, pearson,
+                     spearman)
 
 
 def test_summarize_hand_computed(small_net):
@@ -104,56 +104,20 @@ def test_average_ranks_equal_loop_oracle(values):
 
 
 def test_compare_binned_profile(rng):
-    x = rng.uniform(0, 10, 200)
-    y = 2 * x + rng.normal(0, 1, 200)
-    stats = compare(x, y, n_bins=5)
-    assert stats.bin_edges.size == 6
-    valid = ~np.isnan(stats.binned_means)
-    assert valid.any()
-    assert np.all(stats.binned_p05[valid] <= stats.binned_p95[valid])
-
-
-def test_rmsre_exact_cases():
-    assert rmsre([1.0, 2, 3], [1.0, 2, 3]) == 0.0
-    assert rmsre([2.0], [3.0]) == pytest.approx(0.5)
-    assert rmsre([1.0, 2, 4], [2.0, 2, 2]) == pytest.approx(
-        np.sqrt((1 + 0 + 0.25) / 3))
-
-
-def test_rmsre_skips_zero_entries_and_scale_invariance(rng):
-    emp = np.array([0.0, 1.0, 2.0])
-    mod = np.array([5.0, 2.0, 2.0])
-    assert rmsre(emp, mod) == pytest.approx(np.sqrt((1 + 0) / 2))
-    emp2 = rng.uniform(1, 10, 20)
-    mod2 = rng.uniform(1, 10, 20)
-    assert rmsre(emp2, mod2) == pytest.approx(rmsre(3 * emp2, 3 * mod2))
-
-
-def test_rmsre_all_zero_raises():
-    with pytest.raises(ValueError, match="all empirical entries are zero"):
-        rmsre([0.0, 0.0], [1.0, 2.0])
-
-
-def test_precision_perfect_and_inverted(rng):
-    w = (rng.random((12, 8)) < 0.25) * 1.0
-    if w.sum() == 0:
-        w[0, 0] = 1.0
-    net = make_network(w)
-    adjacency = (net.weights > 0).astype(float)
-    assert precision_at_l(adjacency, net) == 1.0
-    if net.n_links <= net.n_firms * net.n_banks - net.n_links:
-        assert precision_at_l(1.0 - adjacency, net) == 0.0
-
-
-def test_precision_constant_probability_matches_enumeration(rng):
-    w = (rng.random((10, 10)) < 0.3) * 1.0
-    net = make_network(w)
-    L = net.n_links
-    # constant scores with lexicographic ties: top-L are the first L cells
-    expected = (w.ravel()[:L] > 0).sum() / L
-    assert precision_at_l(np.full((10, 10), 0.4), net) == pytest.approx(expected)
-
-
-def test_precision_empty_network_raises():
-    with pytest.raises(ValueError, match="network without links"):
-        precision_at_l(np.zeros((2, 2)), make_network(np.zeros((2, 2))))
+    """Equal-width bins over the empirical range, each summarising the
+    expected values of the nodes in it; an empty bin reads NaN."""
+    for size, n_bins in ((200, 5), (30, 12), (5, 40)):
+        # no empirical value between 3 and 7, so some bins are empty
+        x = np.concatenate([rng.uniform(0, 3, size), rng.uniform(7, 10, size)])
+        y = 2 * x + rng.lognormal(0, 1, x.size)
+        stats = compare(x, y, n_bins=n_bins)
+        edges = stats.bin_edges
+        assert (edges.size, edges[0], edges[-1]) == (n_bins + 1, x.min(),
+                                                     x.max())
+        np.testing.assert_allclose(np.diff(edges), np.ptp(x) / n_bins,
+                                   rtol=1e-12)
+        assert np.isnan(stats.binned_means).any()
+        for got, want in zip((stats.binned_means, stats.binned_stds,
+                              stats.binned_p05, stats.binned_p95),
+                             binned_profile(x, y, edges)):
+            np.testing.assert_allclose(got, want, rtol=1e-12)

@@ -14,8 +14,8 @@ from creditnet.nullmodel import (STATISTICS, ConstantSpec,
                                  random_baseline, sample_ensemble, solve_bicm)
 from conftest import make_network, make_sample
 from oracles import (bicm_fixed_point, binomial_ensemble_sums,
-                     calibrate_z_allocating, calibrate_z_bisection, chi2_sf,
-                     chi_square, ensemble_stderr)
+                     calibrate_z_allocating, chi2_sf, chi_square,
+                     ensemble_stderr)
 
 
 def test_link_probability_closed_form():
@@ -28,23 +28,6 @@ def test_link_probability_saturates():
     spec = FitnessSpec(s=np.array([1e8]), t=np.array([1e8]), z=1.0,
                        variant=Variant.NETWORK_DRIVEN)
     assert spec.probability_matrix()[0, 0] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_calibrate_z_hits_target(rng):
-    s = rng.lognormal(1.0, 1.0, 40)
-    t = rng.lognormal(2.0, 0.8, 15)
-    target = 120.0
-    z = calibrate_z(s, t, target)
-    p = z * np.outer(s, t) / (1 + z * np.outer(s, t))
-    assert p.sum() == pytest.approx(target, rel=1e-10)
-
-
-def test_calibrate_z_matches_bisection_oracle(rng):
-    s = rng.lognormal(0.0, 1.5, 12)
-    t = rng.lognormal(0.0, 1.5, 9)
-    z = calibrate_z(s, t, 30.0)
-    z_oracle = calibrate_z_bisection(s, t, 30.0)
-    assert z == pytest.approx(z_oracle, rel=1e-6)
 
 
 @given(st.integers(1, 600), st.integers(1, 60), st.floats(0.1, 2.5),
@@ -122,20 +105,6 @@ def test_dcgm_weight_identity(rng):
     # unconditional expectation p * <w | link> equals s_i t_j / W
     np.testing.assert_allclose(p * conditional_weights(spec, p),
                                np.outer(s, t) / W, rtol=1e-12)
-
-
-def test_expected_metrics_network_driven_reproduces_strengths(rng):
-    w = (rng.random((15, 8)) < 0.4) * rng.lognormal(0, 1, (15, 8))
-    w[0, 0] = max(w[0, 0], 1.0)
-    sample = make_sample(w)
-    spec = fitness_spec_from_sample(sample, Variant.NETWORK_DRIVEN)
-    metrics = expected_metrics(spec)
-    s, t = sample.network.strengths
-    # S = T here, so expected strengths equal node strengths exactly
-    np.testing.assert_allclose(metrics.firm_strengths, s, rtol=1e-10)
-    np.testing.assert_allclose(metrics.bank_strengths, t, rtol=1e-10)
-    assert metrics.firm_degrees.sum() == pytest.approx(
-        sample.network.n_links, rel=1e-9)
 
 
 def test_balance_driven_variant_uses_balance_sizes(rng):
@@ -324,23 +293,13 @@ def _column_spec(p):
                        variant=Variant.NETWORK_DRIVEN)
 
 
-def test_ensemble_reproducible_and_order_free(rng):
-    spec = _fitness(rng, 10, 6, 1 / 3)
-    a = sample_ensemble(spec, n_samples=50, seed=7)
-    b = sample_ensemble(spec, n_samples=50, seed=7)
-    assert sorted(a.sums) == sorted(STATISTICS)
-    for name in STATISTICS:
-        np.testing.assert_array_equal(a.sums[name], b.sums[name])
-    c = sample_ensemble(spec, n_samples=50, seed=8)
-    assert not np.array_equal(a.sum_firm_degrees, c.sum_firm_degrees)
-
-
 @pytest.mark.parametrize("seed", [0, 2**63 + 5, -1])
 def test_ensemble_seeds_span_64_bits(rng, seed):
     """Any integer seed is accepted, reproducible and draws its own links."""
     spec = _fitness(rng, 30, 20, 0.3)
     acc = sample_ensemble(spec, 40, seed)
     again = sample_ensemble(spec, 40, seed)
+    assert sorted(acc.sums) == sorted(STATISTICS)
     for name in STATISTICS:
         np.testing.assert_array_equal(acc.sums[name], again.sums[name])
     for other in {0, 2**63 + 5, -1} - {seed}:
@@ -432,18 +391,3 @@ def test_ensemble_large_samples_match_oracle(rng):
     acc = sample_ensemble(full, 10_000, seed=1)
     assert acc.sum_bank_degrees[0] == 10_000 * n
     assert expected_metrics(full).stderr("bank_degrees", 10_000)[0] == 0.0
-
-
-def test_ensemble_means_approach_expectations(rng):
-    s = rng.lognormal(0, 0.8, 12)
-    t = rng.lognormal(0, 0.8, 8)
-    spec = FitnessSpec(s=s, t=t, z=calibrate_z(s, t, 30.0),
-                       variant=Variant.NETWORK_DRIVEN)
-    acc = sample_ensemble(spec, n_samples=4000, seed=11)
-    metrics = expected_metrics(spec)
-    se = metrics.stderr("firm_degrees", 4000)
-    assert np.all(np.abs(acc.mean("firm_degrees") - metrics.firm_degrees)
-                  <= 5 * np.maximum(se, 1e-3))
-    assert acc.mean("links") == pytest.approx(30.0, rel=0.05)
-    np.testing.assert_allclose(acc.mean("firm_strengths").sum(),
-                               metrics.firm_strengths.sum(), rtol=0.05)
