@@ -1,4 +1,5 @@
-"""Descriptive network statistics and model benchmark metrics."""
+"""Descriptive network statistics: summaries, CCDFs, and the agreement
+between empirical and model-expected node statistics."""
 
 from __future__ import annotations
 
@@ -55,8 +56,8 @@ class ComparisonStats:
     90% interval of each bin are reported.
     """
 
-    pearson: float | None
-    spearman: float | None
+    pearson: float
+    spearman: float
     bin_edges: np.ndarray
     binned_means: np.ndarray
     binned_stds: np.ndarray
@@ -122,7 +123,7 @@ def compare(empirical, expected, n_bins: int = 10) -> ComparisonStats:
     spearman = _pearson(_average_ranks(emp), _average_ranks(exp))
 
     edges = np.linspace(emp.min(), emp.max(), n_bins + 1)
-    idx = np.clip(np.digitize(emp, edges[1:-1]), 0, n_bins - 1)
+    idx = np.digitize(emp, edges[1:-1])
     means = np.full(n_bins, np.nan)
     stds = np.full(n_bins, np.nan)
     p05 = np.full(n_bins, np.nan)

@@ -3,16 +3,15 @@ import pytest
 
 from creditnet.core import BipartiteNetwork, Sample
 from creditnet.econometrics import DesignMatrix, Model, ModelSpec, Stage
+from creditnet.pipeline import RunConfig
+from creditnet.synthgen import GenConfig
 
 
-def make_network(weights, firm_prefix="F", bank_prefix="B"):
+def make_network(weights):
     weights = np.asarray(weights, dtype=float)
     nf, nb = weights.shape
-    return BipartiteNetwork(
-        tuple(f"{firm_prefix}{i}" for i in range(nf)),
-        tuple(f"{bank_prefix}{j}" for j in range(nb)),
-        weights,
-    )
+    return BipartiteNetwork(tuple(f"F{i}" for i in range(nf)),
+                            tuple(f"B{j}" for j in range(nb)), weights)
 
 
 def make_sample(weights, s_bal=None, t_bal=None):
@@ -53,6 +52,14 @@ def make_design(X, y, names=None, dummies=(), groups=None,
         firm_index=np.zeros(n, dtype=int),
         bank_index=np.zeros(n, dtype=int) if groups is None else groups,
         dummy_columns=frozenset(dummies), n_floored={}, n_dropped=0)
+
+
+def small_run_config(out_dir):
+    """A run of a 40 x 12 synthetic sample, small enough for every test."""
+    return RunConfig(out_dir=str(out_dir),
+                     synth=GenConfig(n_firms=40, n_banks=12, seed=7,
+                                     target_density=0.25),
+                     n_samples=50, seed=11)
 
 
 @pytest.fixture

@@ -7,6 +7,12 @@ recovery on synthetic data with its no-mechanism arms, placebo contrast,
 summary statistics against their definitions, fixture replication,
 byte-level determinism, stage-1 fits that agree across BLAS thread counts,
 and a grid unchanged by relabelling or by an isolated bank.
+
+The recovery tests draw two fixtures: ``STAGE1_FIXTURE`` (120 x 30 at
+density 0.15, balance noise 1.0) for "connectivity breeds further
+connectivity" at link formation, and ``STAGE2_FIXTURE`` (80 x 40 at density
+0.25, firm size sigma 1.8, balance noise 0.3) for the fragmentation penalty
+on loan size.
 """
 
 import json
@@ -32,10 +38,11 @@ from creditnet.netstats import summarize
 from creditnet.nullmodel import (Variant, bicm_from_network, calibrate_z,
                                  expected_metrics, fitness_spec_from_sample,
                                  sample_ensemble)
-from creditnet.pipeline import (PLACEBO_NULLS, ReportBundle, RunConfig,
-                                calibrate_null, default_grid, run)
+from creditnet.pipeline import (PLACEBO_NULLS, ReportBundle, calibrate_null,
+                                default_grid, run)
 from creditnet.synthgen import GenConfig, generate
-from conftest import make_design, make_network, make_sample
+from conftest import (make_design, make_network, make_sample,
+                      small_run_config)
 from oracles import (herman_correct, logit_grid_refine, logit_loglik,
                      logit_newton, ols_normal_equations,
                      ols_with_group_dummies, uncorrected_design)
@@ -267,40 +274,63 @@ def test_acceptance_rest_of_world_correction(seed):
 # --------------------------------------------------------------------------
 # 6. sign-pattern recovery on synthetic data
 
+# the two recovery fixtures: each test draws one on its own seeds, with the
+# mechanism it checks switched on or off
+STAGE1_FIXTURE = {"n_firms": 120, "n_banks": 30, "target_density": 0.15,
+                  "balance_noise": 1.0}
+STAGE2_FIXTURE = {"n_firms": 80, "n_banks": 40, "target_density": 0.25,
+                  "firm_size_sigma": 1.8, "balance_noise": 0.3}
+STAGE1_M2 = ModelSpec(Stage.LINK_FORMATION, Model.M2_NETWORK)
+STAGE1_M3 = ModelSpec(Stage.LINK_FORMATION, Model.M3_FULL)
+STAGE2_M3 = ModelSpec(Stage.LOAN_SIZING, Model.M3_FULL)
+
+
+def _draw(fixture, seed, **mechanism):
+    """The fixture's sample at ``seed``, with the mechanism's settings."""
+    return generate(GenConfig(seed=seed, **fixture, **mechanism))[0]
+
+
+def _ln_k(sample, spec):
+    """The degree coefficient of ``spec`` fitted on ``sample``."""
+    fit = econometrics.fit_design(build_design(sample, spec))
+    return fit.coefficients["ln_k"]
+
+
+def _paired_contrast(fixture, spec, seeds, knob, value):
+    """Mean and standard error of the degree estimate with the generator's
+    ``knob`` at ``value`` minus with it at 0, paired by seed. Every fit must
+    succeed."""
+    contrasts = [_ln_k(_draw(fixture, seed, **{knob: value}), spec).estimate
+                 - _ln_k(_draw(fixture, seed, **{knob: 0.0}), spec).estimate
+                 for seed in seeds]
+    return (np.mean(contrasts),
+            np.std(contrasts, ddof=1) / math.sqrt(len(contrasts)))
+
 
 def test_acceptance_sign_patterns():
     start = time.monotonic()
 
     # concentration mechanism: positive significant degree effect, stage 1
-    hits = {Model.M2_NETWORK: 0, Model.M3_FULL: 0}
+    hits = {STAGE1_M2: 0, STAGE1_M3: 0}
     for seed in range(100):
-        sample, _ = generate(GenConfig(
-            n_firms=120, n_banks=30, seed=seed, target_density=0.15,
-            attachment_boost=0.8, balance_noise=1.0))
-        for model in hits:
+        sample = _draw(STAGE1_FIXTURE, seed, attachment_boost=0.8)
+        for spec in hits:
             try:
-                fit = fit_logit(build_design(
-                    sample, ModelSpec(Stage.LINK_FORMATION, model)))
+                c = _ln_k(sample, spec)
             except Exception:
                 continue
-            c = fit.coefficients["ln_k"]
-            hits[model] += c.estimate > 0 and c.p_value < 0.01
-    assert hits[Model.M2_NETWORK] >= 95
-    assert hits[Model.M3_FULL] >= 95
+            hits[spec] += c.estimate > 0 and c.p_value < 0.01
+    assert hits[STAGE1_M2] >= 95
+    assert hits[STAGE1_M3] >= 95
 
     # fragmentation mechanism: negative degree effect on loan size, stage 2
     estimates = []
     for seed in range(100):
-        sample, _ = generate(GenConfig(
-            n_firms=80, n_banks=40, seed=seed, target_density=0.25,
-            fragmentation_penalty=-1.0, firm_size_sigma=1.8,
-            balance_noise=0.3))
+        sample = _draw(STAGE2_FIXTURE, seed, fragmentation_penalty=-1.0)
         try:
-            fit = fit_ols(build_design(
-                sample, ModelSpec(Stage.LOAN_SIZING, Model.M3_FULL)))
+            estimates.append(_ln_k(sample, STAGE2_M3).estimate)
         except Exception:
             continue
-        estimates.append(fit.coefficients["ln_k"].estimate)
     assert len(estimates) >= 90
     assert -1.25 <= np.mean(estimates) <= -0.75
 
@@ -308,60 +338,35 @@ def test_acceptance_sign_patterns():
 
 
 def test_acceptance_stage1_sign_without_mechanism():
-    """The stage-1 fixture above with no attachment boost, on seeds it does
-    not use: M3 finds a positive degree effect at p < 0.01 in at most 5 of
-    100 seeds, a 5% false-positive budget. Every fit must succeed."""
+    """``STAGE1_FIXTURE`` with no attachment boost, on seeds the sign test
+    does not use: M3 finds a positive degree effect at p < 0.01 in at most 5
+    of 100 seeds, a 5% false-positive budget. Every fit must succeed."""
     positive = 0
     for seed in range(100, 200):
-        sample, _ = generate(GenConfig(
-            n_firms=120, n_banks=30, seed=seed, target_density=0.15,
-            attachment_boost=0.0, balance_noise=1.0))
-        c = fit_logit(build_design(sample, ModelSpec(
-            Stage.LINK_FORMATION, Model.M3_FULL))).coefficients["ln_k"]
+        c = _ln_k(_draw(STAGE1_FIXTURE, seed, attachment_boost=0.0),
+                  STAGE1_M3)
         positive += c.estimate > 0 and c.p_value < 0.01
     assert positive <= 5
 
 
 def test_acceptance_stage1_attachment_contrast():
     """M2 finds a positive degree effect with no mechanism too, so its sign
-    is no evidence. On the stage-1 fixture above and seeds it does not use,
-    once with the attachment boost of 0.8 and once with none, paired by
-    seed, the M2 degree coefficient must rise: the mean contrast (boost 0.8
-    minus boost 0) minus three standard errors is above 0. Every fit must
-    succeed."""
-    contrasts = []
-    for seed in range(300, 400):
-        ln_k = []
-        for boost in (0.8, 0.0):
-            sample, _ = generate(GenConfig(
-                n_firms=120, n_banks=30, seed=seed, target_density=0.15,
-                attachment_boost=boost, balance_noise=1.0))
-            ln_k.append(fit_logit(build_design(sample, ModelSpec(
-                Stage.LINK_FORMATION, Model.M2_NETWORK))).coefficients["ln_k"])
-        contrasts.append(ln_k[0].estimate - ln_k[1].estimate)
-    se = np.std(contrasts, ddof=1) / math.sqrt(len(contrasts))
-    assert np.mean(contrasts) - 3 * se > 0
+    is no evidence. On ``STAGE1_FIXTURE`` and seeds the sign test does not
+    use, with the attachment boost of 0.8 and with none, the M2 degree
+    coefficient must rise: the mean contrast minus three standard errors is
+    above 0."""
+    mean, se = _paired_contrast(STAGE1_FIXTURE, STAGE1_M2, range(300, 400),
+                                "attachment_boost", 0.8)
+    assert mean - 3 * se > 0
 
 
 def test_acceptance_stage2_fragmentation_contrast():
-    """The stage-2 fixture above, on seeds it does not use, once with the
-    fragmentation penalty of -1 and once with none. Paired by seed, the M3
-    degree coefficient must fall: the mean contrast (penalty -1 minus
-    penalty 0) plus three standard errors is below 0. Every fit must
-    succeed."""
-    contrasts = []
-    for seed in range(100, 200):
-        ln_k = []
-        for penalty in (-1.0, 0.0):
-            sample, _ = generate(GenConfig(
-                n_firms=80, n_banks=40, seed=seed, target_density=0.25,
-                fragmentation_penalty=penalty, firm_size_sigma=1.8,
-                balance_noise=0.3))
-            ln_k.append(fit_ols(build_design(sample, ModelSpec(
-                Stage.LOAN_SIZING, Model.M3_FULL))).coefficients["ln_k"])
-        contrasts.append(ln_k[0].estimate - ln_k[1].estimate)
-    se = np.std(contrasts, ddof=1) / math.sqrt(len(contrasts))
-    assert np.mean(contrasts) + 3 * se < 0
+    """``STAGE2_FIXTURE`` on seeds the sign test does not use, with the
+    fragmentation penalty of -1 and with none: the M3 degree coefficient
+    must fall, the mean contrast plus three standard errors is below 0."""
+    mean, se = _paired_contrast(STAGE2_FIXTURE, STAGE2_M3, range(100, 200),
+                                "fragmentation_penalty", -1.0)
+    assert mean + 3 * se < 0
 
 
 # --------------------------------------------------------------------------
@@ -468,14 +473,8 @@ def test_acceptance_generated_fixture_headline_stats(bench_sample):
 
 
 def test_acceptance_byte_identical_runs(tmp_path):
-    def config(out):
-        return RunConfig(out_dir=str(out),
-                         synth=GenConfig(n_firms=40, n_banks=12, seed=7,
-                                         target_density=0.25),
-                         n_samples=50, seed=11)
-
-    bundle_a = run(config(tmp_path / "a"))
-    bundle_b = run(config(tmp_path / "b"))
+    bundle_a = run(small_run_config(tmp_path / "a"))
+    bundle_b = run(small_run_config(tmp_path / "b"))
     assert sorted(bundle_a.files) == sorted(bundle_b.files)
     for rel in bundle_a.files:
         bytes_a = (tmp_path / "a" / rel).read_bytes()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -16,13 +16,6 @@ weight_matrices = arrays(
 )
 
 
-def test_degrees_empty_network():
-    net = make_network([[0.0]])
-    k, h = net.degrees
-    assert k.tolist() == [0]
-    assert h.tolist() == [0]
-
-
 def test_degrees_hand_count(small_net):
     k, h = small_net.degrees
     assert k.tolist() == [1, 2]
@@ -35,41 +28,10 @@ def test_strengths_hand_sum(small_net):
     assert t.tolist() == [3.0, 3.0]
 
 
-def test_strengths_all_zero():
-    net = make_network(np.zeros((3, 4)))
-    s, t = net.strengths
-    assert not s.any() and not t.any()
-
-
 @given(weight_matrices)
 @settings(max_examples=50)
-def test_degree_strength_duality(weights):
-    net = make_network(weights)
-    k, h = net.degrees
-    s, t = net.strengths
-    assert k.sum() == h.sum() == net.n_links
-    assert np.isclose(s.sum(), t.sum())
-
-
-@given(weight_matrices, st.randoms(use_true_random=False))
-@settings(max_examples=30)
-def test_permutation_equivariance(weights, rnd):
-    net = make_network(weights)
-    nf, nb = weights.shape
-    perm_f = list(range(nf))
-    perm_b = list(range(nb))
-    rnd.shuffle(perm_f)
-    rnd.shuffle(perm_b)
-    permuted = make_network(weights[np.ix_(perm_f, perm_b)], firm_prefix="G",
-                            bank_prefix="C")
-    k, h = net.degrees
-    kp, hp = permuted.degrees
-    assert kp.tolist() == [k[i] for i in perm_f]
-    assert hp.tolist() == [h[j] for j in perm_b]
-
-
-@given(weight_matrices)
-@settings(max_examples=50)
+@example(np.zeros((1, 1)))
+@example(np.zeros((3, 4)))
 def test_topology_matches_per_entry_oracle(weights):
     """Links, degrees and strengths equal a per-entry loop and the
     summation oracle, are computed once and are read-only."""
@@ -153,7 +115,7 @@ def test_firm_attributes_validation():
     assert set(attribute_columns(banks, BANK_FIELDS, 1)) == set(BANK_FIELDS)
 
 
-def test_sample_requires_complete_attributes(small_net):
+def test_sample_requires_complete_attributes():
     sample = make_sample([[1.0, 0.0], [2.0, 3.0]])
     with pytest.raises(ValueError):
         Sample(sample.network, {}, sample.bank_columns)
@@ -179,11 +141,7 @@ def test_sample_series_built_once():
         first = columns["balance_strength"]
         assert columns["balance_strength"] is first
         assert not first.flags.writeable
+    np.testing.assert_array_equal(sample.firm_columns["balance_strength"],
+                                  [10.0, 20.0])
     np.testing.assert_array_equal(sample.bank_columns["leverage"],
                                   [10.0, 10.1])
-
-
-def test_sample_series_alignment():
-    sample = make_sample([[1.0, 0.0], [2.0, 3.0]], s_bal=[10.0, 20.0])
-    np.testing.assert_allclose(sample.firm_columns["balance_strength"],
-                               [10.0, 20.0])

@@ -115,26 +115,19 @@ def test_herman_stage2_clamps_negative_balance():
 
 
 def test_design_counts_clamped_balances(caplog):
-    """Clamps are counted on the design, not logged."""
+    """Clamps are counted on the design, not logged, and only in a stage-2
+    balance column."""
     sample = make_sample(**TWO_BY_TWO)  # link (0, 0): s_bal 4 - 10 < 0
     caplog.set_level("DEBUG")
-    for stage, count in ((Stage.LOAN_SIZING, 1), (Stage.LINK_FORMATION, 0)):
-        d = build_design(sample, ModelSpec(stage, Model.M3_FULL))
+    for stage, model, count in ((Stage.LOAN_SIZING, Model.M3_FULL, 1),
+                                (Stage.LINK_FORMATION, Model.M3_FULL, 0),
+                                (Stage.LOAN_SIZING, Model.M2_NETWORK, 0)):
+        d = build_design(sample, ModelSpec(stage, model))
         assert d.n_clamped == count
         assert d.provenance() == {"n_obs": d.n_obs, "n_dropped": d.n_dropped,
                                   "n_floored": d.n_floored,
                                   "n_clamped": count}
     assert not caplog.records
-
-
-def test_clamps_counted_only_in_balance_columns():
-    """A design without a stage-2 balance column clamps nothing."""
-    sample = make_sample(**TWO_BY_TWO)  # link (0, 0): s_bal 4 - 10 < 0
-    m2_a = build_design(sample, ModelSpec(Stage.LOAN_SIZING,
-                                          Model.M2_NETWORK))
-    m3_a = build_design(sample, ModelSpec(Stage.LOAN_SIZING, Model.M3_FULL))
-    assert (m2_a.spec.name(), m2_a.n_clamped) == ("loan_sizing_m2_a", 0)
-    assert (m3_a.spec.name(), m3_a.n_clamped) == ("loan_sizing_m3_a", 1)
 
 
 @pytest.mark.parametrize("stage", list(Stage))
@@ -243,15 +236,6 @@ def test_design_drop_network_strength():
     assert "ln_s_net" not in d.column_names
     assert "ln_t_net" not in d.column_names
     assert "ln_k" in d.column_names
-
-
-def test_design_placebo_requires_full_model():
-    with pytest.raises(EconError):
-        ModelSpec(Stage.LINK_FORMATION, Model.M2_NETWORK,
-                  placebo=Placebo.NULL_NET)
-    with pytest.raises(EconError):
-        ModelSpec(Stage.LINK_FORMATION, Model.M2_NETWORK,
-                  placebo=Placebo.NO_STRENGTH)
 
 
 def test_design_placebo_cross_controls():
@@ -682,6 +666,8 @@ def test_vif_constant_column_is_infinite(rng):
 def test_model_spec_names():
     assert ModelSpec(Stage.LOAN_SIZING, Model.M3_FULL).name() == \
         "loan_sizing_m3_a"
+    assert ModelSpec(Stage.LOAN_SIZING, Model.M2_NETWORK).name() == \
+        "loan_sizing_m2_a"
     assert ModelSpec(Stage.LINK_FORMATION, Model.M1_GRAVITY).name() == \
         "link_formation_m1"
     spec = ModelSpec(Stage.LINK_FORMATION, Model.M3_FULL,
@@ -728,21 +714,6 @@ def test_model_spec_name_identifies_its_design():
             assert np.array_equal(d.augmented, first.augmented), name
             assert d.n_clamped == first.n_clamped, name
             assert d.n_floored == first.n_floored, name
-
-
-def test_end_to_end_stage2_on_random_sample(rng):
-    sample = random_sample(rng, nf=40, nb=10, p=0.4)
-    d = build_design(sample, ModelSpec(Stage.LOAN_SIZING, Model.M3_FULL))
-    fit = fit_ols(d)
-    assert fit.n_obs == sample.network.n_links
-    assert np.isfinite(fit.fit_stat)
-
-
-def test_end_to_end_stage1_on_random_sample(rng):
-    sample = random_sample(rng, nf=40, nb=10, p=0.3)
-    d = build_design(sample, ModelSpec(Stage.LINK_FORMATION, Model.M1_GRAVITY))
-    fit = fit_logit(d)
-    assert 0 <= fit.fit_stat < 1
 
 
 def test_fit_design_picks_estimator_by_stage_and_effects(rng):

@@ -62,16 +62,6 @@ def test_malformed_row_and_duplicate_attribute(tmp_path):
         parse_sample(paths["edges"], paths["firms"], paths["banks"])
 
 
-def test_parse_is_deterministic(tmp_path):
-    paths = write_inputs(
-        tmp_path, ["F1,B1,10", "F2,B2,4", "F2,B1,1"],
-        default_firms(["F1", "F2"]), default_banks(["B1", "B2"]))
-    s1 = parse_sample(paths["edges"], paths["firms"], paths["banks"])
-    s2 = parse_sample(paths["edges"], paths["firms"], paths["banks"])
-    assert s1.network.firm_ids == s2.network.firm_ids
-    np.testing.assert_array_equal(s1.network.weights, s2.network.weights)
-
-
 def test_roundtrip_through_csv(tmp_path):
     sample = make_sample([[1.5, 0.0], [2.25, 3.0]], s_bal=[2.0, 6.0])
     paths = write_sample_csv(sample, tmp_path / "out")
@@ -239,18 +229,6 @@ def test_filter_dropping_every_firm_names_the_band():
         apply_consistency_filter(make_sample([[1.0], [2.0]], s_bal=[0, 1e4]))
 
 
-def test_filter_is_idempotent():
-    sample = make_sample(
-        [[1.0, 2.0], [5.0, 5.0], [2000.0, 1.0]],
-        s_bal=[1e7, 10.0, 1.0],
-    )
-    once, rep1 = apply_consistency_filter(sample)
-    twice, rep2 = apply_consistency_filter(once)
-    assert once.network.firm_ids == twice.network.firm_ids
-    assert not rep2.dropped_firms
-    assert once.network.n_links >= twice.network.n_links
-
-
 @given(st.integers(1, 6), st.integers(1, 4), st.randoms(use_true_random=False))
 @settings(max_examples=100, deadline=None)
 def test_filter_matches_loop_oracle(nf, nb, rnd):
@@ -279,12 +257,6 @@ def test_filter_matches_loop_oracle(nf, nb, rnd):
     assert rep.isolated_banks == tuple(
         b for j, b in enumerate(sample.network.bank_ids)
         if not weights[keep, j].any())
-
-
-def test_filter_never_creates_links():
-    sample = make_sample([[1.0, 2.0], [0.0, 5.0]], s_bal=[3.0, 5.0])
-    filtered, _ = apply_consistency_filter(sample)
-    assert filtered.network.n_links <= sample.network.n_links
 
 
 # --------------------------------------------------------------------------

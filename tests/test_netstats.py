@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from creditnet import netstats
@@ -36,36 +36,23 @@ def test_summarize_permutation_invariant(rng):
     assert a.cv_bank_degree == pytest.approx(b.cv_bank_degree)
 
 
-def test_ccdf_simple_cases():
-    curve = ccdf([1, 1, 2])
-    assert curve.values.tolist() == [1, 2]
-    assert curve.survival.tolist() == [1.0, pytest.approx(1 / 3)]
-    constant = ccdf([5, 5])
-    assert constant.values.tolist() == [5]
-    assert constant.survival.tolist() == [1.0]
-
-
 def test_ccdf_empty_raises():
     with pytest.raises(EmptyInput):
         ccdf([])
 
 
-def test_ccdf_matches_counting_oracle(rng):
-    values = rng.geometric(0.3, size=1000)
-    curve = ccdf(values)
-    expected = ccdf_by_counting(values.tolist())
-    assert curve.values.tolist() == sorted(expected)
-    for x, frac in zip(curve.values, curve.survival):
-        assert frac == pytest.approx(expected[x])
-
-
 @given(st.lists(st.floats(-100, 100), min_size=1, max_size=50))
 @settings(max_examples=50)
-def test_ccdf_survival_non_increasing(values):
+@example([1, 1, 2])
+@example([5, 5])
+@example(np.random.default_rng(12345).geometric(0.3, size=1000).tolist())
+def test_ccdf_matches_counting_oracle(values):
+    """The distinct values in order, each with the share of values at or
+    above it."""
     curve = ccdf(values)
-    assert np.all(np.diff(curve.survival) <= 0)
-    assert curve.survival[0] == 1.0
-    assert np.all(curve.survival > 0)
+    expected = ccdf_by_counting(values)
+    assert curve.values.tolist() == list(expected)
+    assert curve.survival.tolist() == list(expected.values())
 
 
 def test_compare_identical_and_reversed():

@@ -25,18 +25,8 @@ from creditnet.pipeline import (NULL_VARIANTS, PLACEBO_NULLS, ReportBundle,
 from creditnet.report import (canonical_json, sha256_file, sha256_text,
                               svg_histogram, svg_scatter, write_csv)
 from creditnet.synthgen import GenConfig, generate
-from conftest import make_sample
+from conftest import make_sample, small_run_config
 from oracles import canonical_json_dumps, central_moments, csv_rows_text
-
-
-def small_run_config(out_dir, seed=7):
-    return RunConfig(
-        out_dir=str(out_dir),
-        synth=GenConfig(n_firms=40, n_banks=12, seed=seed,
-                        target_density=0.25),
-        n_samples=50,
-        seed=11,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -278,11 +268,7 @@ def test_run_holds_one_design_at_a_time(tmp_path, monkeypatch):
 
 def test_run_seed_changes_ensembles(tmp_path):
     run(small_run_config(tmp_path / "a"))
-    alt = RunConfig(out_dir=str(tmp_path / "c"),
-                    synth=GenConfig(n_firms=40, n_banks=12, seed=7,
-                                    target_density=0.25),
-                    n_samples=50, seed=99)
-    run(alt)
+    run(dataclasses.replace(small_run_config(tmp_path / "c"), seed=99))
     j1 = json.loads((tmp_path / "a" / "nullmodel_network.json").read_text())
     j2 = json.loads((tmp_path / "c" / "nullmodel_network.json").read_text())
     assert j1["ensemble"]["max_abs_z"] != j2["ensemble"]["max_abs_z"]
@@ -636,24 +622,35 @@ def test_config_file_any_synth_key_makes_it_synthetic(tmp_path):
 # CLI
 
 
-def test_cli_synth_then_stats_and_regress(tmp_path, capsys):
-    data = tmp_path / "data"
+def input_flags(directory):
+    """The --edges, --firms and --banks flags of the sample in a directory."""
+    return [f"--{name}={os.path.join(directory, name)}.csv"
+            for name in ("edges", "firms", "banks")]
+
+
+# the committed 6 x 4 sample
+CONSOLIDATED_SMALL = input_flags(os.path.join(os.path.dirname(__file__),
+                                              "data", "consolidated_small"))
+
+
+@pytest.fixture(scope="module")
+def synth_data(tmp_path_factory):
+    """The 40 x 12 sample `synth` writes at seed 3 and density 0.25."""
+    data = tmp_path_factory.mktemp("data")
     assert main(["synth", "--out", str(data), "--firms", "40", "--banks",
                  "12", "--seed", "3", "--density", "0.25"]) == 0
-    edges = str(data / "edges.csv")
-    firms = str(data / "firms.csv")
-    banks = str(data / "banks.csv")
+    return data
 
+
+def test_cli_synth_then_stats_and_regress(tmp_path, synth_data):
     out = tmp_path / "stats"
-    assert main(["stats", "--edges", edges, "--firms", firms,
-                 "--banks", banks, "--out", str(out)]) == 0
+    assert main(["stats", *input_flags(synth_data), "--out", str(out)]) == 0
     stats = json.loads((out / "summary_stats.json").read_text())
     assert stats["n_links"] > 0
 
     reg = tmp_path / "reg"
-    assert main(["regress", "--edges", edges, "--firms", firms,
-                 "--banks", banks, "--out", str(reg), "--stage", "2",
-                 "--model", "m3"]) == 0
+    assert main(["regress", *input_flags(synth_data), "--out", str(reg),
+                 "--stage", "2", "--model", "m3"]) == 0
     table = (reg / "loan_sizing_m3_a.txt").read_text()
     assert "Observations" in table
     assert "ln_s_net" in table
@@ -671,33 +668,25 @@ def test_cli_synth_defaults_are_gen_config_defaults(tmp_path):
         canonical_json(truth.to_json())
 
 
-def test_cli_ingest_re_emits_a_clean_sample(tmp_path, capsys):
+def test_cli_ingest_re_emits_a_clean_sample(tmp_path, capsys, synth_data):
     """A sample the filter keeps whole comes back byte for byte."""
-    data, out = tmp_path / "data", tmp_path / "ingest"
-    assert main(["synth", "--out", str(data), "--firms", "40", "--banks",
-                 "12", "--seed", "3", "--density", "0.25"]) == 0
-    capsys.readouterr()
-    assert main(["ingest", "--edges", str(data / "edges.csv"),
-                 "--firms", str(data / "firms.csv"),
-                 "--banks", str(data / "banks.csv"), "--out", str(out)]) == 0
+    out = tmp_path / "ingest"
+    assert main(["ingest", *input_flags(synth_data), "--out", str(out)]) == 0
     assert capsys.readouterr().out.startswith("kept 40 firms, dropped 0; ")
     filtered = json.loads((out / "filter_report.json").read_text())
     assert (filtered["kept_firms"], filtered["dropped_firms"]) == (40, [])
     for name in ("edges", "firms", "banks"):
         assert (out / f"{name}.csv").read_bytes() == \
-            (data / f"{name}.csv").read_bytes(), name
+            (synth_data / f"{name}.csv").read_bytes(), name
 
 
-def test_cli_stages_write_what_run_writes(tmp_path):
-    data = tmp_path / "data"
-    main(["synth", "--out", str(data), "--firms", "40", "--banks", "12",
-          "--seed", "3", "--density", "0.25"])
-    paths = [str(data / f"{name}.csv") for name in ("edges", "firms", "banks")]
+def test_cli_stages_write_what_run_writes(tmp_path, synth_data):
     full = tmp_path / "full"
-    run(RunConfig(out_dir=str(full), edges_path=paths[0],
-                  firm_attrs_path=paths[1], bank_attrs_path=paths[2],
+    run(RunConfig(out_dir=str(full), edges_path=str(synth_data / "edges.csv"),
+                  firm_attrs_path=str(synth_data / "firms.csv"),
+                  bank_attrs_path=str(synth_data / "banks.csv"),
                   n_samples=50, seed=11))
-    inputs = ["--edges", paths[0], "--firms", paths[1], "--banks", paths[2]]
+    inputs = input_flags(synth_data)
     for command, args, subdir, must_write in (
             ("stats", [], "", "summary_stats.json"),
             ("nullmodel", ["--variant", "network", "--samples", "50",
@@ -719,16 +708,11 @@ def test_cli_stages_write_what_run_writes(tmp_path):
                 (full / subdir / name).read_bytes(), name
 
 
-def test_cli_nullmodel_runs_every_variant(tmp_path, capsys):
-    data = tmp_path / "data"
-    main(["synth", "--out", str(data), "--firms", "40", "--banks", "12",
-          "--seed", "3", "--density", "0.25"])
-    inputs = [f"--{name}={data / name}.csv"
-              for name in ("edges", "firms", "banks")]
+def test_cli_nullmodel_runs_every_variant(tmp_path, capsys, synth_data):
     for variant in NULL_VARIANTS:
         out = tmp_path / variant
-        assert main(["nullmodel", *inputs, "--out", str(out), "--variant",
-                     variant, "--samples", "20"]) == 0, variant
+        assert main(["nullmodel", *input_flags(synth_data), "--out", str(out),
+                     "--variant", variant, "--samples", "20"]) == 0, variant
         assert (out / f"nullmodel_{variant}.json").exists()
         assert f"nullmodel_{variant}.json to {out}" in capsys.readouterr().out
 
@@ -755,26 +739,20 @@ def test_cli_run_flags_override_config_file(tmp_path):
      {"synth.n_banks": 15, "synth.seed": 3}),
     ("samples = 5\n", False, {"synth.seed": 42}),
 ], ids=["paths-from-flags", "synth-keys", "no-input"])
-def test_cli_run_merges_flags_into_config_file(tmp_path, lines, with_paths,
-                                                expected):
+def test_cli_run_merges_flags_into_config_file(tmp_path, synth_data, lines,
+                                                with_paths, expected):
     """The flags and the file merge before the config is validated: the
     flags may supply the paths the file leaves out, any synth_* key makes
     the run synthetic, and no input at all is the default sample."""
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(lines)
-    flags = []
-    if with_paths:
-        data = tmp_path / "data"
-        main(["synth", "--out", str(data), "--firms", "40", "--banks", "12",
-              "--seed", "3", "--density", "0.25"])
-        flags = [f"--{name}={data / name}.csv"
-                 for name in ("edges", "firms", "banks")]
+    flags = input_flags(synth_data) if with_paths else []
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), *flags,
                  "--out", str(out)]) in (0, 2)
     config = json.loads((out / "manifest.json").read_text())["config"]
     if with_paths:
-        assert config["edges_path"] == str(data / "edges.csv")
+        assert config["edges_path"] == str(synth_data / "edges.csv")
         assert config["synth"] is None
     for key, value in expected.items():
         got = config
@@ -809,12 +787,9 @@ def test_cli_run_with_one_csv_path_asks_for_all_three(tmp_path, capsys,
 
 
 def test_cli_nullmodel_rejects_zero_samples(tmp_path, capsys):
-    data = os.path.join(os.path.dirname(__file__), "data", "consolidated_small")
     out = tmp_path / "null"
-    assert main(["nullmodel", "--edges", os.path.join(data, "edges.csv"),
-                 "--firms", os.path.join(data, "firms.csv"),
-                 "--banks", os.path.join(data, "banks.csv"),
-                 "--out", str(out), "--samples", "0"]) == 1
+    assert main(["nullmodel", *CONSOLIDATED_SMALL, "--out", str(out),
+                 "--samples", "0"]) == 1
     assert "error: ValueError: n_samples must be >= 1" in \
         capsys.readouterr().err
     assert not out.exists()
@@ -951,11 +926,7 @@ def test_cli_error_exit_code(tmp_path, capsys):
     assert code == 1
     assert "error:" in capsys.readouterr().err
     # a cell that cannot be estimated is a failure, not an error
-    data = os.path.join(os.path.dirname(__file__), "data", "consolidated_small")
-    code = main(["regress", "--edges", os.path.join(data, "edges.csv"),
-                 "--firms", os.path.join(data, "firms.csv"),
-                 "--banks", os.path.join(data, "banks.csv"),
-                 "--out", str(tmp_path / "reg"), "--stage", "2",
-                 "--model", "m3"])
+    code = main(["regress", *CONSOLIDATED_SMALL, "--out", str(tmp_path / "reg"),
+                 "--stage", "2", "--model", "m3"])
     assert code == 2
     assert "loan_sizing_m3_a: FAILED" in capsys.readouterr().err

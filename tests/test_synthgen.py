@@ -5,7 +5,7 @@ import pytest
 
 from creditnet.cli import main
 from creditnet.ingest import write_sample_csv
-from creditnet.synthgen import GenConfig, generate
+from creditnet.synthgen import DegenerateDensity, GenConfig, generate
 from oracles import sequential_links
 
 
@@ -131,6 +131,22 @@ def test_config_rejects_an_empty_side(tmp_path, capsys, side, size):
     assert main(["synth", "--out", str(out), f"--{side}", str(size)]) == 1
     assert f"error: ValueError: n_{side} ({size}) must be >= 1\n" == \
         capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_degenerate_draw_is_refused(tmp_path, capsys):
+    """A draw with no link or every link is no network to study: a 1 x 1
+    sample realizes one or the other at every seed, and `synth` writes
+    nothing."""
+    for seed, links in ((0, 1), (1, 0)):
+        with pytest.raises(DegenerateDensity,
+                           match=rf"^realized link count {links}$"):
+            generate(GenConfig(n_firms=1, n_banks=1, seed=seed))
+    out = tmp_path / "s"
+    assert main(["synth", "--firms", "1", "--banks", "1", "--out",
+                 str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: DegenerateDensity: realized link count 1\n"
     assert not out.exists()
 
 

@@ -5,11 +5,12 @@ reads counters from the objects they return; a renamed function or field
 breaks it only when the benchmark runs. This runs a small pipeline under it.
 """
 
+import dataclasses
 import importlib
 import os
 
 from creditnet import pipeline
-from creditnet.synthgen import GenConfig
+from conftest import small_run_config
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
@@ -18,9 +19,8 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
 def test_tracer_wraps_and_counts_a_run(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(PERFBENCH)
     tracer = importlib.import_module("tracer")
-    config = pipeline.RunConfig(
-        out_dir=str(tmp_path),
-        synth=GenConfig(n_firms=40, n_banks=12, seed=7, target_density=0.25),
+    config = dataclasses.replace(
+        small_run_config(tmp_path),
         null_variants=("network", "balance", "bicm", "random"),
         n_samples=20, seed=3)
     spans = tracer.Tracer()
