@@ -120,6 +120,66 @@ def _parse_float(path, line_no, text):
     return value
 
 
+# the bulk reader reads a file in blocks of whole lines, about this size
+_BLOCK_BYTES = 1 << 16
+# the bytes of a plain file's cells: printable ASCII but a quote or a comma
+_CELL_BYTES = bytes(b for b in range(ord("!"), ord("~") + 1) if b not in b'",')
+
+
+class _NotPlain(Exception):
+    """A file the bulk reader leaves to the per-line reader."""
+
+
+def _plain_blocks(path, header):
+    """The cells of ``path``'s data rows, one flat row-major list per block.
+
+    Raises :class:`_NotPlain` unless the header is ``header`` itself and
+    every row is ``len(header)`` fields of bare printable ASCII: no quote,
+    no space or other whitespace, and no blank line. ``csv.reader`` splits
+    such a file on its commas and newlines alone, and stripping changes no
+    cell, so the cells are those ``_read_rows`` yields.
+    """
+    line = b"," * (len(header) - 1) + b"\n"  # a row's bytes outside its cells
+    with open(path, "rb") as fh:
+        first = fh.readline().removeprefix(b"\xef\xbb\xbf")
+        if first != (",".join(header) + "\n").encode():
+            raise _NotPlain
+        while block := fh.read(_BLOCK_BYTES) + fh.readline():
+            if not block.endswith(b"\n"):  # a last line without one
+                block += b"\n"
+            # a block no longer than csv's field size limit holds no field
+            # beyond it
+            if (len(block) > csv.field_size_limit() or block.translate(
+                    None, _CELL_BYTES) != line * block.count(b"\n")):
+                raise _NotPlain
+            cells = block.decode("ascii").replace("\n", ",").split(",")
+            del cells[-1]  # after the last newline
+            yield cells
+
+
+def _bulk_attributes(path, header, fields):
+    """``_read_attributes`` of a plain file, or :class:`_NotPlain`."""
+    ids = []
+
+    # one block's cells at a time: ids kept from a whole file's cells would
+    # hold on to the memory of the numbers freed around them
+    def numbers():
+        for cells in _plain_blocks(path, header):
+            ids.extend(cells[::len(header)])
+            del cells[::len(header)]
+            yield from map(float, cells)
+
+    try:
+        rows = np.fromiter(numbers(), float).reshape(-1, len(fields))
+        positions = dict(zip(ids, range(len(ids))))
+        if len(positions) < len(ids) or "" in positions:
+            raise _NotPlain
+        return positions, attribute_columns(dict(zip(fields, rows.T)),
+                                            fields, len(ids))
+    except ValueError:  # a bad number, InvalidAttribute included
+        raise _NotPlain from None
+
+
 def _read_attributes(path, header, fields):
     """Node positions by id and validated columns of one attribute file."""
     positions: dict[str, int] = {}  # in file order
@@ -149,28 +209,68 @@ def _read_attributes(path, header, fields):
     return positions, columns()
 
 
-def parse_sample(edges_path, firm_attrs_path, bank_attrs_path) -> Sample:
-    """Assemble a validated :class:`Sample` from the three CSV files."""
-    # node ordering follows the attribute files, so parsing is deterministic
-    firm_pos, firm_columns = _read_attributes(
-        firm_attrs_path, _HEADERS["firms"], FIRM_FIELDS)
-    bank_pos, bank_columns = _read_attributes(
-        bank_attrs_path, _HEADERS["banks"], BANK_FIELDS)
+def _bulk_weights(path, firm_pos, bank_pos) -> np.ndarray:
+    """``_read_weights`` of a plain edge file whose ids are all known and
+    whose amounts are finite and >= 0, or :class:`_NotPlain`. Amounts are
+    added in file order, as ``_read_weights`` adds them."""
     weights = np.zeros((len(firm_pos), len(bank_pos)))
+    for cells in _plain_blocks(path, _HEADERS["edges"]):
+        n = len(cells) // 3
+        try:
+            i = np.fromiter(map(firm_pos.__getitem__, cells[0::3]), np.intp, n)
+            j = np.fromiter(map(bank_pos.__getitem__, cells[1::3]), np.intp, n)
+            amounts = np.fromiter(map(float, cells[2::3]), float, n)
+        except (KeyError, ValueError):
+            raise _NotPlain from None
+        if not np.all((amounts >= 0) & (amounts < np.inf)):  # NaN fails both
+            raise _NotPlain
+        np.add.at(weights.reshape(-1), i * len(bank_pos) + j, amounts)
+    return weights
 
-    for line_no, row in _read_rows(edges_path, _HEADERS["edges"]):
+
+def _read_weights(path, firm_pos, bank_pos) -> np.ndarray:
+    """The firm x bank matrix of summed amounts of one edge file."""
+    weights = np.zeros((len(firm_pos), len(bank_pos)))
+    for line_no, row in _read_rows(path, _HEADERS["edges"]):
         fid, bid, amount_text = row
         if not fid or not bid:
-            raise MalformedRow(edges_path, line_no, "empty node id")
-        amount = _parse_float(edges_path, line_no, amount_text)
+            raise MalformedRow(path, line_no, "empty node id")
+        amount = _parse_float(path, line_no, amount_text)
         if amount < 0:
-            raise NegativeAmount(edges_path, line_no)
+            raise NegativeAmount(path, line_no)
         if fid not in firm_pos:
             raise MissingAttribute(fid)
         if bid not in bank_pos:
             raise MissingAttribute(bid)
         weights[firm_pos[fid], bank_pos[bid]] += amount
+    return weights
 
+
+def _bulk_else_rows(bulk, rows, *args):
+    """``bulk(*args)``, or ``rows(*args)`` where the file is not plain."""
+    try:
+        return bulk(*args)
+    except _NotPlain:
+        return rows(*args)
+
+
+def parse_sample(edges_path, firm_attrs_path, bank_attrs_path) -> Sample:
+    """Assemble a validated :class:`Sample` from the three CSV files.
+
+    A plain file (see ``_plain_blocks``) whose every row is valid is read in
+    bulk, a column at a time; any other file is read a row at a time by
+    ``csv.reader``, and that reader names the file and line of a refusal.
+    Both give the same sample, bit for bit.
+    """
+    # node ordering follows the attribute files, so parsing is deterministic
+    firm_pos, firm_columns = _bulk_else_rows(
+        _bulk_attributes, _read_attributes, firm_attrs_path, _HEADERS["firms"],
+        FIRM_FIELDS)
+    bank_pos, bank_columns = _bulk_else_rows(
+        _bulk_attributes, _read_attributes, bank_attrs_path, _HEADERS["banks"],
+        BANK_FIELDS)
+    weights = _bulk_else_rows(_bulk_weights, _read_weights, edges_path,
+                              firm_pos, bank_pos)
     net = BipartiteNetwork(tuple(firm_pos), tuple(bank_pos), weights)
     return Sample(net, firm_columns, bank_columns)
 

@@ -146,7 +146,6 @@ class ConstantSpec:
 Z_MAX = 1e30  # calibrate_z gives up on a root above this
 NEWTON_ITERS = 20
 NEWTON_TOL = 1e-13  # |sum p - l_target| / l_target that ends the estimate
-ESTIMATE_MARGIN = 1e-10  # in ln z; nearer bisection points are evaluated
 # relative rounding error bound of sum p: numpy sums a contiguous array
 # pairwise, to within about (log2 n + 16) eps / 2 of the sum for n terms
 # (the terms' own rounding included), far below this for any n that fits
@@ -161,13 +160,16 @@ def calibrate_z(s, t, l_target: float) -> float:
     elasticity at most 1, so a doubling bracket plus geometric bisection to
     a relative width of 1e-12 leaves a relative residual of that order.
 
-    Safeguarded Newton in ln z first estimates the root. A point of the
-    bracket or the bisection farther than ``ESTIMATE_MARGIN`` from the
-    estimate takes its side of the root from it; nearer points are
-    evaluated. The margin is used only when it exceeds, ``MARGIN_SAFETY``
-    times over, the estimate's error plus the rounding error of sum p, so
-    every step goes the way an evaluation would and z is the bisection's z
-    bit for bit. Without such an estimate every point is evaluated.
+    Safeguarded Newton in ln z first estimates the root. Its error bound is
+    the gap of sum p to the target plus the rounding error of sum p, over
+    the slope. A point of the bracket or the bisection farther than
+    ``MARGIN_SAFETY`` times that bound from the estimate takes its side of
+    the root from it; nearer points are evaluated. Within a margin of at
+    most 1 in ln z the slope sum p (1 - p) falls by at most a factor e (its
+    derivative sum p (1 - p) (1 - 2 p) is no larger), so sum p moves across
+    the margin by more than 3 bounds: every step goes the way an evaluation
+    would, and z is the bisection's z bit for bit. A wider margin is not
+    used, and without an estimate every point is evaluated.
     """
     s = _as_fitness(s, "firm fitness")
     t = _as_fitness(t, "bank fitness")
@@ -196,7 +198,7 @@ def calibrate_z(s, t, l_target: float) -> float:
     # Newton from z = l_target / (S T), where sum p <= sum z s t = l_target;
     # a step leaving the bracket of evaluated sides is a bisection instead.
     # Near the root the slope is at most max_links - l_target, so close to
-    # saturation the margin test refuses the estimate.
+    # saturation the margin widens, up to where it is refused.
     known_below, known_above = 0.0, np.inf  # sides known outside these
     u = np.log(l_target) - np.log(s.sum()) - np.log(t.sum())
     u_lo, u_hi = -np.inf, np.log(Z_MAX)
@@ -206,10 +208,10 @@ def calibrate_z(s, t, l_target: float) -> float:
         if not d > 0:
             break
         if abs(gap) <= NEWTON_TOL * l_target:
-            error = (abs(gap) + SUM_ROUNDING * l_target) / d
-            if MARGIN_SAFETY * error <= ESTIMATE_MARGIN:
-                known_below = np.exp(u - ESTIMATE_MARGIN)
-                known_above = np.exp(u + ESTIMATE_MARGIN)
+            margin = MARGIN_SAFETY * (abs(gap) + SUM_ROUNDING * l_target) / d
+            if margin <= 1.0:
+                known_below = np.exp(u - margin)
+                known_above = np.exp(u + margin)
             break
         if gap < 0:
             u_lo = u

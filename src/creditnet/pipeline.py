@@ -295,11 +295,11 @@ def _write_diagnostics(bundle: ReportBundle, fit: econ.FitResult,
                      (edges[:-1], edges[1:], counts))
     report.write_text(bundle.add("residual_hist.svg"), report.svg_histogram(
         counts, edges, title="loan-sizing residuals", xlabel="residual"))
-    for col in ("ln_k", "ln_assets_firm"):
-        if col in design.column_names:
-            report.write_csv(bundle.add(f"residual_vs_{col}.csv"),
-                             ["x", "residual"],
-                             (design.column(col), fit.residuals))
+    # one residual column shared by the scatters: formatted once
+    report.write_csvs([
+        (bundle.add(f"residual_vs_{col}.csv"), ["x", "residual"],
+         (design.column(col), fit.residuals))
+        for col in ("ln_k", "ln_assets_firm") if col in design.column_names])
 
 
 def _write_manifest(bundle: ReportBundle, config: RunConfig,

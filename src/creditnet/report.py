@@ -7,6 +7,7 @@ whole-pipeline reruns diffable.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -146,22 +147,45 @@ def write_csv(path, header, columns) -> None:
     ``csv.QUOTE_MINIMAL`` quotes it, with inner quotes doubled; numbers are
     never quoted. Lines end in ``\\n``. Rows are formatted and written in
     blocks of ``_CSV_BLOCK_ROWS``, and each distinct text value is
-    formatted once.
+    formatted once. This is :func:`write_csvs` of one file.
     """
-    columns = [(column, _float_array(column)) for column in columns]
-    n_rows = min((len(column) for column, _ in columns), default=0)
+    write_csvs([(path, header, columns)])
+
+
+def write_csvs(files) -> None:
+    """Write each ``(path, header, columns)`` of ``files`` as
+    :func:`write_csv` writes it, the files a block at a time in lockstep: a
+    column object that several files share is formatted once per block.
+    """
+    files = [(path, header, list(columns)) for path, header, columns in files]
+    n_rows = [min(map(len, columns), default=0) for _, _, columns in files]
     # memoised for text only: as dict keys, 0.0 == -0.0 and 1 == 1.0
     fmt_str = functools.cache(_fmt)
-    with _open(path, newline="") as fh:
-        fh.write(",".join(map(_fmt, header)) + "\n")
-        for start in range(0, n_rows, _CSV_BLOCK_ROWS):
-            block = slice(start, min(start + _CSV_BLOCK_ROWS, n_rows))
-            texts = [
-                [fmt_str(v) if type(v) is str else _fmt(v)
-                 for v in column[block]] if f is None
-                else _float_strs(f[block], _CSV_NONFINITE)
-                for column, f in columns]
-            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+
+    def texts(column, block):
+        f = _float_array(column)
+        if f is None:
+            return [fmt_str(v) if type(v) is str else _fmt(v)
+                    for v in column[block]]
+        return _float_strs(f[block], _CSV_NONFINITE)
+
+    with contextlib.ExitStack() as stack:
+        handles = [stack.enter_context(_open(path, newline=""))
+                   for path, _, _ in files]
+        for fh, (_, header, _) in zip(handles, files):
+            fh.write(",".join(map(_fmt, header)) + "\n")
+        for start in range(0, max(n_rows, default=0), _CSV_BLOCK_ROWS):
+            block = slice(start, start + _CSV_BLOCK_ROWS)
+            shared = {}  # the block's texts of each column, by id
+            for fh, (_, _, columns), n in zip(handles, files, n_rows):
+                if start >= n:
+                    continue
+                for column in columns:
+                    if id(column) not in shared:
+                        shared[id(column)] = texts(column, block)
+                # zip stops at the file's last row in the block
+                rows = zip(*(shared[id(column)] for column in columns))
+                fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def sha256_file(path) -> str:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from creditnet import ingest
 from creditnet.ingest import (DuplicateAttributeRow, IngestError,
                               MalformedRow, MissingAttribute, NegativeAmount,
                               NoFirmsLeft, apply_consistency_filter,
@@ -355,3 +356,141 @@ def test_edge_to_an_unknown_bank_is_refused(tmp_path):
     assert type(err) is MissingAttribute
     assert err.node_id == "B9"
     assert str(err) == "no attribute record for node 'B9'"
+
+
+# --------------------------------------------------------------------------
+# the bulk reader: the per-line reader's result, bit for bit
+
+
+def outcome(paths):
+    """What ``parse_sample`` returns, as exact ids and bytes, or raises, as
+    the error's type and text."""
+    try:
+        sample = parse_sample(paths["edges"], paths["firms"], paths["banks"])
+    except Exception as exc:  # the refusal is the outcome
+        return type(exc), str(exc)
+    columns = {**sample.firm_columns, **{
+        f"bank {name}": col for name, col in sample.bank_columns.items()}}
+    return (sample.network.firm_ids, sample.network.bank_ids,
+            sample.network.weights.tobytes(),
+            {name: col.tobytes() for name, col in columns.items()})
+
+
+def read_both_ways(paths, monkeypatch):
+    """``outcome`` of the files, the names of the files it read a row at a
+    time, and ``outcome`` with the bulk reader switched off."""
+    per_line = []
+    read_rows = ingest._read_rows
+
+    def spy(path, header):
+        per_line.append(next(k for k, p in paths.items() if p == path))
+        return read_rows(path, header)
+
+    def not_plain(path, header):
+        raise ingest._NotPlain
+
+    with monkeypatch.context() as m:
+        m.setattr(ingest, "_read_rows", spy)
+        bulk = outcome(paths)
+    with monkeypatch.context() as m:
+        m.setattr(ingest, "_plain_blocks", not_plain)
+        return bulk, per_line, outcome(paths)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_bulk_reader_equals_per_line_reader(tmp_path, monkeypatch, seed):
+    """Weights, ids and columns of a written sample with duplicate edges,
+    read in blocks of a few lines so that duplicates span blocks."""
+    sample, _ = generate(GenConfig(n_firms=40, n_banks=10, seed=seed))
+    paths = write_sample_csv(sample, tmp_path)
+    with open(paths["edges"], encoding="utf-8") as fh:
+        lines = fh.readlines()
+    # every third link twice more, in reverse order at the end: its sum
+    # depends on the order of the additions
+    lines += [line.rsplit(",", 1)[0] + f",{amount}\n"
+              for k, line in enumerate(lines[:0:-3], 1)
+              for amount in (0.1 * k, 0.7 / k)]
+    with open(paths["edges"], "w", encoding="utf-8") as fh:
+        fh.write("".join(lines))
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 100)
+    bulk, per_line, rows = read_both_ways(paths, monkeypatch)
+    assert per_line == []
+    assert bulk == rows
+    assert rows[2] != sample.network.weights.tobytes()  # duplicates summed
+
+
+def edit(column, to, rows=slice(None), files=("edges",)):
+    """An edit of ``files``: cell ``column`` of each data row in ``rows``
+    (every cell if ``column`` is None) becomes ``to(cell)``."""
+    def apply(name, text):
+        if name not in files:
+            return text
+        header, *lines = text.split("\n")  # the last line is empty
+        for r in range(len(lines) - 1)[rows]:
+            cells = lines[r].split(",")
+            for c in range(len(cells)) if column is None else [column]:
+                cells[c] = to(cells[c])
+            lines[r] = ",".join(cells)
+        return "\n".join([header, *lines])
+    return apply
+
+
+def whole(to, files=("edges", "firms", "banks")):
+    """An edit of the whole text of ``files``."""
+    return lambda name, text: to(text) if name in files else text
+
+
+def rename(new):
+    """``to`` of an edit that renames firm F0000."""
+    return lambda cell: new if cell == "F0000" else cell
+
+
+IDS = ("edges", "firms")  # the files that name firms
+
+# (edit, the files the per-line reader reads, in order)
+PER_LINE_CASES = {
+    "quote": (edit(0, quoted, files=IDS), ["firms", "edges"]),
+    "quoted comma": (edit(0, rename(quoted("F0, S.p.A.")), files=IDS),
+                     ["firms", "edges"]),
+    "multi-line row": (edit(0, rename(quoted("F0\nSrl")), files=IDS),
+                       ["firms", "edges"]),
+    "crlf": (whole(lambda t: t.replace("\n", "\r\n")),
+             ["firms", "banks", "edges"]),
+    "byte-order mark": (whole(lambda t: "\ufeff" + t), []),
+    "surrounding space": (edit(None, lambda c: f" {c} ", files=IDS),
+                          ["firms", "edges"]),
+    "blank line": (whole(lambda t: t.replace("\n", "\n\n", 3)),
+                   ["firms", "banks", "edges"]),
+    "a row of commas": (whole(lambda t: t + ",,\n", ["edges"]), ["edges"]),
+    "no final newline": (whole(lambda t: t[:-1]), []),
+    "nan": (edit(2, lambda c: "nan", slice(4, 5)), ["edges"]),
+    "negative amount": (edit(2, lambda c: "-" + c, slice(4, 5)), ["edges"]),
+    "out-of-range attribute": (edit(5, lambda c: "2", slice(3, 4),
+                                    files=["firms"]), ["firms"]),
+    "unknown id": (edit(1, lambda c: "B999", slice(4, 5)), ["edges"]),
+    "duplicate id": (edit(0, lambda c: "F0001", slice(3, 4),
+                          files=["firms"]), ["firms"]),
+    "empty id": (edit(1, lambda c: "", slice(4, 5)), ["edges"]),
+    "short row": (whole(lambda t: t + "F0001,B001\n", ["edges"]), ["edges"]),
+    "header mismatch": (whole(lambda t: t.replace("total_assets", "assets"),
+                              ["banks"]), ["banks"]),
+}
+
+
+@pytest.mark.parametrize("case", PER_LINE_CASES)
+def test_irregular_input_reads_as_per_line_reader_reads_it(
+        tmp_path, monkeypatch, case):
+    """``parse_sample`` returns or raises exactly what the per-line reader
+    does, and a refusal names its file and line as that reader names it."""
+    sample, _ = generate(GenConfig(n_firms=12, n_banks=5, seed=3))
+    assert sample.network.degrees[0][0] > 0  # F0000 is in edges.csv
+    paths = write_sample_csv(sample, tmp_path)
+    change, files_read_per_line = PER_LINE_CASES[case]
+    for name, path in paths.items():
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = change(name, fh.read())
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    bulk, per_line, rows = read_both_ways(paths, monkeypatch)
+    assert per_line == files_read_per_line
+    assert bulk == rows

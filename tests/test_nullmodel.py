@@ -54,8 +54,10 @@ def test_calibrate_z_equals_allocating_oracle(nf, nb, sigma, density, zeros,
 
 
 @pytest.mark.parametrize("nf, nb, log_scale, density", [
-    (300, 40, 0.0, 1 - 0.9 / 12_000),  # within 1 of max_links: refused
-    (300, 40, 0.0, 1 - 18 / 12_000),   # Newton runs, its margin is too wide
+    # near max_links the certified margin is wider than 1e-10 in ln z
+    (300, 40, 0.0, 1 - 0.01 / 12_000),  # margin 2.1e-7
+    (300, 40, 0.0, 1 - 0.9 / 12_000),   # within 1 of max_links: 1.9e-9
+    (300, 40, 0.0, 1 - 18 / 12_000),    # 1.02e-10
     (1, 1, 15.0, 0.01),
     (1, 1, -15.0, 0.5),
     (200, 30, 15.0, 0.1),   # z near e^-30
@@ -64,13 +66,24 @@ def test_calibrate_z_equals_allocating_oracle(nf, nb, sigma, density, zeros,
 ])
 def test_calibrate_z_edge_cases_equal_allocating_oracle(nf, nb, log_scale,
                                                         density):
-    """Where the margin test refuses the Newton estimate, as where it is
-    used, z is the allocating bisection's z bit for bit."""
+    """Near saturation, where the Newton estimate's margin is widest, and
+    at extreme z, z is the allocating bisection's z bit for bit."""
     rng = np.random.default_rng(3)
     s = np.exp(log_scale) * rng.lognormal(0.0, 1.0, nf)
     t = np.exp(log_scale) * rng.lognormal(0.0, 1.0, nb)
     target = density * nf * nb
     assert calibrate_z(s, t, target) == calibrate_z_allocating(s, t, target)
+
+
+def test_calibrate_z_refuses_a_margin_wider_than_1():
+    """Eight firms saturate and two vanish, so sum p is flat at the target
+    to within its rounding: the certified margin is about 12 in ln z, where
+    the slope bound no longer holds and an evaluation can take the other
+    side. The estimate is refused, and z is the allocating bisection's."""
+    s = np.array([4.1e25, 9.4e21, 4.4e-28, 3.2e23, 1.4e23, 3.9e23, 2.1e22,
+                  3.4e22, 2.9e-28, 2.2e22])
+    t = np.array([0.74, 1.6, 0.86, 1.3, 1.6])
+    assert calibrate_z(s, t, 40.0) == calibrate_z_allocating(s, t, 40.0)
 
 
 def test_calibrate_z_target_bounds(rng):
