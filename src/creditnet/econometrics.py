@@ -341,7 +341,12 @@ class CoefficientStat:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Estimates and fit diagnostics of a single regression."""
+    """Estimates and fit diagnostics of a single regression.
+
+    ``bread`` is the inverse cross-product the standard errors read: (A'A)^-1
+    of the design with its intercept (OLS) or of the demeaned design (within
+    fit), or the inverse information (logit).
+    """
 
     method: str
     coefficients: dict[str, CoefficientStat]
@@ -351,6 +356,7 @@ class FitResult:
     objective: float  # log-likelihood (logit) or RSS (OLS)
     n_iter: int
     residuals: np.ndarray
+    bread: np.ndarray
     ame: dict[str, float] | None = None
     extra: dict = field(default_factory=dict)
 
@@ -400,7 +406,11 @@ def _stars(p: float) -> str:
     return ""
 
 
-def _coef_stats(names, beta, se) -> dict[str, CoefficientStat]:
+def _coef_stats(names, beta, scale, bread) -> dict[str, CoefficientStat]:
+    """Each SE is sqrt(scale * bread_jj): scale is the residual variance for
+    OLS and 1 for the logit, and a negative bread_jj reads NaN."""
+    with np.errstate(invalid="ignore"):
+        se = np.sqrt(scale * np.diag(bread))
     out = {}
     for name, b, s in zip(names, beta, se):
         z = b / s if s > 0 else math.inf
@@ -416,7 +426,7 @@ def _rank_tolerance(sing: np.ndarray, shape) -> float:
 
 
 def _dependent_columns(X: np.ndarray, names):
-    """Name the columns that make X rank-deficient under ``_svd``'s rule.
+    """Name the columns that make X rank-deficient under _ols_core's rule.
 
     Columns are taken in order. A column is named when it brings the
     smallest singular value of the columns kept so far to within the
@@ -516,8 +526,6 @@ def fit_logit(design: DesignMatrix, tol_score: float = 1e-8,
         cov = np.linalg.inv(info)
     except np.linalg.LinAlgError:
         raise SingularInformation("singular information matrix") from None
-    with np.errstate(invalid="ignore"):
-        se = np.sqrt(np.diag(cov))  # NaN when the information is indefinite
 
     ame: dict[str, float] = {}
     for idx, name in enumerate(design.column_names):
@@ -535,7 +543,7 @@ def fit_logit(design: DesignMatrix, tol_score: float = 1e-8,
     pseudo_r2 = 1.0 - ll / ll_null if ll_null != 0 else 0.0
     return FitResult(
         method="logit",
-        coefficients=_coef_stats(names, beta, se),
+        coefficients=_coef_stats(names, beta, 1.0, cov),
         fit_stat=float(pseudo_r2),
         fit_stat_name="pseudo_r2",
         n_obs=n,
@@ -543,36 +551,24 @@ def fit_logit(design: DesignMatrix, tol_score: float = 1e-8,
         n_iter=it,
         ame=ame,
         residuals=resid,
+        bread=cov,
     )
 
 
-def _svd(X: np.ndarray):
-    """Thin SVD ``(u, sing, vt)`` of X and the diagonal of (X'X)^-1, or None
-    when X is rank-deficient.
-
-    X is rank-deficient when its smallest singular value is at most
-    ``sing[0] * max(X.shape) * eps``: numpy.linalg.matrix_rank's default
-    tolerance.
+def _ols_core(X: np.ndarray, y: np.ndarray, names):
+    """SVD least squares: ``(beta, resid, rss, bread)`` with the bread
+    (X'X)^-1 = V diag(sing^-2) V'. Raises ``RankDeficient`` when the smallest
+    singular value is at most numpy.linalg.matrix_rank's default tolerance.
     """
     u, sing, vt = np.linalg.svd(X, full_matrices=False)
     if sing[-1] <= _rank_tolerance(sing, X.shape):
-        return None
-    # (X'X)^-1 = V diag(sing^-2) V'
-    return u, sing, vt, ((vt / sing[:, None])**2).sum(axis=0)
-
-
-def _ols_core(X: np.ndarray, y: np.ndarray, names, dof: int):
-    """SVD least squares with classical covariance; raises on rank loss."""
-    svd = _svd(X)
-    if svd is None:
         raise RankDeficient(_dependent_columns(X, names))
-    u, sing, vt, xtx_inv_diag = svd
     beta = vt.T @ ((u.T @ y) / sing)
     resid = y - X @ beta
-    rss = float(resid @ resid)
-    sigma2 = rss / dof if dof > 0 else float("nan")
-    se = np.sqrt(sigma2 * xtx_inv_diag)
-    return beta, se, resid, rss
+    a = vt / sing[:, None]
+    # einsum adds each entry's k terms in order, unlike a BLAS a.T @ a: the
+    # diagonal is exactly ((vt / sing[:, None])**2).sum(axis=0)
+    return beta, resid, float(resid @ resid), np.einsum("ki,kj->ij", a, a)
 
 
 def fit_ols(design: DesignMatrix) -> FitResult:
@@ -583,18 +579,20 @@ def fit_ols(design: DesignMatrix) -> FitResult:
     X = design.augmented
     if n <= X.shape[1]:
         raise EconError("need more observations than parameters")
-    beta, se, resid, rss = _ols_core(X, y, names, dof=n - X.shape[1])
+    beta, resid, rss, bread = _ols_core(X, y, names)
     tss = float(((y - y.mean())**2).sum())
     r2 = 1.0 - rss / tss if tss > 0 else 1.0
     return FitResult(
         method="ols",
-        coefficients=_coef_stats(names, beta, se),
+        coefficients=_coef_stats(names, beta, rss / (n - X.shape[1]),
+                                 bread),
         fit_stat=float(r2),
         fit_stat_name="r_squared",
         n_obs=n,
         objective=rss,
         n_iter=1,
         residuals=resid,
+        bread=bread,
     )
 
 
@@ -627,7 +625,7 @@ def fit_ols_fixed_effects(design: DesignMatrix) -> FitResult:
     dof = n - n_groups - p_dim
     if dof <= 0:
         raise EconError("insufficient degrees of freedom after demeaning")
-    beta, se, resid, rss = _ols_core(X_dm, y_dm, design.column_names, dof=dof)
+    beta, resid, rss, bread = _ols_core(X_dm, y_dm, design.column_names)
 
     tss_within = float((y_dm**2).sum())
     r2_within = 1.0 - rss / tss_within if tss_within > 0 else 1.0
@@ -638,13 +636,14 @@ def fit_ols_fixed_effects(design: DesignMatrix) -> FitResult:
 
     return FitResult(
         method="ols_fe",
-        coefficients=_coef_stats(design.column_names, beta, se),
+        coefficients=_coef_stats(design.column_names, beta, rss / dof, bread),
         fit_stat=float(r2_within),
         fit_stat_name="r_squared_within",
         n_obs=n,
         objective=rss,
         n_iter=1,
         residuals=resid,
+        bread=bread,
         extra={"n_groups": int(n_groups), "r_squared_overall": float(r2_overall),
                "bank_controls": "absorbed"},
     )
@@ -659,23 +658,15 @@ def fit_design(design: DesignMatrix) -> FitResult:
     return fit_ols(design)
 
 
-def vif(design: DesignMatrix) -> dict[str, float]:
-    """Variance inflation factors: the diagonal of the inverse correlation
-    matrix, from one SVD of the centred, unit-norm columns.
-
-    Every column reads inf when a column is constant or the columns (with
-    an intercept) are rank-deficient; a single VIF of 1e12 or more reads inf.
-    """
-    X = design.X
-    if X.shape[1] < 3:
+def vif(design: DesignMatrix, fit: FitResult) -> dict[str, float]:
+    """VIFs from the bread of the design's ``fit_ols`` fit, which holds
+    1 / (SS_j (1 - R_j^2)) at column j: VIF_j = bread_jj * SS_j, with SS_j
+    the column's centred sum of squares. A VIF of 1e12 or more reads inf."""
+    if len(design.column_names) < 3:
         raise EconError("VIF needs at least three columns")
-    svd = None
-    if np.all(np.ptp(X, axis=0) > 0):
-        centred = X - X.mean(axis=0)
-        centred /= np.linalg.norm(centred, axis=0)
-        svd = _svd(centred)
-    if svd is None:
-        return {name: float("inf") for name in design.column_names}
-    # the centred unit-norm columns have X'X = the correlation matrix
-    return {name: float(v) if v < 1e12 else float("inf")
-            for name, v in zip(design.column_names, svd[3])}
+    out = {}
+    for j, name in enumerate(design.column_names, start=1):
+        centred = design.augmented[:, j] - design.augmented[:, j].mean()
+        v = fit.bread[j, j] * float(centred @ centred)
+        out[name] = float(v) if v < 1e12 else float("inf")
+    return out

@@ -283,7 +283,7 @@ def _write_diagnostics(bundle: ReportBundle, fit: econ.FitResult,
                        design: econ.DesignMatrix) -> None:
     """VIFs and residual diagnostics of the full loan-sizing model."""
     try:
-        vif_values = econ.vif(design)
+        vif_values = econ.vif(design, fit)
         report.write_json(bundle.add("vif.json"), vif_values)
     except econ.EconError as exc:
         bundle.failures["vif"] = _cause(exc)

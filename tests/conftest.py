@@ -54,6 +54,15 @@ def make_design(X, y, names=None, dummies=(), groups=None,
         dummy_columns=frozenset(dummies), n_floored={}, n_dropped=0)
 
 
+def assert_se_reads_bread(fit, scale=1.0):
+    """Each standard error is sqrt(scale * bread_jj), exactly; a negative
+    bread_jj reads NaN."""
+    ses = np.array([c.std_error for c in fit.coefficients.values()])
+    with np.errstate(invalid="ignore"):
+        expected = np.sqrt(scale * np.diag(fit.bread))
+    assert np.array_equal(ses, expected, equal_nan=True)
+
+
 def small_run_config(out_dir):
     """A run of a 40 x 12 synthetic sample, small enough for every test."""
     return RunConfig(out_dir=str(out_dir),

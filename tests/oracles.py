@@ -211,8 +211,6 @@ def fit_logit_allocating(design, tol_score=1e-8, tol_ll=1e-12, max_iters=200):
         cov = np.linalg.inv(info)
     except np.linalg.LinAlgError:
         raise SingularInformation("singular information matrix") from None
-    with np.errstate(invalid="ignore"):
-        se = np.sqrt(np.diag(cov))
 
     density = p * (1.0 - p)
     ame = {}
@@ -230,7 +228,7 @@ def fit_logit_allocating(design, tol_score=1e-8, tol_ll=1e-12, max_iters=200):
     pseudo_r2 = 1.0 - ll / ll_null if ll_null != 0 else 0.0
     return FitResult(
         method="logit",
-        coefficients=_coef_stats(names, beta, se),
+        coefficients=_coef_stats(names, beta, 1.0, cov),
         fit_stat=float(pseudo_r2),
         fit_stat_name="pseudo_r2",
         n_obs=n,
@@ -238,6 +236,7 @@ def fit_logit_allocating(design, tol_score=1e-8, tol_ll=1e-12, max_iters=200):
         n_iter=it,
         ame=ame,
         residuals=y - p,
+        bread=cov,
     )
 
 

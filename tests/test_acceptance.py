@@ -41,8 +41,8 @@ from creditnet.nullmodel import (Variant, bicm_from_network, calibrate_z,
 from creditnet.pipeline import (PLACEBO_NULLS, ReportBundle, calibrate_null,
                                 default_grid, run)
 from creditnet.synthgen import GenConfig, generate
-from conftest import (make_design, make_network, make_sample,
-                      small_run_config)
+from conftest import (assert_se_reads_bread, make_design, make_network,
+                      make_sample, small_run_config)
 from oracles import (herman_correct, logit_grid_refine, logit_loglik,
                      logit_newton, ols_normal_equations,
                      ols_with_group_dummies, uncorrected_design)
@@ -187,21 +187,41 @@ def test_acceptance_logit_oracles():
         np.testing.assert_allclose(est, refined, atol=1e-4)
 
 
+def _vif_by_auxiliary_regressions(X):
+    """1 / (1 - R_j^2) of each column regressed on the others and 1."""
+    n = X.shape[0]
+    out = []
+    for idx in range(X.shape[1]):
+        target = X[:, idx]
+        others = np.column_stack([np.ones(n), np.delete(X, idx, axis=1)])
+        resid = target - others @ np.linalg.lstsq(others, target,
+                                                  rcond=None)[0]
+        r2 = 1 - float(resid @ resid) / float(
+            ((target - target.mean()) ** 2).sum())
+        out.append(1 / (1 - r2))
+    return out
+
+
 def test_acceptance_ols_fe_vif_oracles():
     rng = np.random.default_rng(7)
 
-    # plain OLS vs explicit normal equations
+    # plain OLS vs explicit normal equations; the bread is inv(A'A)
     X = rng.normal(0, 1, (150, 4))
     y = 0.5 + X @ np.array([1.0, -2.0, 0.3, 0.0]) + rng.normal(0, 0.5, 150)
     fit = fit_ols(make_design(X, y))
     est = np.array([c.estimate for c in fit.coefficients.values()])
     ses = np.array([c.std_error for c in fit.coefficients.values()])
-    beta_o, se_o = ols_normal_equations(np.column_stack([np.ones(150), X]), y)
+    A = np.column_stack([np.ones(150), X])
+    beta_o, se_o = ols_normal_equations(A, y)
     np.testing.assert_allclose(est, beta_o, atol=1e-10)
     np.testing.assert_allclose(ses, se_o, atol=1e-10)
+    np.testing.assert_allclose(fit.bread, np.linalg.inv(A.T @ A),
+                               rtol=1e-10, atol=1e-15)
+    assert_se_reads_bread(fit, fit.objective / (150 - 5))
     assert 0.9 < fit.fit_stat <= 1.0
 
-    # fixed effects vs the dummy-variable regression
+    # fixed effects vs the dummy-variable regression; the bread is the
+    # inverse cross-product of the group-demeaned columns
     groups = rng.integers(0, 6, 150)
     alpha = rng.normal(0, 2, 6)
     y_fe = X[:, :3] @ np.array([1.5, -0.7, 0.2]) + alpha[groups] \
@@ -214,22 +234,35 @@ def test_acceptance_ols_fe_vif_oracles():
     ses = np.array([c.std_error for c in fe.coefficients.values()])
     np.testing.assert_allclose(est, beta_o, atol=1e-10)
     np.testing.assert_allclose(ses, se_o, atol=1e-10)
+    X_dm = X[:, :3].copy()
+    for g in np.unique(groups):
+        X_dm[groups == g] -= X_dm[groups == g].mean(axis=0)
+    np.testing.assert_allclose(fe.bread, np.linalg.inv(X_dm.T @ X_dm),
+                               rtol=1e-10, atol=1e-15)
+    assert_se_reads_bread(fe, fe.objective / (150 - 6 - 3))
     assert fe.extra["n_groups"] == 6
     assert 0 <= fe.fit_stat <= 1
     assert fe.fit_stat <= fe.extra["r_squared_overall"] + 1e-9
 
-    # VIF vs the literal auxiliary-regression definition
+    # VIF vs the literal auxiliary-regression definition: a well
+    # conditioned design, then ill-conditioned ones whose column means reach
+    # 1e4 times their spread, with a fifth column near-collinear with two
+    # others (VIFs up to about 1e6)
     Xv = rng.normal(0, 1, (200, 4))
     Xv[:, 3] = 0.8 * Xv[:, 0] - 0.4 * Xv[:, 1] + 0.3 * rng.normal(0, 1, 200)
-    got = vif(make_design(Xv, np.zeros(200)))
-    for idx in range(4):
-        target = Xv[:, idx]
-        others = np.column_stack(
-            [np.ones(200), np.delete(Xv, idx, axis=1)])
-        resid = target - others @ np.linalg.lstsq(others, target, rcond=None)[0]
-        r2 = 1 - float(resid @ resid) / float(
-            ((target - target.mean()) ** 2).sum())
-        assert got[f"x{idx}"] == pytest.approx(1 / (1 - r2), rel=1e-10)
+    designs = [(Xv, 1e-10)]
+    for _ in range(20):
+        spread = 10.0 ** rng.uniform(-2, 2, 5)
+        Xi = rng.normal(0, 1, (200, 5)) * spread
+        Xi += spread * 10.0 ** rng.uniform(0, 4, 5) * rng.choice([-1, 1], 5)
+        near = 0.7 * Xi[:, 0] - 0.2 * Xi[:, 1]
+        Xi[:, 4] = near + 1e-3 * near.std() * rng.normal(0, 1, 200)
+        designs.append((Xi, 1e-9))
+    for Xi, rtol in designs:
+        d = make_design(Xi, rng.normal(0, 1, 200))
+        got = list(vif(d, fit_ols(d)).values())
+        np.testing.assert_allclose(got, _vif_by_auxiliary_regressions(Xi),
+                                   rtol=rtol)
 
 
 # --------------------------------------------------------------------------

@@ -16,11 +16,12 @@ from creditnet.econometrics import (AbsorbedColumns, AllRowsDropped,
                                     RankDeficient, Separation,
                                     SingletonGroupsOnly, SingularInformation,
                                     Stage, build_design, fit_design, fit_logit,
-                                    fit_ols, fit_ols_fixed_effects, vif)
+                                    fit_ols, fit_ols_fixed_effects)
 from creditnet.nullmodel import (Variant, expected_metrics,
                                  fitness_spec_from_sample)
 from creditnet.report import canonical_json
-from conftest import make_design, make_network, make_sample
+from conftest import (assert_se_reads_bread, make_design, make_network,
+                      make_sample)
 from oracles import fit_logit_allocating, herman_correct, uncorrected_design
 
 
@@ -426,8 +427,12 @@ def test_logit_ame_continuous_and_dummy(rng):
 
 
 def _assert_same_fit(got, expected):
+    """The same JSON, residuals and bread (the inverse information), and
+    each standard error is sqrt(bread_jj)."""
     assert canonical_json(got.to_json()) == canonical_json(expected.to_json())
     assert np.array_equal(got.residuals, expected.residuals)
+    assert np.array_equal(got.bread, expected.bread)
+    assert_se_reads_bread(got)
 
 
 @settings(max_examples=150, deadline=None)
@@ -536,13 +541,14 @@ def test_fit_logit_allocates_one_design_sized_buffer():
 
 
 def test_coef_stats_nan_standard_error_has_no_test():
-    stat = econometrics._coef_stats(["a"], [0.3], [math.nan])["a"]
+    """A negative bread diagonal (an indefinite information) reads NaN."""
+    stat = econometrics._coef_stats(["a"], [0.3], 1.0, [[-1.0]])["a"]
     assert math.isnan(stat.std_error) and math.isnan(stat.p_value)
     assert stat.stars == ""
     fit = econometrics.FitResult(
         method="logit", coefficients={"a": stat}, fit_stat=0.1,
         fit_stat_name="pseudo_r2", n_obs=10, objective=-1.0, n_iter=3,
-        residuals=np.zeros(10))
+        residuals=np.zeros(10), bread=np.array([[-1.0]]))
     assert '"p_value": null' in canonical_json(fit.to_json())
     assert "***" not in fit.format_table()
 
@@ -574,6 +580,12 @@ def test_ols_rank_deficiency_names_columns(rng):
     with pytest.raises(RankDeficient) as err:
         fit_ols(make_design(X, y=rng.normal(0, 1, 50)))
     assert "x2" in err.value.columns
+    # a constant column is dependent on the intercept
+    X = rng.normal(0, 1, (100, 4))
+    X[:, 1] = 0.1  # its float mean is not exactly 0.1
+    with pytest.raises(RankDeficient) as err:
+        fit_ols(make_design(X, y=rng.normal(0, 1, 100)))
+    assert err.value.columns == ("x1",)
 
 
 def test_rank_deficiency_names_a_column_small_in_scale(rng):
@@ -647,20 +659,6 @@ def test_design_fe_strips_bank_columns():
     assert not [c for c in fit.coefficients
                 if c in econometrics.COLUMNS
                 and econometrics.COLUMNS[c].side == econometrics.BANK]
-
-
-def test_vif_collinear_is_infinite(rng):
-    X = rng.normal(0, 1, (100, 3))
-    X[:, 2] = X[:, 0] + X[:, 1]
-    got = vif(make_design(X, y=np.zeros(100)))
-    assert all(np.isinf(v) for v in got.values())
-
-
-def test_vif_constant_column_is_infinite(rng):
-    X = rng.normal(0, 1, (100, 4))
-    X[:, 1] = 0.1  # its float mean is not exactly 0.1
-    got = vif(make_design(X, y=np.zeros(100)))
-    assert all(np.isinf(v) for v in got.values())
 
 
 def test_model_spec_names():

@@ -473,7 +473,8 @@ def test_residual_diagnostics_of_constant_residuals():
     resid = np.full(40, -1.25)  # every partial sum is exact
     fit = econometrics.FitResult(method="ols", coefficients={}, fit_stat=0.0,
                     fit_stat_name="r_squared", n_obs=resid.size,
-                    objective=0.0, n_iter=1, residuals=resid)
+                    objective=0.0, n_iter=1, residuals=resid,
+                    bread=np.eye(0))
     diag = residual_diagnostics(fit)
     assert diag["variance"] == central_moments(resid, 2) == 0.0
     assert diag["skewness"] == diag["excess_kurtosis"] == 0.0
