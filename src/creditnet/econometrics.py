@@ -555,15 +555,39 @@ def fit_logit(design: DesignMatrix, tol_score: float = 1e-8,
     )
 
 
-def _ols_core(X: np.ndarray, y: np.ndarray, names):
-    """SVD least squares: ``(beta, resid, rss, bread)`` with the bread
-    (X'X)^-1 = V diag(sing^-2) V'. Raises ``RankDeficient`` when the smallest
-    singular value is at most numpy.linalg.matrix_rank's default tolerance.
+# rows in each block of _ols_core's QR: a 256-row block of the design stays
+# in cache, which one QR of all n rows does not
+_QR_BLOCK = 256
+
+
+def _ols_core(xy: np.ndarray, names):
+    """Least squares of the last column of ``xy`` = [X | y] on the others:
+    ``(beta, resid, rss, bread)``.
+
+    A blocked Householder QR reduces [X | y] to R: each ``_QR_BLOCK`` rows
+    are factored alone, then the stacked factors with the remainder rows.
+    R's last column holds Q'y. With R[:p, :p] = U diag(sing) V', beta =
+    V (U'Q'y / sing) and the bread (X'X)^-1 = V diag(sing^-2) V'.
+
+    ``RankDeficient`` is raised exactly when numpy.linalg.matrix_rank(X) is
+    short: R's singular values decide, and X's own near the tolerance.
     """
-    u, sing, vt = np.linalg.svd(X, full_matrices=False)
-    if sing[-1] <= _rank_tolerance(sing, X.shape):
+    n, p = xy.shape[0], xy.shape[1] - 1
+    X, y = xy[:, :p], xy[:, p]
+    full = n - n % _QR_BLOCK
+    if full:
+        blocks = np.linalg.qr(xy[:full].reshape(-1, _QR_BLOCK, p + 1),
+                              mode="r")
+        xy = np.concatenate([blocks.reshape(-1, p + 1), xy[full:]])
+    r = np.linalg.qr(xy, mode="r")
+    u, sing, vt = np.linalg.svd(r[:p, :p])
+    tol, rank_sing = _rank_tolerance(sing, X.shape), sing
+    if tol / 2 < sing[-1] < 2 * tol:
+        # the values matrix_rank reads, where R's may round to the other side
+        rank_sing = np.linalg.svd(X, compute_uv=False)
+    if rank_sing[-1] <= _rank_tolerance(rank_sing, X.shape):
         raise RankDeficient(_dependent_columns(X, names))
-    beta = vt.T @ ((u.T @ y) / sing)
+    beta = vt.T @ ((u.T @ r[:p, p]) / sing)
     resid = y - X @ beta
     a = vt / sing[:, None]
     # einsum adds each entry's k terms in order, unlike a BLAS a.T @ a: the
@@ -572,14 +596,15 @@ def _ols_core(X: np.ndarray, y: np.ndarray, names):
 
 
 def fit_ols(design: DesignMatrix) -> FitResult:
-    """Ordinary least squares with an intercept and classical errors."""
+    """Ordinary least squares with an intercept and classical errors,
+    solved by ``_ols_core``'s blocked QR of [1, X | y]."""
     y = design.y
     n = y.size
     names = ("intercept",) + design.column_names
     X = design.augmented
     if n <= X.shape[1]:
         raise EconError("need more observations than parameters")
-    beta, resid, rss, bread = _ols_core(X, y, names)
+    beta, resid, rss, bread = _ols_core(np.column_stack([X, y]), names)
     tss = float(((y - y.mean())**2).sum())
     r2 = 1.0 - rss / tss if tss > 0 else 1.0
     return FitResult(
@@ -613,23 +638,23 @@ def fit_ols_fixed_effects(design: DesignMatrix) -> FitResult:
     if np.all(counts <= 1):
         raise SingletonGroupsOnly("every bank has a single observation")
 
-    # group means of y and of every column, one bincount each
-    yx_dm = np.column_stack([y, design.X])
+    # group means of every column and of y, one bincount each
+    xy_dm = np.column_stack([design.X, y])
     means = np.column_stack([np.bincount(gidx, weights=col)
-                             for col in yx_dm.T]) / counts[:, None]
-    yx_dm -= means[gidx]
-    y_dm, X_dm = yx_dm[:, 0], yx_dm[:, 1:]
+                             for col in xy_dm.T]) / counts[:, None]
+    xy_dm -= means[gidx]
+    X_dm, y_dm = xy_dm[:, :-1], xy_dm[:, -1]
 
     n = y.size
     p_dim = X_dm.shape[1]
     dof = n - n_groups - p_dim
     if dof <= 0:
         raise EconError("insufficient degrees of freedom after demeaning")
-    beta, resid, rss, bread = _ols_core(X_dm, y_dm, design.column_names)
+    beta, resid, rss, bread = _ols_core(xy_dm, design.column_names)
 
     tss_within = float((y_dm**2).sum())
     r2_within = 1.0 - rss / tss_within if tss_within > 0 else 1.0
-    fitted_overall = X_dm @ beta + means[gidx, 0]
+    fitted_overall = X_dm @ beta + means[gidx, -1]
     tss = float(((y - y.mean())**2).sum())
     resid_overall = y - fitted_overall
     r2_overall = 1.0 - float(resid_overall @ resid_overall) / tss if tss > 0 else 1.0

@@ -205,44 +205,50 @@ def _vif_by_auxiliary_regressions(X):
 def test_acceptance_ols_fe_vif_oracles():
     rng = np.random.default_rng(7)
 
-    # plain OLS vs explicit normal equations; the bread is inv(A'A)
-    X = rng.normal(0, 1, (150, 4))
-    y = 0.5 + X @ np.array([1.0, -2.0, 0.3, 0.0]) + rng.normal(0, 0.5, 150)
-    fit = fit_ols(make_design(X, y))
-    est = np.array([c.estimate for c in fit.coefficients.values()])
-    ses = np.array([c.std_error for c in fit.coefficients.values()])
-    A = np.column_stack([np.ones(150), X])
-    beta_o, se_o = ols_normal_equations(A, y)
-    np.testing.assert_allclose(est, beta_o, atol=1e-10)
-    np.testing.assert_allclose(ses, se_o, atol=1e-10)
-    np.testing.assert_allclose(fit.bread, np.linalg.inv(A.T @ A),
-                               rtol=1e-10, atol=1e-15)
-    assert_se_reads_bread(fit, fit.objective / (150 - 5))
-    assert 0.9 < fit.fit_stat <= 1.0
+    # plain OLS and fixed effects at 150 rows, then at the edges of
+    # _ols_core's 256-row QR blocks: 6 rows (p + 2 for OLS, under one
+    # block), 255, 256 and 257, and several blocks plus a remainder
+    for n in (150, 6, 255, 256, 257, 3001):
+        # plain OLS vs explicit normal equations; the bread is inv(A'A)
+        X = rng.normal(0, 1, (n, 4))
+        y = 0.5 + X @ np.array([1.0, -2.0, 0.3, 0.0]) + rng.normal(0, 0.5, n)
+        fit = fit_ols(make_design(X, y))
+        est = np.array([c.estimate for c in fit.coefficients.values()])
+        ses = np.array([c.std_error for c in fit.coefficients.values()])
+        A = np.column_stack([np.ones(n), X])
+        beta_o, se_o = ols_normal_equations(A, y)
+        np.testing.assert_allclose(est, beta_o, atol=1e-10)
+        np.testing.assert_allclose(ses, se_o, atol=1e-10)
+        np.testing.assert_allclose(fit.bread, np.linalg.inv(A.T @ A),
+                                   rtol=1e-10, atol=1e-15)
+        assert_se_reads_bread(fit, fit.objective / (n - 5))
+        assert 0.9 < fit.fit_stat <= 1.0
 
-    # fixed effects vs the dummy-variable regression; the bread is the
-    # inverse cross-product of the group-demeaned columns
-    groups = rng.integers(0, 6, 150)
-    alpha = rng.normal(0, 2, 6)
-    y_fe = X[:, :3] @ np.array([1.5, -0.7, 0.2]) + alpha[groups] \
-        + rng.normal(0, 0.4, 150)
-    d = make_design(X[:, :3], y_fe, groups=groups,
-                    spec=ModelSpec(Stage.LOAN_SIZING, Model.M2_NETWORK))
-    fe = fit_ols_fixed_effects(d)
-    beta_o, se_o = ols_with_group_dummies(X[:, :3], y_fe, groups)
-    est = np.array([c.estimate for c in fe.coefficients.values()])
-    ses = np.array([c.std_error for c in fe.coefficients.values()])
-    np.testing.assert_allclose(est, beta_o, atol=1e-10)
-    np.testing.assert_allclose(ses, se_o, atol=1e-10)
-    X_dm = X[:, :3].copy()
-    for g in np.unique(groups):
-        X_dm[groups == g] -= X_dm[groups == g].mean(axis=0)
-    np.testing.assert_allclose(fe.bread, np.linalg.inv(X_dm.T @ X_dm),
-                               rtol=1e-10, atol=1e-15)
-    assert_se_reads_bread(fe, fe.objective / (150 - 6 - 3))
-    assert fe.extra["n_groups"] == 6
-    assert 0 <= fe.fit_stat <= 1
-    assert fe.fit_stat <= fe.extra["r_squared_overall"] + 1e-9
+        # fixed effects vs the dummy-variable regression; the bread is the
+        # inverse cross-product of the group-demeaned columns. Six rows
+        # leave one degree of freedom with two groups.
+        n_groups = 2 if n == 6 else 6
+        groups = rng.integers(0, n_groups, n)
+        alpha = rng.normal(0, 2, n_groups)
+        y_fe = X[:, :3] @ np.array([1.5, -0.7, 0.2]) + alpha[groups] \
+            + rng.normal(0, 0.4, n)
+        d = make_design(X[:, :3], y_fe, groups=groups,
+                        spec=ModelSpec(Stage.LOAN_SIZING, Model.M2_NETWORK))
+        fe = fit_ols_fixed_effects(d)
+        beta_o, se_o = ols_with_group_dummies(X[:, :3], y_fe, groups)
+        est = np.array([c.estimate for c in fe.coefficients.values()])
+        ses = np.array([c.std_error for c in fe.coefficients.values()])
+        np.testing.assert_allclose(est, beta_o, atol=1e-10)
+        np.testing.assert_allclose(ses, se_o, atol=1e-10)
+        X_dm = X[:, :3].copy()
+        for g in np.unique(groups):
+            X_dm[groups == g] -= X_dm[groups == g].mean(axis=0)
+        np.testing.assert_allclose(fe.bread, np.linalg.inv(X_dm.T @ X_dm),
+                                   rtol=1e-10, atol=1e-15)
+        assert_se_reads_bread(fe, fe.objective / (n - n_groups - 3))
+        assert fe.extra["n_groups"] == n_groups
+        assert 0 <= fe.fit_stat <= 1
+        assert fe.fit_stat <= fe.extra["r_squared_overall"] + 1e-9
 
     # VIF vs the literal auxiliary-regression definition: a well
     # conditioned design, then ill-conditioned ones whose column means reach

@@ -598,18 +598,18 @@ def test_rank_deficiency_names_a_column_small_in_scale(rng):
     assert err.value.columns == ("x1",)
 
 
-@given(n=st.integers(8, 60), p=st.integers(1, 4),
+@given(n=st.integers(8, 700), p=st.integers(1, 4),
        exponent=st.floats(3.0, 16.0), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=300, deadline=None)
 def test_ols_rank_check_matches_matrix_rank(n, p, exponent, seed):
     """RankDeficient is raised exactly when matrix_rank([1, X]) is short.
 
     The last column is column 0 plus noise scaled by 10**-exponent, from
-    well conditioned (1e-3) to numerically dependent (1e-16). Designs whose
-    smallest singular value is within 1e-3 of the tolerance are skipped:
-    there numpy's values-only SVD (matrix_rank) and its full SVD may round
-    to different sides (by about 1e-4 of the tolerance in 20,000 random
-    designs).
+    well conditioned (1e-3) to numerically dependent (1e-16). Up to 700
+    rows, a design spans several of _ols_core's 256-row QR blocks. Designs
+    whose smallest singular value is within 1e-3 of the tolerance are
+    skipped: there two SVDs of the same matrix may round to different sides
+    (by about 1e-4 of the tolerance in 20,000 random designs).
     """
     rng = np.random.default_rng(seed)
     X = rng.normal(0, 1, (n, p))
