@@ -28,6 +28,11 @@ def _parse_filtered(args):
                                                  args.banks))
 
 
+def _bundle(args) -> ReportBundle:
+    """A stage command's bundle, holding the filtered sample it reads."""
+    return ReportBundle(args.out, _parse_filtered(args)[0])
+
+
 def _finish(bundle: ReportBundle) -> int:
     """Name every recorded failure on stderr; 2 if there was any, else 0."""
     for name, err in sorted(bundle.failures.items()):
@@ -54,8 +59,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    filtered, _ = _parse_filtered(args)
-    stats = pipeline.write_stats(ReportBundle(args.out), filtered.network)
+    stats = pipeline.write_stats(_bundle(args))
     print(report.canonical_json(stats.to_json()), end="")
     return 0
 
@@ -64,32 +68,29 @@ def _cmd_nullmodel(args) -> int:
     # RunConfig's rules refuse an invalid request before any input is read
     config = RunConfig(args.out, args.edges, args.firms, args.banks,
                        n_samples=args.samples, seed=args.seed)
-    filtered, _ = _parse_filtered(args)
-    bundle = ReportBundle(args.out)
-    if pipeline.write_null_variant(bundle, filtered, args.variant,
-                                   config.n_samples, config.seed):
+    bundle = _bundle(args)
+    if pipeline.write_null_variant(bundle, args.variant, config.n_samples,
+                                   config.seed):
         print(f"wrote nullmodel_{args.variant}.json to {args.out}")
     return _finish(bundle)
 
 
 def _cmd_regress(args) -> int:
-    filtered, _ = _parse_filtered(args)
+    bundle = _bundle(args)
     fe = econ.FixedEffects.BANK_DUMMIES if args.fixed_effects \
         else econ.FixedEffects.NONE
     spec = econ.ModelSpec(STAGES[args.stage], econ.Model(args.model),
                           econ.DegreeVariant(args.variant), fixed_effects=fe)
-    bundle = ReportBundle(args.out)
-    cell = pipeline.write_cell(bundle, filtered, spec, subdir="")
+    cell = pipeline.write_cell(bundle, spec, subdir="")
     if cell is not None:
         print(cell[0].format_table(title=spec.name()), end="")
     return _finish(bundle)
 
 
 def _cmd_placebo(args) -> int:
-    filtered, _ = _parse_filtered(args)
-    bundle = ReportBundle(args.out)
+    bundle = _bundle(args)
     for spec in pipeline.placebo_panel(STAGES[args.stage]):
-        if pipeline.write_cell(bundle, filtered, spec, subdir=""):
+        if pipeline.write_cell(bundle, spec, subdir=""):
             print(f"{spec.name()}: ok")
     return _finish(bundle)
 

@@ -622,7 +622,11 @@ def fit_ols(design: DesignMatrix) -> FitResult:
 
 
 def fit_ols_fixed_effects(design: DesignMatrix) -> FitResult:
-    """Within-transformation OLS absorbing bank-level heterogeneity."""
+    """Within-transformation OLS absorbing bank-level heterogeneity.
+
+    ``r_squared_overall`` is the R^2 of the dummy-variable regression, bank
+    effects included: 1 - RSS / TSS, as its residual is the within one. It
+    is not ``xtreg, fe``'s overall R^2, the squared corr(y, X beta)."""
     absorbed = [c for c in design.column_names
                 if c in COLUMNS and COLUMNS[c].side == BANK]
     if absorbed:
@@ -643,21 +647,17 @@ def fit_ols_fixed_effects(design: DesignMatrix) -> FitResult:
     means = np.column_stack([np.bincount(gidx, weights=col)
                              for col in xy_dm.T]) / counts[:, None]
     xy_dm -= means[gidx]
-    X_dm, y_dm = xy_dm[:, :-1], xy_dm[:, -1]
 
     n = y.size
-    p_dim = X_dm.shape[1]
-    dof = n - n_groups - p_dim
+    dof = n - n_groups - len(design.column_names)
     if dof <= 0:
         raise EconError("insufficient degrees of freedom after demeaning")
     beta, resid, rss, bread = _ols_core(xy_dm, design.column_names)
 
-    tss_within = float((y_dm**2).sum())
+    tss_within = float((xy_dm[:, -1]**2).sum())
     r2_within = 1.0 - rss / tss_within if tss_within > 0 else 1.0
-    fitted_overall = X_dm @ beta + means[gidx, -1]
     tss = float(((y - y.mean())**2).sum())
-    resid_overall = y - fitted_overall
-    r2_overall = 1.0 - float(resid_overall @ resid_overall) / tss if tss > 0 else 1.0
+    r2_overall = 1.0 - rss / tss if tss > 0 else 1.0
 
     return FitResult(
         method="ols_fe",

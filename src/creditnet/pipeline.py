@@ -2,9 +2,10 @@
 
 A run is fully described by a :class:`RunConfig`; identical configurations
 produce byte-identical output trees. :func:`run` is a plain sequence of
-stage functions. Each stage writes its files through a :class:`ReportBundle`
-and records a failing null variant or grid cell there instead of raising;
-the CLI's single-stage subcommands call the same functions.
+stage functions. A command's :class:`ReportBundle` holds its one filtered
+sample and the nulls calibrated on it; each stage reads them there, writes
+its files through it and records a failing null variant or grid cell there
+instead of raising. The CLI's single-stage subcommands call the same ones.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import econometrics as econ
 from . import netstats, nullmodel, report
-from .core import BipartiteNetwork, Sample
+from .core import Sample
 from .ingest import apply_consistency_filter, parse_sample
 from .netstats import ccdf, compare, summarize
 from .nullmodel import (Variant, bicm_from_network, fitness_spec_from_sample,
@@ -88,9 +89,10 @@ class RunConfig:
 
 @dataclass
 class ReportBundle:
-    """Paths and statuses of everything a command emitted."""
+    """A command's one sample, the nulls calibrated on it, and its outputs."""
 
     out_dir: str
+    sample: Sample  # the one sample every stage of the command reads
     files: list[str] = field(default_factory=list)
     failures: dict[str, str] = field(default_factory=dict)
     # null variant name -> (spec, ExpectedMetrics), or (None, None) after
@@ -155,24 +157,24 @@ def residual_diagnostics(fit: econ.FitResult) -> dict:
     }
 
 
-def _load_sample(config: RunConfig, bundle: ReportBundle):
-    paths = config.input_paths
+def _load_sample(config: RunConfig):
+    paths, written = config.input_paths, []
     if config.synth is not None:  # written under input/, then read back
         _, paths = write_synthetic(config.synth,
                                    os.path.join(config.out_dir, "input"))
-        bundle.files += [os.path.relpath(p, config.out_dir)
-                         for p in paths.values()]
-        bundle.files.append(os.path.join("input", "ground_truth.json"))
-    return parse_sample(paths["edges"], paths["firms"], paths["banks"]), paths
+        written = [os.path.relpath(p, config.out_dir) for p in paths.values()]
+        written.append(os.path.join("input", "ground_truth.json"))
+    sample = parse_sample(paths["edges"], paths["firms"], paths["banks"])
+    return sample, paths, written
 
 
 def _cause(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def write_stats(bundle: ReportBundle,
-                net: BipartiteNetwork) -> netstats.SummaryStats:
-    """Write the summary statistics and the degree CCDFs of a network."""
+def write_stats(bundle: ReportBundle) -> netstats.SummaryStats:
+    """Write the bundle network's summary statistics and degree CCDFs."""
+    net = bundle.sample.network
     stats = summarize(net)
     report.write_json(bundle.add("summary_stats.json"), stats.to_json())
     for label, values in zip(("firm_degrees", "bank_degrees"), net.degrees):
@@ -187,14 +189,14 @@ def write_stats(bundle: ReportBundle,
     return stats
 
 
-def calibrate_null(bundle: ReportBundle, sample: Sample, name: str):
+def calibrate_null(bundle: ReportBundle, name: str):
     """Null variant ``name`` and its ``ExpectedMetrics`` as ``(spec,
     expected)``, or ``(None, None)`` after recording the failure as
-    ``nullmodel_<name>``. The first call calibrates, later calls read
-    ``bundle.nulls``: a bundle serves one command on one sample."""
+    ``nullmodel_<name>``. The first call calibrates on ``bundle.sample``;
+    later calls read ``bundle.nulls``, which hold only that sample's."""
     if name not in bundle.nulls:
         try:
-            spec = NULL_VARIANTS[name](sample)
+            spec = NULL_VARIANTS[name](bundle.sample)
             bundle.nulls[name] = spec, nullmodel.expected_metrics(spec)
         except Exception as exc:  # recorded, never fatal for other stages
             bundle.failures[f"nullmodel_{name}"] = _cause(exc)
@@ -202,8 +204,8 @@ def calibrate_null(bundle: ReportBundle, sample: Sample, name: str):
     return bundle.nulls[name]
 
 
-def write_null_variant(bundle: ReportBundle, sample: Sample, name: str,
-                       n_samples: int, seed: int):
+def write_null_variant(bundle: ReportBundle, name: str, n_samples: int,
+                       seed: int):
     """Build one null variant; write its JSON and comparisons.
 
     The JSON holds each node's closed-form mean and standard deviation. The
@@ -216,7 +218,7 @@ def write_null_variant(bundle: ReportBundle, sample: Sample, name: str,
     Returns the closed forms, or None after recording the failure, of the
     calibration or of the draw, as ``nullmodel_<name>``.
     """
-    spec, expected = calibrate_null(bundle, sample, name)
+    spec, expected = calibrate_null(bundle, name)
     if spec is None:
         return None
     try:
@@ -224,7 +226,7 @@ def write_null_variant(bundle: ReportBundle, sample: Sample, name: str,
     except Exception as exc:  # fails the variant, not its closed forms
         bundle.failures[f"nullmodel_{name}"] = _cause(exc)
         return None
-    k, h = sample.network.degrees
+    k, h = bundle.sample.network.degrees
     skipped = {}
     for side, emp, model_k in (("firms", k, expected.firm_degrees),
                                ("banks", h, expected.bank_degrees)):
@@ -255,7 +257,7 @@ def write_null_variant(bundle: ReportBundle, sample: Sample, name: str,
     return expected
 
 
-def write_cell(bundle: ReportBundle, sample: Sample, spec: econ.ModelSpec,
+def write_cell(bundle: ReportBundle, spec: econ.ModelSpec,
                subdir: str = "regress"):
     """Build, fit and write one grid cell into ``subdir`` of the bundle.
 
@@ -264,10 +266,10 @@ def write_cell(bundle: ReportBundle, sample: Sample, spec: econ.ModelSpec,
     recording the failure under the cell's name.
     """
     cell = spec.name()
-    null = (calibrate_null(bundle, sample, PLACEBO_NULLS[spec.placebo])[1]
+    null = (calibrate_null(bundle, PLACEBO_NULLS[spec.placebo])[1]
             if spec.placebo in PLACEBO_NULLS else None)
     try:
-        design = econ.build_design(sample, spec, null)
+        design = econ.build_design(bundle.sample, spec, null)
         fit = econ.fit_design(design)
     except Exception as exc:  # recorded, never fatal for other cells
         bundle.failures[cell] = _cause(exc)
@@ -325,19 +327,18 @@ def run(config: RunConfig) -> ReportBundle:
     and each cell's design is released before the next one is built.
     """
     os.makedirs(config.out_dir, exist_ok=True)
-    bundle = ReportBundle(out_dir=config.out_dir)
-    sample, input_paths = _load_sample(config, bundle)
+    sample, input_paths, written = _load_sample(config)
     filtered, filter_report = apply_consistency_filter(sample)
     del sample  # the unfiltered weights are not read again
+    bundle = ReportBundle(config.out_dir, filtered, written)
     report.write_json(bundle.add("filter_report.json"),
                       filter_report.to_json())
-    write_stats(bundle, filtered.network)
+    write_stats(bundle)
     for name in config.null_variants:
-        write_null_variant(bundle, filtered, name, config.n_samples,
-                           config.seed)
+        write_null_variant(bundle, name, config.n_samples, config.seed)
     grid = config.grid if config.grid is not None else default_grid()
     for spec in grid:
-        cell = write_cell(bundle, filtered, spec)
+        cell = write_cell(bundle, spec)
         if cell and spec.name() == "loan_sizing_m3_a":
             _write_diagnostics(bundle, *cell)
         del cell  # the next cell builds its design without this one's

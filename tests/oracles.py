@@ -272,7 +272,8 @@ def ols_normal_equations(X, y):
 
 
 def ols_with_group_dummies(X, y, groups):
-    """Pooled OLS with explicit group indicator columns (no intercept)."""
+    """Pooled OLS with explicit group indicator columns (no intercept):
+    the slopes, their standard errors and the residuals."""
     groups = np.asarray(groups)
     labels = np.unique(groups)
     dummies = np.column_stack([(groups == g).astype(float) for g in labels])
@@ -283,7 +284,7 @@ def ols_with_group_dummies(X, y, groups):
     sigma2 = float(resid @ resid) / dof
     cov = sigma2 * np.linalg.inv(Z.T @ Z)
     p = X.shape[1]
-    return beta[:p], np.sqrt(np.diag(cov)[:p])
+    return beta[:p], np.sqrt(np.diag(cov)[:p]), resid
 
 
 @dataclass(frozen=True)

@@ -187,6 +187,12 @@ def test_acceptance_logit_oracles():
         np.testing.assert_allclose(est, refined, atol=1e-4)
 
 
+def _r_squared(resid, y):
+    """1 - RSS / TSS, with TSS the sum of squares of y about its mean."""
+    centred = y - y.mean()
+    return 1 - float(resid @ resid) / float((centred**2).sum())
+
+
 def _vif_by_auxiliary_regressions(X):
     """1 / (1 - R_j^2) of each column regressed on the others and 1."""
     n = X.shape[0]
@@ -196,9 +202,7 @@ def _vif_by_auxiliary_regressions(X):
         others = np.column_stack([np.ones(n), np.delete(X, idx, axis=1)])
         resid = target - others @ np.linalg.lstsq(others, target,
                                                   rcond=None)[0]
-        r2 = 1 - float(resid @ resid) / float(
-            ((target - target.mean()) ** 2).sum())
-        out.append(1 / (1 - r2))
+        out.append(1 / (1 - _r_squared(resid, target)))
     return out
 
 
@@ -222,11 +226,13 @@ def test_acceptance_ols_fe_vif_oracles():
         np.testing.assert_allclose(fit.bread, np.linalg.inv(A.T @ A),
                                    rtol=1e-10, atol=1e-15)
         assert_se_reads_bread(fit, fit.objective / (n - 5))
-        assert 0.9 < fit.fit_stat <= 1.0
+        assert fit.fit_stat == pytest.approx(
+            _r_squared(y - A @ beta_o, y), abs=1e-10)
 
-        # fixed effects vs the dummy-variable regression; the bread is the
-        # inverse cross-product of the group-demeaned columns. Six rows
-        # leave one degree of freedom with two groups.
+        # fixed effects vs the dummy-variable regression, whose R^2 is the
+        # overall one; the bread and the within R^2 are those of the
+        # group-demeaned regression. Six rows leave one degree of freedom
+        # with two groups.
         n_groups = 2 if n == 6 else 6
         groups = rng.integers(0, n_groups, n)
         alpha = rng.normal(0, 2, n_groups)
@@ -235,20 +241,25 @@ def test_acceptance_ols_fe_vif_oracles():
         d = make_design(X[:, :3], y_fe, groups=groups,
                         spec=ModelSpec(Stage.LOAN_SIZING, Model.M2_NETWORK))
         fe = fit_ols_fixed_effects(d)
-        beta_o, se_o = ols_with_group_dummies(X[:, :3], y_fe, groups)
+        beta_o, se_o, resid_o = ols_with_group_dummies(X[:, :3], y_fe,
+                                                       groups)
         est = np.array([c.estimate for c in fe.coefficients.values()])
         ses = np.array([c.std_error for c in fe.coefficients.values()])
         np.testing.assert_allclose(est, beta_o, atol=1e-10)
         np.testing.assert_allclose(ses, se_o, atol=1e-10)
-        X_dm = X[:, :3].copy()
+        xy_dm = np.column_stack([X[:, :3], y_fe])
         for g in np.unique(groups):
-            X_dm[groups == g] -= X_dm[groups == g].mean(axis=0)
+            xy_dm[groups == g] -= xy_dm[groups == g].mean(axis=0)
+        X_dm, y_dm = xy_dm[:, :3], xy_dm[:, 3]
         np.testing.assert_allclose(fe.bread, np.linalg.inv(X_dm.T @ X_dm),
                                    rtol=1e-10, atol=1e-15)
         assert_se_reads_bread(fe, fe.objective / (n - n_groups - 3))
         assert fe.extra["n_groups"] == n_groups
-        assert 0 <= fe.fit_stat <= 1
-        assert fe.fit_stat <= fe.extra["r_squared_overall"] + 1e-9
+        beta_w = np.linalg.lstsq(X_dm, y_dm, rcond=None)[0]
+        assert fe.fit_stat == pytest.approx(
+            _r_squared(y_dm - X_dm @ beta_w, y_dm), abs=1e-10)
+        assert fe.extra["r_squared_overall"] == pytest.approx(
+            _r_squared(resid_o, y_fe), abs=1e-10)
 
     # VIF vs the literal auxiliary-regression definition: a well
     # conditioned design, then ill-conditioned ones whose column means reach
@@ -600,10 +611,10 @@ def _relabel(sample: Sample, rng) -> Sample:
 def _grid_fits(sample: Sample) -> dict:
     """Each default-grid cell's coefficients, or the type of the exception
     that failed it; the null placebos read the closed forms a run reads."""
-    bundle = ReportBundle(out_dir="")  # calibrate_null writes no file
+    bundle = ReportBundle("", sample)  # calibrate_null writes no file
     fits = {}
     for spec in default_grid():
-        null = (calibrate_null(bundle, sample, PLACEBO_NULLS[spec.placebo])[1]
+        null = (calibrate_null(bundle, PLACEBO_NULLS[spec.placebo])[1]
                 if spec.placebo in PLACEBO_NULLS else None)
         try:
             fits[spec.name()] = econometrics.fit_design(

@@ -416,8 +416,8 @@ def test_null_variant_names_skipped_comparisons(tmp_path):
     because the model itself worked."""
     config = small_run_config(tmp_path)
     sample, _ = generate(config.synth)
-    bundle = ReportBundle(str(tmp_path))
-    assert write_null_variant(bundle, sample, "random", config.n_samples,
+    bundle = ReportBundle(str(tmp_path), sample)
+    assert write_null_variant(bundle, "random", config.n_samples,
                               config.seed) is not None
     assert bundle.failures == {}
     assert bundle.files == ["nullmodel_random.json"]
